@@ -2,7 +2,8 @@
 
 Dumps go to stdout (one ``R(a,...) = value`` line per non-bottom leaf, in
 deterministic order); diagnostics and ``--stats`` output go to stderr.
-Exit codes: 0 success, 1 validation or comparison failure, 2 usage or I/O.
+Exit codes: 0 success, 1 validation or comparison failure or input that
+nests too deeply for the recursive parser and engine, 2 usage or I/O.
 """
 
 from __future__ import annotations
@@ -185,6 +186,10 @@ def main(argv=None) -> int:
         return 2
     except LatlogError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply (Python recursion limit "
+              f"{sys.getrecursionlimit()} exceeded)", file=sys.stderr)
         return 1
     _emit(report, getattr(args, "stats", False))
     return 0 if report.ok else 1

@@ -395,10 +395,14 @@ def sign_transfer(op: str) -> Callable[[frozenset, frozenset], frozenset]:
 class FunctionRegistry:
     """Named monotone operations usable as function terms.
 
-    Registration validates monotonicity in each argument: exhaustively when
-    the lattice enumerates fewer than ``exhaustive_limit`` elements, otherwise
-    by ``spot_checks`` sampled ordered pairs.  Register everything up front;
-    the registry must not change during a solve run.
+    Registration validates monotonicity in each argument.  When the lattice
+    enumerates fewer than ``exhaustive_limit`` elements the proof is
+    exhaustive: the function is tabulated once over every argument tuple, and
+    each argument is checked along the covering pairs of the order (``b``
+    covers ``a`` when ``a < b`` with nothing strictly between), which implies
+    every ordered pair by transitivity.  Larger lattices get ``spot_checks``
+    sampled ordered pairs.  Register everything up front; the registry must
+    not change during a solve run.
     """
 
     def __init__(self, lattice: Lattice, exhaustive_limit: int = 64, spot_checks: int = 1000):
@@ -443,14 +447,32 @@ class FunctionRegistry:
     def _check_exhaustive(self, name, arity, fn):
         lat = self.lattice
         elems = list(lat.enumerate_elements())
-        pairs = [(a, b) for a in elems for b in elems if a != b and lat.leq(a, b)]
+        n = len(elems)
+        # bit j of above[i] is set when elems[i] < elems[j]; elems[j] covers
+        # elems[i] when it is above i but above no other element above i
+        above = [sum(1 << j for j in range(n) if j != i and lat.leq(elems[i], elems[j]))
+                 for i in range(n)]
+        covers = []
+        for i, up in enumerate(above):
+            beyond = 0
+            for k in range(n):
+                if up >> k & 1:
+                    beyond |= above[k]
+            covers += [(i, j) for j in range(n) if (up & ~beyond) >> j & 1]
+        # fn over product(elems, repeat=arity) in order, equal results shared:
+        # moving position p from elems[lo] to elems[hi] moves (hi - lo) * n ** (arity - 1 - p)
+        canon = {}
+        table = [canon.setdefault(v, v)
+                 for v in (fn(*args) for args in product(elems, repeat=arity))]
         for pos in range(arity):
-            for others in product(elems, repeat=arity - 1):
-                for lo, hi in pairs:
-                    args_lo = others[:pos] + (lo,) + others[pos:]
-                    args_hi = others[:pos] + (hi,) + others[pos:]
-                    if not lat.leq(fn(*args_lo), fn(*args_hi)):
-                        raise MonotonicityError(name, pos, lo, hi, fn(*args_lo), fn(*args_hi))
+            stride = n ** (arity - 1 - pos)
+            for base in range(len(table)):
+                if base // stride % n:
+                    continue  # not the row with elems[0] at position pos
+                for lo, hi in covers:
+                    f_lo, f_hi = table[base + lo * stride], table[base + hi * stride]
+                    if not lat.leq(f_lo, f_hi):
+                        raise MonotonicityError(name, pos, elems[lo], elems[hi], f_lo, f_hi)
 
     def _check_sampled(self, name, arity, fn):
         lat = self.lattice

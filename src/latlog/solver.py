@@ -647,11 +647,15 @@ def solve(program: Program, fact_overrides=None) -> SolveResult:
     """Compute the least model of a validated program above its facts."""
     if program.ranks is None:
         ast.validate(program)
-    if sys.getrecursionlimit() < _MIN_RECURSION:
-        sys.setrecursionlimit(_MIN_RECURSION)
     stats = SolveStats()
     engine = _Engine(program, stats)
-    engine.run(_merge_facts(program.facts, fact_overrides))
+    limit = sys.getrecursionlimit()
+    # the engine recurses per delivery; raise the limit for this run only
+    sys.setrecursionlimit(max(limit, _MIN_RECURSION))
+    try:
+        engine.run(_merge_facts(program.facts, fact_overrides))
+    finally:
+        sys.setrecursionlimit(limit)
     return SolveResult(program, engine.store, engine.table, stats)
 
 

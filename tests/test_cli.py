@@ -135,6 +135,22 @@ def test_analyze_bad_graph_exits_1(capsys, tmp_path):
     assert "unknown state" in err
 
 
+def test_analyze_too_deep_input_is_one_error_line(tmp_path, capsys):
+    # a 1 200-state ring gives one left-nested clause conjunction that the
+    # parser recurses through once per rule, past the default limit
+    n = 1200
+    lines = ["initial q0", *(f"state q{i}" for i in range(1, n)), "var x",
+             *(f"q{i} -> q{i + 1} : x := x + 1" for i in range(n - 1)),
+             f"q{n - 1} -> q0 : skip"]
+    path = tmp_path / "deep.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", str(path), "--analysis", "signs")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: input nests too deeply (")
+
+
 # --- compare --------------------------------------------------------------------
 
 

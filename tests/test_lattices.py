@@ -1,15 +1,21 @@
 """Lattice construction, interval arithmetic, and function-registry checks."""
 
+from functools import reduce
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latlog.ast import reorder_preconditions, validate
 from latlog.errors import LatticeError, MonotonicityError, RegistryError
 from latlog.lattices import (EMPTY_INTERVAL, FULL_INTERVAL, NEG_INF, POS_INF,
                              FunctionRegistry, IntervalValue, interval,
                              interval_arithmetic, interval_inf, interval_join,
                              interval_lattice, interval_leq, interval_meet,
-                             interval_sup, powerset_lattice, sign_lattice,
+                             interval_sup, powerset_lattice, SIGNS, sign_lattice,
                              sign_transfer, standard_registry)
+from latlog.parser import parse_clauses
+from latlog.solver import solve
 
 import helpers
 
@@ -269,6 +275,98 @@ def test_reject_anti_monotone_on_large_lattice_by_sampling():
     with pytest.raises(MonotonicityError):
         reg.register("flip", 1, flip)
     reg.register("widen", 1, lambda v: interval_join(v, lat.make_interval(0, 1)))
+
+
+SMALL_LATTICES = {"signs": sign_lattice(), "interval 0..2": interval_lattice(range(0, 3))}
+
+
+def brute_monotone(lat, arity, fn) -> bool:
+    """Monotone in every argument, checked over all ordered pairs."""
+    elems = lat.enumerate_elements()
+    for pos in range(arity):
+        for others in product(elems, repeat=arity - 1):
+            for lo, hi in product(elems, repeat=2):
+                if lat.leq(lo, hi) and not lat.leq(
+                        fn(*others[:pos], lo, *others[pos:]),
+                        fn(*others[:pos], hi, *others[pos:])):
+                    return False
+    return True
+
+
+def assert_real_violation(lat, fn, arity, exc):
+    """The counterexample is a covering pair that ``fn`` maps out of order."""
+    pos, lo, hi, f_lo, f_hi = exc.counterexample
+    elems = lat.enumerate_elements()
+    assert lo != hi and lat.leq(lo, hi)
+    assert not any(c not in (lo, hi) and lat.leq(lo, c) and lat.leq(c, hi)
+                   for c in elems)
+    assert not lat.leq(f_lo, f_hi)
+    assert any(fn(*others[:pos], lo, *others[pos:]) == f_lo
+               and fn(*others[:pos], hi, *others[pos:]) == f_hi
+               for others in product(elems, repeat=arity - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SMALL_LATTICES)), st.sampled_from((1, 2)),
+       st.sampled_from(("raw", "monotonized", "perturbed")), st.data())
+def test_exhaustive_proof_agrees_with_all_pairs(lat_name, arity, shape, data):
+    lat = SMALL_LATTICES[lat_name]
+    elems = lat.enumerate_elements()
+    assert len(elems) < FunctionRegistry(lat).exhaustive_limit
+    keys = list(product(elems, repeat=arity))
+    values = data.draw(st.lists(st.sampled_from(elems), min_size=len(keys),
+                                max_size=len(keys)))
+    table = dict(zip(keys, values))
+    if shape != "raw":
+        # the least monotone function above the drawn table
+        table = {args: reduce(lat.join, (v for below, v in table.items()
+                                         if all(map(lat.leq, below, args))))
+                 for args in keys}
+    if shape == "perturbed":
+        table[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(elems))
+    fn = lambda *args: table[args]
+    try:
+        FunctionRegistry(lat).register("drawn", arity, fn)
+    except MonotonicityError as exc:
+        assert not brute_monotone(lat, arity, fn)
+        assert_real_violation(lat, fn, arity, exc)
+    else:
+        assert brute_monotone(lat, arity, fn)
+
+
+def test_counterexample_names_the_failing_argument():
+    lat = sign_lattice()
+    fn = lambda a, b: lat.bottom if b else a  # monotone in a, not in b
+    with pytest.raises(MonotonicityError) as info:
+        FunctionRegistry(lat).register("drop", 2, fn)
+    assert info.value.counterexample[0] == 1
+    assert_real_violation(lat, fn, 2, info.value)
+
+
+# --- user functions through the parser --------------------------------------------
+
+USER_FN_PROGRAM = """
+lattice signs
+fun widen/1
+rel B/1
+rel A/1
+fact B(x) = {0}
+clause forall v. forall 'i. B(v;'i) => A(v;widen('i))
+"""
+
+
+def test_parse_registers_monotone_user_function():
+    widen = lambda s: s | {"+"} if s else s
+    program = parse_clauses(USER_FN_PROGRAM, extra_functions={("widen", 1): widen})
+    assert program.registry.has("widen", 1)
+    result = solve(reorder_preconditions(validate(program)))
+    assert result.dump_lines() == ["A(x) = {0,+}", "B(x) = {0}"]
+
+
+def test_parse_rejects_non_monotone_user_function():
+    flip = lambda s: frozenset(SIGNS) - s
+    with pytest.raises(MonotonicityError):
+        parse_clauses(USER_FN_PROGRAM, extra_functions={("widen", 1): flip})
 
 
 def test_reject_duplicate_registration():

@@ -1,5 +1,7 @@
 """Unification, stores, consumers, and whole solve runs."""
 
+import sys
+
 import pytest
 
 from latlog import ast
@@ -497,3 +499,44 @@ def test_solver_matches_naive_on_random_programs():
         bound = sum(len(program.universe) ** k
                     for k in program.arities.values()) * height
         assert result.stats.growths <= bound, f"seed {seed}"
+
+
+@pytest.fixture
+def recursion_limit():
+    """A known limit below the solver's own, restored after the test."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    yield 1500
+    sys.setrecursionlimit(before)
+
+
+def test_solve_restores_recursion_limit(recursion_limit):
+    helpers.run_pipeline(helpers.sample("eq_neq.lat"))
+    assert sys.getrecursionlimit() == recursion_limit
+
+
+def test_solve_restores_recursion_limit_when_it_raises(recursion_limit):
+    class Boom(Exception):
+        pass
+
+    armed = []
+
+    def grow(v):  # identity while registration proves it monotone
+        if armed:
+            raise Boom
+        return v
+
+    text = """
+    lattice powerset {a,b}
+    fun grow/1
+    rel P/1
+    rel Q/1
+    fact P(a) = {a}
+    clause forall x. forall 'i. P(x;'i) => Q(x;grow('i))
+    """
+    program = reorder_preconditions(validate(parse_clauses(
+        text, {("grow", 1): grow})))
+    armed.append(True)
+    with pytest.raises(Boom):
+        solve(program)
+    assert sys.getrecursionlimit() == recursion_limit
