@@ -23,7 +23,7 @@ from .lattices import (EMPTY_INTERVAL, FULL_INTERVAL, FunctionRegistry,
                        powerset_lattice, sign_lattice, sign_transfer,
                        standard_registry)
 from .parser import parse_clauses, parse_fact, pretty
-from .solver import Env, SolveResult, solve, unify, unify_lattice, unify_tuple
+from .solver import SolveResult, solve
 from .randgen import random_program
 
 __version__ = "0.1.0"
@@ -42,6 +42,6 @@ __all__ = [
     "interval_sup", "powerset_lattice", "sign_lattice", "sign_transfer",
     "standard_registry",
     "parse_clauses", "parse_fact", "pretty",
-    "Env", "SolveResult", "solve", "unify", "unify_lattice", "unify_tuple",
+    "SolveResult", "solve",
     "random_program",
 ]

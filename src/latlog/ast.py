@@ -265,6 +265,42 @@ def clause_vars(cl: Clause) -> tuple:
     raise TypeError(f"not a clause: {cl!r}")
 
 
+def conjuncts(cl) -> list:
+    """Conjuncts of a clause conjunction, left to right, without recursion."""
+    out, todo = [], [cl]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, ClauseAnd):
+            todo += (c.right, c.left)
+        else:
+            out.append(c)
+    return out
+
+
+def free_names(node) -> frozenset:
+    """Names of the variables free in a clause, precondition or term,
+    computed afresh on each call (the functions above share process-wide caches)."""
+    if isinstance(node, (Var, YVar)):
+        return frozenset((node.name,))
+    if isinstance(node, Repr):
+        return free_names(node.term)
+    if isinstance(node, FnApp):
+        return frozenset().union(*map(free_names, node.args))
+    if isinstance(node, (Query, NegQuery, Assert)):
+        return free_names(node.value).union(t.name for t in node.args if isinstance(t, Var))
+    if isinstance(node, Apply):
+        return free_names(node.term) | {node.yvar}
+    if isinstance(node, (PreAnd, PreOr, ClauseAnd)):
+        return free_names(node.left) | free_names(node.right)
+    if isinstance(node, Imply):
+        return free_names(node.pre) | free_names(node.body)
+    if isinstance(node, (ForallX, ExistsX)):
+        return free_names(node.body) - {node.var}
+    if isinstance(node, (ForallY, ExistsY)):
+        return free_names(node.body) - {node.yvar}
+    return frozenset()
+
+
 # --- well-formedness --------------------------------------------------------
 
 
@@ -555,49 +591,52 @@ def reorder_preconditions(program: Program) -> Program:
     return program.with_strata(_reorder_clause(cl) for cl in program.strata)
 
 
+def _value_atoms(v, atoms: set) -> None:
+    if isinstance(v, Repr) and isinstance(v.term, Const):
+        atoms.add(v.term.atom)
+    elif isinstance(v, FnApp):
+        for a in v.args:
+            _value_atoms(a, atoms)
+
+
+def _term_atoms(ts, atoms: set) -> None:
+    for t in ts:
+        if isinstance(t, Const):
+            atoms.add(t.atom)
+
+
+def _pre_atoms(p, atoms: set) -> None:
+    if isinstance(p, (Query, NegQuery)):
+        _term_atoms(p.args, atoms)
+        _value_atoms(p.value, atoms)
+    elif isinstance(p, Apply):
+        _term_atoms((p.term,), atoms)
+    elif isinstance(p, (PreAnd, PreOr)):
+        _pre_atoms(p.left, atoms)
+        _pre_atoms(p.right, atoms)
+    elif isinstance(p, (ExistsX, ExistsY)):
+        _pre_atoms(p.body, atoms)
+
+
+def _clause_atoms(cl, atoms: set) -> None:
+    if isinstance(cl, Assert):
+        _term_atoms(cl.args, atoms)
+        _value_atoms(cl.value, atoms)
+    elif isinstance(cl, ClauseAnd):
+        _clause_atoms(cl.left, atoms)
+        _clause_atoms(cl.right, atoms)
+    elif isinstance(cl, Imply):
+        _pre_atoms(cl.pre, atoms)
+        _clause_atoms(cl.body, atoms)
+    elif isinstance(cl, (ForallX, ForallY)):
+        _clause_atoms(cl.body, atoms)
+
+
 def universe_of(strata, facts, extra=()) -> tuple:
     """Sorted atom tuple mentioned by clauses, facts, and an extra carrier."""
     atoms: set = set(extra)
-
-    def from_value(v):
-        if isinstance(v, Repr) and isinstance(v.term, Const):
-            atoms.add(v.term.atom)
-        elif isinstance(v, FnApp):
-            for a in v.args:
-                from_value(a)
-
-    def from_terms(ts):
-        for t in ts:
-            if isinstance(t, Const):
-                atoms.add(t.atom)
-
-    def from_pre(p):
-        if isinstance(p, (Query, NegQuery)):
-            from_terms(p.args)
-            from_value(p.value)
-        elif isinstance(p, Apply):
-            from_terms((p.term,))
-        elif isinstance(p, (PreAnd, PreOr)):
-            from_pre(p.left)
-            from_pre(p.right)
-        elif isinstance(p, (ExistsX, ExistsY)):
-            from_pre(p.body)
-
-    def from_clause(cl):
-        if isinstance(cl, Assert):
-            from_terms(cl.args)
-            from_value(cl.value)
-        elif isinstance(cl, ClauseAnd):
-            from_clause(cl.left)
-            from_clause(cl.right)
-        elif isinstance(cl, Imply):
-            from_pre(cl.pre)
-            from_clause(cl.body)
-        elif isinstance(cl, (ForallX, ForallY)):
-            from_clause(cl.body)
-
     for cl in strata:
-        from_clause(cl)
+        _clause_atoms(cl, atoms)
     for f in facts:
         atoms.update(f.atoms)
     return tuple(sorted(atoms, key=atom_sort_key))

@@ -421,12 +421,14 @@ class FunctionRegistry:
     def has(self, name: str, arity: int) -> bool:
         return (name, arity) in self._fns
 
-    def apply(self, name: str, args: tuple):
+    def function(self, name: str, arity: int) -> Callable:
         try:
-            fn = self._fns[(name, len(args))]
+            return self._fns[(name, arity)]
         except KeyError:
-            raise RegistryError(f"unknown function {name}/{len(args)}") from None
-        return fn(*args)
+            raise RegistryError(f"unknown function {name}/{arity}") from None
+
+    def apply(self, name: str, args: tuple):
+        return self.function(name, len(args))(*args)
 
     def names(self) -> list[tuple[str, int]]:
         return sorted(self._fns)

@@ -1,11 +1,17 @@
-"""Least-model computation by continuation passing with difference propagation.
+"""Least-model computation: each stratum is compiled once into closures,
+then run by continuation passing with difference propagation.
 
-A solve run executes the strata in order.  Assertions enumerate unifiable
-candidate tuples, join them into per-predicate prefix trees, and on strict
-growth resume the consumers registered by positive queries.  Negative queries
-match against the complemented current value, which stratification has made
-final.  Each relation leaf holds the join of everything asserted for its
-tuple; an absent leaf reads as bottom.
+Compiling fixes each variable's slot in a list environment (universe
+variables hold interned atom ids, lattice variables values), constant ids,
+the argument positions that bind or compare, the variables keying each
+disjunction or existential memo and an evaluator per lattice term; a clause
+conjunction becomes a flat tuple of steps.  Running joins assertion
+candidates into per-predicate prefix trees over atom ids and delivers each
+strict growth to the consumers that positive queries registered under a
+matching prefix; negative queries read the complement of final values.  A
+lattice variable also carries a lower bound, the join of the descriptions
+``'Y(u)`` checked it against; narrowing it by meet below that bound fails.
+Leaves are never bottom; atoms reappear only in :class:`SolveResult`.
 
 A run mutates its stores reentrantly and is single-threaded; distinct runs
 are independent, and a finished result is safe to share.
@@ -16,6 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from . import ast
@@ -23,129 +30,9 @@ from .errors import SolverInvariantError, ValidationError
 from .lattices import Lattice, render_atom
 from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY,
                   FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
-                  PreOr, Program, Query, Repr, TrueClause, Var, YVar,
-                  clause_vars, pre_vars)
+                  PreOr, Program, Query, Repr, TrueClause, Var, YVar)
 
 _MIN_RECURSION = 20_000
-
-
-class Env:
-    """Immutable partial environment: variable name -> optional binding.
-
-    Universe variables map to atoms, lattice variables (apostrophe-prefixed
-    names) to non-bottom lattice values; ``None`` marks a declared but still
-    unbound variable.  Lookups of undeclared variables are errors.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, mapping=None):
-        self._m = {} if mapping is None else mapping
-
-    @staticmethod
-    def empty() -> "Env":
-        return Env()
-
-    def declared(self, name: str) -> bool:
-        return name in self._m
-
-    def get(self, name: str):
-        try:
-            return self._m[name]
-        except KeyError:
-            raise SolverInvariantError(f"variable {name!r} is not in scope") from None
-
-    def declare(self, name: str) -> "Env":
-        m = dict(self._m)
-        m[name] = None
-        return Env(m)
-
-    def bind(self, name: str, value) -> "Env":
-        if name not in self._m:
-            raise SolverInvariantError(f"variable {name!r} is not in scope")
-        m = dict(self._m)
-        m[name] = value
-        return Env(m)
-
-    def remove(self, name: str) -> "Env":
-        m = dict(self._m)
-        m.pop(name, None)
-        return Env(m)
-
-    def key(self, names=None) -> tuple:
-        """Hashable snapshot, optionally restricted to the given names."""
-        if names is None:
-            items = self._m.items()
-        else:
-            items = ((n, self._m[n]) for n in names if n in self._m)
-        return tuple(sorted(items, key=lambda kv: kv[0]))
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Env({self._m!r})"
-
-
-# --- unification --------------------------------------------------------------
-
-
-def unify_tuple(env: Env, args: tuple, atoms: tuple) -> Optional[Env]:
-    """Componentwise match of argument terms against ground atoms.
-
-    Constants and bound variables must equal the atom, unbound variables
-    become bound; returns None on mismatch.
-    """
-    if len(args) != len(atoms):
-        raise SolverInvariantError("arity mismatch in unification")
-    for t, a in zip(args, atoms):
-        if isinstance(t, Const):
-            if t.atom != a:
-                return None
-        else:
-            bound = env.get(t.name)
-            if bound is None:
-                env = env.bind(t.name, a)
-            elif bound != a:
-                return None
-    return env
-
-
-def unify_lattice(lattice: Lattice, universe: tuple, env: Env, value, l) -> list[Env]:
-    """Match a lattice term against a lattice value, yielding extended envs.
-
-    A bound lattice variable narrows to the meet (failing on bottom), an
-    unbound one binds to the value (if non-bottom), a described term requires
-    its description to lie below the value (enumerating the atom when the
-    term is unbound), and a constant requires containment.
-    """
-    if isinstance(value, YVar):
-        current = env.get(value.name)
-        if current is not None:
-            met = lattice.meet(l, current)
-            if met == lattice.bottom:
-                return []
-            return [env.bind(value.name, met)]
-        if l == lattice.bottom:
-            return []
-        return [env.bind(value.name, l)]
-    if isinstance(value, Repr):
-        t = value.term
-        if isinstance(t, Const):
-            return [env] if lattice.leq(lattice.represent(t.atom), l) else []
-        bound = env.get(t.name)
-        if bound is not None:
-            return [env] if lattice.leq(lattice.represent(bound), l) else []
-        return [env.bind(t.name, a) for a in universe if lattice.leq(lattice.represent(a), l)]
-    if isinstance(value, LitConst):
-        return [env] if lattice.leq(value.value, l) else []
-    raise SolverInvariantError(f"cannot unify against lattice term {value!r}")
-
-
-def unify(lattice: Lattice, universe: tuple, env: Env, args: tuple, value,
-          atoms: tuple, l) -> list[Env]:
-    """Full match of (args; value) against a ground tuple (atoms; l)."""
-    env2 = unify_tuple(env, args, atoms)
-    if env2 is None:
-        return []
-    return unify_lattice(lattice, universe, env2, value, l)
 
 
 # --- stores -------------------------------------------------------------------
@@ -167,9 +54,6 @@ class AtomTable:
     def ids(self, atoms: tuple) -> tuple:
         return tuple(self.id(a) for a in atoms)
 
-    def atom(self, i: int):
-        return self._atoms[i]
-
     def atoms(self, ids: tuple) -> tuple:
         return tuple(self._atoms[i] for i in ids)
 
@@ -185,13 +69,11 @@ class PrefixTree:
 
     def get(self, ids: tuple):
         node = self.root
-        if self.arity == 0:
-            return node
-        for i in ids[:-1]:
-            node = node.get(i)
+        for i in ids:
             if node is None:
                 return None
-        return node.get(ids[-1])
+            node = node.get(i)
+        return node
 
     def set(self, ids: tuple, value) -> None:
         if self.arity == 0:
@@ -202,25 +84,16 @@ class PrefixTree:
             node = node.setdefault(i, {})
         node[ids[-1]] = value
 
-    def items(self, prefix: tuple = ()) -> Iterator[tuple[tuple, Any]]:
+    def items(self, prefix: tuple = ()) -> list[tuple[tuple, Any]]:
         """Leaves under the given prefix, in insertion order."""
-
-        def walk(node, depth, path):
-            if depth == self.arity:
-                if node is not None:
-                    yield path, node
-                return
-            for i, child in node.items():
-                yield from walk(child, depth + 1, path + (i,))
-
-        node = self.root
-        for depth, i in enumerate(prefix):
-            if self.arity == 0 or node is None:
-                return
-            node = node.get(i)
-            if node is None:
-                return
-        yield from walk(node, len(prefix), tuple(prefix))
+        node = self.get(prefix)
+        if node is None:
+            return []
+        level = [(tuple(prefix), node)]
+        for _ in range(self.arity - len(prefix)):
+            level = [(path + (i,), child) for path, inner in level
+                     for i, child in inner.items()]
+        return level
 
 
 @dataclass
@@ -265,13 +138,9 @@ class SolveStats:
         return True
 
     def as_dict(self) -> dict:
-        return {
-            "growths": self.growths,
-            "consumer_invocations": self.consumer_invocations,
-            "sweep_invocations": self.sweep_invocations,
-            "candidates": self.candidates,
-            "redundant_adds": self.redundant_adds,
-        }
+        return {name: getattr(self, name) for name in (
+            "growths", "consumer_invocations", "sweep_invocations", "candidates",
+            "redundant_adds")}
 
 
 class ResultStore:
@@ -302,38 +171,41 @@ class ResultStore:
     def has(self, pred: str, ids: tuple, l) -> bool:
         return self.lattice.leq(l, self.current(pred, ids))
 
+    def raise_leaf(self, pred: str, ids: tuple, l):
+        """Join l into the leaf; the new leaf if it strictly grew, else None."""
+        tree, lattice = self.tree(pred), self.lattice
+        current = tree.get(ids)
+        if current is None:
+            current = lattice.bottom
+        if lattice.leq(l, current):
+            return None
+        if self.sealed(pred):
+            raise SolverInvariantError(
+                f"predicate {pred} of completed stratum {self.ranks.get(pred, 0)} "
+                f"grew at {ids} after sealing")
+        joined = lattice.join(current, l)
+        tree.set(ids, joined)
+        self.stats.record_growth(pred)
+        return joined
+
     def add(self, pred: str, ids: tuple, l) -> tuple[bool, Any]:
         """Join l into the leaf; returns (strictly grew, new leaf value)."""
         if l == self.lattice.bottom:
             raise SolverInvariantError("bottom is never stored")
-        current = self.current(pred, ids)
-        joined = self.lattice.join(current, l)
-        if joined == current:
+        leaf = self.raise_leaf(pred, ids, l)
+        if leaf is None:
             self.stats.redundant_adds += 1
-            return False, current
-        if self.ranks.get(pred, 0) <= self._sealed_rank:
-            raise SolverInvariantError(
-                f"predicate {pred} of completed stratum {self.ranks.get(pred, 0)} "
-                f"grew at {ids} after sealing")
-        self.tree(pred).set(ids, joined)
-        self.stats.record_growth(pred)
-        return True, joined
+            return False, self.current(pred, ids)
+        return True, leaf
 
-    def sub(self, pred: str, prefix: tuple = ()) -> Iterator[tuple[tuple, Any]]:
-        yield from self.tree(pred).items(prefix)
+    def sub(self, pred: str, prefix: tuple = ()) -> list[tuple[tuple, Any]]:
+        return self.tree(pred).items(prefix)
 
     def seal_up_to(self, rank: int) -> None:
         self._sealed_rank = max(self._sealed_rank, rank)
 
     def sealed(self, pred: str) -> bool:
         return self.ranks.get(pred, 0) <= self._sealed_rank
-
-    def leaves(self) -> dict:
-        """Plain nested dict of the whole store, keyed by interned ids."""
-        return {pred: dict(tree.items()) for pred, tree in self._trees.items()}
-
-
-Consumer = Callable[[tuple, Any], None]
 
 
 class ConsumerStore:
@@ -347,7 +219,7 @@ class ConsumerStore:
     def __init__(self):
         self._by_pred: dict[str, dict[tuple, list]] = {}
 
-    def register(self, pred: str, prefix: tuple, consumer: Consumer) -> None:
+    def register(self, pred: str, prefix: tuple, consumer: Callable) -> None:
         self._by_pred.setdefault(pred, {}).setdefault(prefix, []).append(consumer)
 
     def matching(self, pred: str, ids: tuple) -> list:
@@ -360,6 +232,319 @@ class ConsumerStore:
             out.extend(per.get(ids[:plen], ()))
         return out
 
+    def clear(self) -> None:
+        self._by_pred.clear()
+
+
+# --- compilation --------------------------------------------------------------
+
+Step = Callable[[list], None]
+
+
+def _reader(parts: list) -> Callable[[list], tuple]:
+    """Tuple of ``(slot, constant)`` parts: the slot's value, or the constant
+    where the slot is None."""
+    if len(parts) > 1 and all(s is not None for s, _ in parts):
+        return itemgetter(*[s for s, _ in parts])
+    return lambda env: tuple([c if s is None else env[s] for s, c in parts])
+
+
+def _enumerate(slots: list, atoms: range, step: Step) -> Step:
+    """``step`` once per assignment of atom ids to the slots, in id order."""
+    if not slots:
+        return step
+
+    def each(env):
+        for combo in product(atoms, repeat=len(slots)):
+            for s, i in zip(slots, combo):
+                env[s] = i
+            step(env)
+    return each
+
+
+class _Compiler:
+    """Compiles one top-level conjunct of a stratum into a step.
+
+    ``scope`` maps the variables in scope to slots and ``bound`` names those
+    bound at the point compiled; a disjunction compiles its continuation once
+    per binding state its branches reach.  Every binder and memo has a slot of
+    its own, a lattice variable's lower bound in the next one.  Steps write
+    unbound slots freely and restore the bound slots they narrow.
+    """
+
+    def __init__(self, engine: "_Engine"):
+        self.engine, self.lattice, self.universe = engine, engine.lattice, engine.program.universe
+        self.atoms = range(len(self.universe))
+        self.size = 0
+        self.lattice_slots: set = set()
+
+    def slot(self, lattice: bool = False) -> int:
+        s = self.size
+        self.size += 2 if lattice else 1
+        if lattice:
+            self.lattice_slots.add(s)
+        return s
+
+    @staticmethod
+    def lookup(scope: dict, name: str) -> int:
+        try:
+            return scope[name]
+        except KeyError:
+            raise SolverInvariantError(f"variable {name!r} is not in scope") from None
+
+    def args(self, scope: dict, args: tuple) -> list:
+        """(slot, None) per variable argument, (None, id) per constant."""
+        return [(None, self.engine.table.id(t.atom)) if isinstance(t, Const)
+                else (self.lookup(scope, t.name), None) for t in args]
+
+    def unbound(self, scope: dict, bound, terms) -> list:
+        """Slots of the distinct unbound universe variables of the terms
+        (arguments or lattice terms), first occurrence first."""
+        names: list = []
+        todo = list(reversed(terms))
+        while todo:
+            t = todo.pop()
+            if isinstance(t, (Repr, FnApp)):
+                todo += reversed(t.args) if isinstance(t, FnApp) else (t.term,)
+            elif isinstance(t, Var) and t.name not in bound and t.name not in names:
+                names.append(t.name)
+        return [self.lookup(scope, n) for n in names]
+
+    def clause(self, cl, scope: dict, bound: frozenset) -> Optional[Step]:
+        """Step executing a clause, or None when it does nothing."""
+        if isinstance(cl, Assert):
+            return self.assertion(cl, scope, bound)
+        if isinstance(cl, TrueClause):
+            return None
+        if isinstance(cl, ClauseAnd):
+            steps = tuple(filter(None, (self.clause(c, scope, bound) for c in ast.conjuncts(cl))))
+            if len(steps) < 2:
+                return steps[0] if steps else None
+
+            def conjunction(env):
+                for step in steps:
+                    step(env)
+            return conjunction
+        if isinstance(cl, Imply):
+            body = cl.body
+            return self.pre(cl.pre, scope, bound, (body,),
+                            lambda b: self.clause(body, scope, b) or (lambda env: None))
+        if isinstance(cl, (ForallX, ForallY)):
+            y = isinstance(cl, ForallY)
+            scope = {**scope, cl.yvar if y else cl.var: self.slot(y)}
+            return self.clause(cl.body, scope, bound)
+        raise SolverInvariantError(f"cannot execute {cl!r}")
+
+    def assertion(self, a: Assert, scope: dict, bound: frozenset) -> Step:
+        e = self.engine
+        ids_of = _reader(self.args(scope, a.args))
+        value = self.evaluator(a.value, scope, bound)
+        pred, stats, raise_leaf, broadcast = a.pred, e.stats, e.store.raise_leaf, e._broadcast
+
+        def assert_one(env):
+            stats.candidates += 1
+            ids = ids_of(env)
+            leaf = raise_leaf(pred, ids, value(env))
+            if leaf is not None:
+                broadcast(pred, ids, leaf)
+        return _enumerate(self.unbound(scope, bound, a.args + (a.value,)),
+                          self.atoms, assert_one)
+
+    def evaluator(self, v, scope: dict, bound) -> Callable[[list], Any]:
+        """Value of a lattice term; unbound lattice variables read as top."""
+        represent, universe = self.lattice.represent, self.universe
+        if isinstance(v, YVar) and v.name in bound:
+            return itemgetter(self.lookup(scope, v.name))
+        if isinstance(v, (YVar, LitConst)):
+            const = v.value if isinstance(v, LitConst) else self.lattice.top
+            return lambda env: const
+        if isinstance(v, Repr) and isinstance(v.term, Const):
+            atom = v.term.atom
+            return lambda env: represent(atom)
+        if isinstance(v, Repr):
+            s = self.lookup(scope, v.term.name)
+            return lambda env: represent(universe[env[s]])
+        if isinstance(v, FnApp):
+            fn = self.engine.program.registry.function(v.name, len(v.args))
+            args = [self.evaluator(a, scope, bound) for a in v.args]
+            return lambda env: fn(*[a(env) for a in args])
+        raise SolverInvariantError(f"cannot evaluate lattice term {v!r}")
+
+    def pre(self, p, scope: dict, bound: frozenset, rest: tuple,
+            kc: Callable[[frozenset], Step]) -> Step:
+        """Step checking a precondition; each match runs ``kc(bound')``, the
+        continuation compiled for the variables bound after the match.
+        ``rest`` holds the nodes after p, whose variables the continuation reads."""
+        if isinstance(p, Query):
+            return self.query(p, scope, bound, kc)
+        if isinstance(p, NegQuery):
+            return self.negquery(p, scope, bound, kc)
+        if isinstance(p, Apply):
+            return self.apply(p, scope, bound, kc)
+        if isinstance(p, PreAnd):
+            right = p.right
+            return self.pre(p.left, scope, bound, (right,) + rest,
+                            lambda b: self.pre(right, scope, b, rest, kc))
+        memo = self.slot()
+        if isinstance(p, PreOr):
+            kc = self.memo(memo, scope, rest, kc)
+            branches = (self.pre(p.left, scope, bound, rest, kc),
+                        self.pre(p.right, scope, bound, rest, kc))
+        elif isinstance(p, (ExistsX, ExistsY)):
+            y = isinstance(p, ExistsY)
+            name = p.yvar if y else p.var
+            inner = {**scope, name: self.slot(y)}
+            branches = (self.pre(p.body, inner, bound, rest, self.memo(
+                memo, scope, rest, lambda b: kc(b - {name}))),)
+        else:
+            raise SolverInvariantError(f"cannot check {p!r}")
+
+        def memoized(env):
+            env[memo] = set()
+            for branch in branches:
+                branch(env)
+        return memoized
+
+    def memo(self, memo: int, scope: dict, rest: tuple, kc):
+        """``kc`` behind a filter that passes each binding of the variables of
+        ``rest``, with the lower bounds of its lattice variables, once per entry."""
+        compiled: dict = {}
+        needed = sorted(frozenset().union(*map(ast.free_names, rest)))
+
+        def memo_kc(bound):
+            if bound not in compiled:
+                parts = []
+                for name in needed:
+                    s = self.lookup(scope, name)
+                    width = 2 if s in self.lattice_slots else 1
+                    parts += [(s + j if name in bound else None, None) for j in range(width)]
+                key, k = _reader(parts), kc(bound)
+
+                def once(env):
+                    seen, kv = env[memo], key(env)
+                    if kv not in seen:
+                        seen.add(kv)
+                        k(env)
+                compiled[bound] = once
+            return compiled[bound]
+        return memo_kc
+
+    def query(self, q: Query, scope: dict, bound: frozenset, kc) -> Step:
+        """Registers a consumer under the prefix of constant and bound
+        arguments, then sweeps the tuples already stored under it."""
+        e = self.engine
+        parts = self.args(scope, q.args)
+        plen = 0
+        while plen < len(parts) and (parts[plen][0] is None or q.args[plen].name in bound):
+            plen += 1
+        binds, tests, after = [], [], set(bound)
+        for pos in range(plen, len(parts)):  # the store matched the prefix
+            s, const = parts[pos]
+            if s is not None and q.args[pos].name not in after:
+                binds.append((pos, s))
+                after.add(q.args[pos].name)
+            else:
+                tests.append((pos, s, const))
+        match_value = self.matcher(q.value, scope, frozenset(after), kc)
+
+        def match(env, ids, l):
+            for pos, s in binds:
+                env[s] = ids[pos]
+            for pos, s, const in tests:
+                if ids[pos] != (const if s is None else env[s]):
+                    return
+            match_value(env, l)
+        prefix_of = _reader(parts[:plen])
+        pred, stats, sub = q.pred, e.stats, e.store.sub
+        new_consumer, register = stats.new_consumer, e.infl.register
+        live = not e.store.sealed(pred)
+
+        def query(env):
+            rec = new_consumer(pred)
+            prefix = prefix_of(env)
+            if live:
+                snapshot = env[:]
+
+                def deliver(ids, l):
+                    rec.delivery_invocations += 1
+                    stats.consumer_invocations += 1
+                    match(snapshot[:], ids, l)
+                register(pred, prefix, deliver)
+            for ids, l in sub(pred, prefix):
+                rec.sweep_invocations += 1
+                stats.sweep_invocations += 1
+                match(env, ids, l)
+        return query
+
+    def negquery(self, q: NegQuery, scope: dict, bound: frozenset, kc) -> Step:
+        complement = self.lattice.complement
+        if complement is None:
+            raise SolverInvariantError("negative query over a lattice without complement")
+        slots = self.unbound(scope, bound, q.args)
+        ids_of = _reader(self.args(scope, q.args))
+        match = self.matcher(q.value, scope,
+                             bound | {t.name for t in q.args if isinstance(t, Var)}, kc)
+        pred, current = q.pred, self.engine.store.current
+        return _enumerate(slots, self.atoms, lambda env: match(
+            env, complement(current(pred, ids_of(env)))))
+
+    def apply(self, p: Apply, scope: dict, bound: frozenset, kc) -> Step:
+        """``'Y(u)``: the description of u must lie below 'Y, which reads as
+        top while unbound; the description joins into 'Y's lower bound."""
+        lat = self.lattice
+        y, was_bound = self.lookup(scope, p.yvar), p.yvar in bound
+        slots = self.unbound(scope, bound, (p.term,))
+        after = bound | ast.free_names(p)
+        describe, k = self.evaluator(Repr(p.term), scope, after), kc(after)
+
+        def hit(env):
+            value, lower = (env[y], env[y + 1]) if was_bound else (lat.top, lat.bottom)
+            d = describe(env)
+            if lat.leq(d, value):
+                env[y], env[y + 1] = value, lat.join(lower, d)
+                k(env)
+                env[y + 1] = lower
+        return _enumerate(slots, self.atoms, hit)
+
+    def matcher(self, v, scope: dict, bound: frozenset, kc) -> Callable[[list, Any], None]:
+        """Match of a query's lattice term against a value l.
+
+        A lattice variable narrows to the meet (unbound, it reads as top),
+        failing on bottom or below its lower bound; a described term requires
+        its description below l, enumerating the atom when unbound; a constant
+        requires containment.
+        """
+        lat = self.lattice
+        leq, meet, top, bottom = lat.leq, lat.meet, lat.top, lat.bottom
+        if isinstance(v, YVar):
+            s, k, was_bound = self.lookup(scope, v.name), kc(bound | {v.name}), v.name in bound
+
+            def narrow(env, l):
+                old, lower = (env[s], env[s + 1]) if was_bound else (top, bottom)
+                met = meet(l, old) if was_bound else l
+                if met != bottom and (not was_bound or leq(lower, met)):
+                    env[s], env[s + 1] = met, lower
+                    k(env)
+                    env[s] = old
+            return narrow
+        if isinstance(v, Repr) and isinstance(v.term, Var) and v.term.name not in bound:
+            s, atoms = self.lookup(scope, v.term.name), self.atoms
+            below = self.matcher(v, scope, bound | {v.term.name}, kc)
+
+            def described(env, l):
+                for i in atoms:
+                    env[s] = i
+                    below(env, l)
+            return described
+        if isinstance(v, (Repr, LitConst)):
+            d, k = self.evaluator(v, scope, bound), kc(bound)
+
+            def below(env, l):
+                if leq(d(env), l):
+                    k(env)
+            return below
+        raise SolverInvariantError(f"cannot unify against lattice term {v!r}")
+
 
 # --- the engine ---------------------------------------------------------------
 
@@ -370,219 +555,23 @@ class _Engine:
             raise ValidationError("program must be validated before solving")
         self.program = program
         self.lattice = program.lattice
-        self.registry = program.registry
-        self.universe = program.universe
         self.table = AtomTable(program.universe)
         self.stats = stats
         self.store = ResultStore(self.lattice, program.arities, program.ranks, stats)
         self.infl = ConsumerStore()
 
-    # -- candidate enumeration (assertions and negative queries)
-
-    def _unbound_xvars(self, env: Env, args: tuple, value=None) -> list[str]:
-        seen: list[str] = []
-
-        def note(name):
-            if env.get(name) is None and name not in seen:
-                seen.append(name)
-
-        for t in args:
-            if isinstance(t, Var):
-                note(t.name)
-        if value is not None:
-            def walk(v):
-                if isinstance(v, Repr) and isinstance(v.term, Var):
-                    note(v.term.name)
-                elif isinstance(v, FnApp):
-                    for a in v.args:
-                        walk(a)
-            walk(value)
-        return seen
-
-    def _ground_args(self, env: Env, args: tuple) -> tuple:
-        out = []
-        for t in args:
-            if isinstance(t, Const):
-                out.append(t.atom)
-            else:
-                out.append(env.get(t.name))
-        return tuple(out)
-
-    def eval_value(self, env: Env, value):
-        """Lattice component of a candidate under a (partially) extended env:
-        unbound lattice variables read as top."""
-        if isinstance(value, YVar):
-            bound = env.get(value.name)
-            return self.lattice.top if bound is None else bound
-        if isinstance(value, Repr):
-            t = value.term
-            atom = t.atom if isinstance(t, Const) else env.get(t.name)
-            return self.lattice.represent(atom)
-        if isinstance(value, FnApp):
-            return self.registry.apply(value.name, tuple(self.eval_value(env, a)
-                                                         for a in value.args))
-        if isinstance(value, LitConst):
-            return value.value
-        raise SolverInvariantError(f"cannot evaluate lattice term {value!r}")
-
-    def unifiable(self, env: Env, args: tuple, value) -> Iterator[tuple[tuple, Any]]:
-        """Candidate ground tuples: unbound argument variables range over the
-        universe, and the lattice component is evaluated under each extension
-        so described terms track the atom actually chosen."""
-        names = self._unbound_xvars(env, args, value)
-        for combo in product(self.universe, repeat=len(names)):
-            env2 = env
-            for name, atom in zip(names, combo):
-                env2 = env2.bind(name, atom)
-            yield self._ground_args(env2, args), self.eval_value(env2, value)
-
-    # -- execute / check
-
-    def execute(self, cl, env: Env) -> None:
-        if isinstance(cl, Assert):
-            for atoms, l in self.unifiable(env, cl.args, cl.value):
-                self.stats.candidates += 1
-                ids = self.table.ids(atoms)
-                if self.store.has(cl.pred, ids, l):
-                    continue
-                grew, leaf = self.store.add(cl.pred, ids, l)
-                if grew:
-                    self._broadcast(cl.pred, ids, atoms, leaf)
-        elif isinstance(cl, TrueClause):
-            pass
-        elif isinstance(cl, ClauseAnd):
-            self.execute(cl.left, env)
-            self.execute(cl.right, env)
-        elif isinstance(cl, Imply):
-            needed = frozenset.union(*clause_vars(cl.body))
-            self.check(cl.pre, lambda e: self.execute(cl.body, e), env, needed)
-        elif isinstance(cl, ForallX):
-            self.execute(cl.body, env.declare(cl.var))
-        elif isinstance(cl, ForallY):
-            self.execute(cl.body, env.declare(cl.yvar))
-        else:
-            raise SolverInvariantError(f"cannot execute {cl!r}")
-
-    def _broadcast(self, pred: str, ids: tuple, atoms: tuple, leaf) -> None:
+    def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
         for consumer in self.infl.matching(pred, ids):
-            consumer(atoms, leaf)
+            consumer(ids, leaf)
 
-    def check(self, pre, next_fn, env: Env, needed: frozenset) -> None:
-        if isinstance(pre, Query):
-            self._check_query(pre, next_fn, env)
-        elif isinstance(pre, NegQuery):
-            self._check_negquery(pre, next_fn, env)
-        elif isinstance(pre, Apply):
-            self._check_apply(pre, next_fn, env)
-        elif isinstance(pre, PreAnd):
-            rx, ry = pre_vars(pre.right)
-            self.check(pre.left,
-                       lambda e: self.check(pre.right, next_fn, e, needed),
-                       env, needed | rx | ry)
-        elif isinstance(pre, PreOr):
-            seen: set = set()
-
-            def memo_next(e: Env):
-                k = e.key(needed)
-                if k in seen:
-                    return
-                seen.add(k)
-                next_fn(e)
-
-            self.check(pre.left, memo_next, env, needed)
-            self.check(pre.right, memo_next, env, needed)
-        elif isinstance(pre, (ExistsX, ExistsY)):
-            var = pre.var if isinstance(pre, ExistsX) else pre.yvar
-            seen = set()
-
-            def memo_removed(e: Env):
-                e2 = e.remove(var)
-                k = e2.key(needed)
-                if k in seen:
-                    return
-                seen.add(k)
-                next_fn(e2)
-
-            self.check(pre.body, memo_removed, env.declare(var), needed)
-        else:
-            raise SolverInvariantError(f"cannot check {pre!r}")
-
-    def _check_query(self, pre: Query, next_fn, env: Env) -> None:
-        rec = self.stats.new_consumer(pre.pred)
-        lattice, universe = self.lattice, self.universe
-
-        def consume(atoms: tuple, l, sweep: bool = False) -> None:
-            if sweep:
-                rec.sweep_invocations += 1
-                self.stats.sweep_invocations += 1
-            else:
-                rec.delivery_invocations += 1
-                self.stats.consumer_invocations += 1
-            for e in unify(lattice, universe, env, pre.args, pre.value, atoms, l):
-                next_fn(e)
-
-        prefix = self._ground_prefix(env, pre.args)
-        if not self.store.sealed(pre.pred):
-            self.infl.register(pre.pred, prefix, consume)
-        for ids, leaf in list(self.store.sub(pre.pred, prefix)):
-            consume(self.table.atoms(ids), leaf, sweep=True)
-
-    def _ground_prefix(self, env: Env, args: tuple) -> tuple:
-        prefix = []
-        for t in args:
-            if isinstance(t, Const):
-                prefix.append(self.table.id(t.atom))
-            else:
-                bound = env.get(t.name)
-                if bound is None:
-                    break
-                prefix.append(self.table.id(bound))
-        return tuple(prefix)
-
-    def _check_negquery(self, pre: NegQuery, next_fn, env: Env) -> None:
-        complement = self.lattice.complement
-        if complement is None:
-            raise SolverInvariantError("negative query over a lattice without complement")
-        names = self._unbound_xvars(env, pre.args)
-        for combo in product(self.universe, repeat=len(names)):
-            env2 = env
-            for name, atom in zip(names, combo):
-                env2 = env2.bind(name, atom)
-            atoms = self._ground_args(env2, pre.args)
-            leaf = self.store.current(pre.pred, self.table.ids(atoms))
-            c = complement(leaf)
-            for e in unify(self.lattice, self.universe, env2, pre.args, pre.value,
-                           atoms, c):
-                next_fn(e)
-
-    def _check_apply(self, pre: Apply, next_fn, env: Env) -> None:
-        env2 = env if env.get(pre.yvar) is not None else env.bind(pre.yvar, self.lattice.top)
-        bound_val = env2.get(pre.yvar)
-
-        def hit(atom, e: Env):
-            if self.lattice.leq(self.lattice.represent(atom), bound_val):
-                next_fn(e)
-
-        t = pre.term
-        if isinstance(t, Const):
-            hit(t.atom, env2)
-            return
-        bound = env2.get(t.name)
-        if bound is not None:
-            hit(bound, env2)
-            return
-        for atom in self.universe:
-            hit(atom, env2.bind(t.name, atom))
-
-    # -- top level
-
-    def load_facts(self, facts) -> None:
-        for f in facts:
-            if f.value == self.lattice.bottom:
-                continue
-            ids = self.table.ids(f.atoms)
-            if not self.store.has(f.pred, ids, f.value):
-                self.store.add(f.pred, ids, f.value)
+    def run_stratum(self, cl) -> None:
+        """Compile each top-level conjunct once and run it on a fresh
+        environment; queries of predicates sealed by now register no consumers."""
+        for conjunct in ast.conjuncts(cl):
+            compiler = _Compiler(self)
+            step = compiler.clause(conjunct, {}, frozenset())
+            if step is not None:
+                step([None] * compiler.size)
 
     def snapshot_rank(self, rank: int) -> None:
         self.stats.stratum_snapshots[rank] = {
@@ -591,11 +580,12 @@ class _Engine:
         }
 
     def run(self, facts) -> None:
-        self.load_facts(facts)
+        for f in facts:
+            self.store.raise_leaf(f.pred, self.table.ids(f.atoms), f.value)
         self.snapshot_rank(0)
         self.store.seal_up_to(0)
         for i, cl in enumerate(self.program.strata, 1):
-            self.execute(cl, Env.empty())
+            self.run_stratum(cl)
             self.snapshot_rank(i)
             self.store.seal_up_to(i)
 
@@ -623,16 +613,23 @@ class SolveResult:
         """(predicate, atom tuple, value), ordered by predicate name and
         interned tuple."""
         for pred in sorted(self.store._trees):
-            for ids, v in sorted(self.store.sub(pred), key=lambda kv: kv[0]):
+            for ids, v in sorted(self.store.sub(pred), key=itemgetter(0)):
                 yield pred, self.table.atoms(ids), v
 
     def dump_lines(self) -> list[str]:
-        """Deterministic dump: predicate name order, interned tuple order."""
-        lattice = self.program.lattice
-        return [
-            f"{pred}({','.join(render_atom(a) for a in atoms)}) = {lattice.render(v)}"
-            for pred, atoms, v in self.items()
-        ]
+        """Deterministic dump: predicate name order, interned tuple order.
+        Each atom and each distinct leaf value is rendered once."""
+        render = self.program.lattice.render
+        names = [render_atom(a) for a in self.table._atoms]
+        values: dict = {}
+        lines = []
+        for pred in sorted(self.store._trees):
+            for ids, v in sorted(self.store.sub(pred), key=itemgetter(0)):
+                text = values.get(v)
+                if text is None:
+                    text = values[v] = render(v)
+                lines.append(f"{pred}({','.join([names[i] for i in ids])}) = {text}")
+        return lines
 
     def stratum_isolation_holds(self) -> bool:
         """Leaves of each rank are unchanged since their stratum completed."""
@@ -656,6 +653,8 @@ def solve(program: Program, fact_overrides=None) -> SolveResult:
         engine.run(_merge_facts(program.facts, fact_overrides))
     finally:
         sys.setrecursionlimit(limit)
+        # consumers and their continuations refer to each other; drop them
+        engine.infl.clear()
     return SolveResult(program, engine.store, engine.table, stats)
 
 

@@ -21,7 +21,7 @@ from latlog.lattices import (interval_lattice, powerset_lattice, sign_lattice,
                              sign_transfer)
 from latlog.parser import parse_clauses
 from latlog.randgen import random_program
-from latlog.solver import Env, SolveStats, _Engine, solve
+from latlog.solver import SolveStats, _Engine, solve
 
 import cases_semantics
 import helpers
@@ -184,13 +184,12 @@ def test_criterion_7_difference_propagation():
             engine.run(program.facts)
             calls = []
             pred = sorted(program.arities)[0]
-            engine.infl.register(pred, (), lambda atoms, v: calls.append(atoms))
+            engine.infl.register(pred, (), lambda ids, v: calls.append(ids))
             ids, leaf = next(iter(engine.store.sub(pred)))
-            engine.execute(
+            engine.run_stratum(
                 ast.Assert(pred, tuple(ast.Const(a) for a in
                                        engine.table.atoms(ids)),
-                           ast.LitConst(leaf)),
-                Env.empty())
+                           ast.LitConst(leaf)))
             assert calls == [], "non-growing add reached a consumer"
 
 

@@ -1,124 +1,27 @@
-"""Unification, stores, consumers, and whole solve runs."""
+"""Compiled unification, stores, consumers, and whole solve runs."""
 
+import gc
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latlog import ast
-from latlog.ast import (Apply, Assert, Const, ForallX, LitConst, PreOr,
-                        Query, Repr, Var, YVar, reorder_preconditions,
-                        validate)
+from latlog import ast, cli
+from latlog.ast import (Apply, Assert, Const, ForallX, Imply, LitConst, PreOr,
+                        Query, Repr, TrueClause, Var, YVar,
+                        reorder_preconditions, validate)
 from latlog.errors import SolverInvariantError
 from latlog.lattices import powerset_lattice
 from latlog.parser import parse_clauses
-from latlog.solver import (AtomTable, ConsumerStore, Env, PrefixTree,
-                           ResultStore, SolveStats, _Engine, solve,
-                           unify, unify_lattice, unify_tuple)
+from latlog.solver import (AtomTable, ConsumerStore, PrefixTree, ResultStore,
+                           SolveStats, _Compiler, _Engine, solve)
 import latlog.oracle as oracle
 
 import helpers
 
 LAT2 = powerset_lattice(("a", "b"))
-U2 = ("a", "b")
-
-
-def env_with(*names, **bound):
-    env = Env.empty()
-    for n in names:
-        env = env.declare(n)
-    for n, v in bound.items():
-        env = env.declare(n).bind(n, v)
-    return env
-
-
-# --- tuple unification ------------------------------------------------------------
-
-
-def test_unify_tuple_binds_unbound_variable():
-    env = unify_tuple(env_with("x"), (Var("x"),), ("a",))
-    assert env.get("x") == "a"
-
-
-def test_unify_tuple_rejects_conflicting_binding():
-    assert unify_tuple(env_with(x="a"), (Var("x"),), ("b",)) is None
-
-
-def test_unify_tuple_constant_self_match():
-    env = env_with()
-    assert unify_tuple(env, (Const("a"),), ("a",)) is env
-    assert unify_tuple(env, (Const("a"),), ("b",)) is None
-
-
-def test_unify_tuple_threads_repeated_variable():
-    assert unify_tuple(env_with("x"), (Var("x"), Var("x")), ("a", "b")) is None
-    env = unify_tuple(env_with("x"), (Var("x"), Var("x")), ("a", "a"))
-    assert env.get("x") == "a"
-
-
-# --- lattice unification ------------------------------------------------------------
-
-
-def test_unify_lattice_binds_unbound_variable():
-    envs = unify_lattice(LAT2, U2, env_with("'Y"), YVar("'Y"), frozenset("a"))
-    assert [e.get("'Y") for e in envs] == [frozenset("a")]
-
-
-def test_unify_lattice_unbound_variable_rejects_bottom():
-    assert unify_lattice(LAT2, U2, env_with("'Y"), YVar("'Y"), frozenset()) == []
-
-
-def test_unify_lattice_bound_variable_meets():
-    env = env_with(**{"'Y": frozenset(("a", "b"))})
-    envs = unify_lattice(LAT2, U2, env, YVar("'Y"), frozenset("a"))
-    assert [e.get("'Y") for e in envs] == [frozenset("a")]
-
-
-def test_unify_lattice_bound_variable_empty_meet_fails():
-    env = env_with(**{"'Y": frozenset("a")})
-    assert unify_lattice(LAT2, U2, env, YVar("'Y"), frozenset("b")) == []
-
-
-def test_unify_lattice_description_of_unbound_enumerates():
-    envs = unify_lattice(LAT2, U2, env_with("x"), Repr(Var("x")), frozenset("a"))
-    assert [e.get("x") for e in envs] == ["a"]
-
-
-def test_unify_lattice_description_of_bound_checks_containment():
-    env = env_with(x="a")
-    assert unify_lattice(LAT2, U2, env, Repr(Var("x")), frozenset("b")) == []
-    assert unify_lattice(LAT2, U2, env, Repr(Var("x")), frozenset(("a", "b"))) == [env]
-
-
-def test_unify_lattice_constant_requires_containment():
-    env = env_with()
-    assert unify_lattice(LAT2, U2, env, LitConst(frozenset("a")),
-                         frozenset(("a", "b"))) == [env]
-    assert unify_lattice(LAT2, U2, env, LitConst(frozenset(("a", "b"))),
-                         frozenset("a")) == []
-
-
-# --- combined unification -----------------------------------------------------------
-
-
-def test_unify_binds_both_components():
-    envs = unify(LAT2, U2, env_with("x", "'Y"), (Var("x"),), YVar("'Y"),
-                 ("a",), frozenset("a"))
-    assert len(envs) == 1
-    assert envs[0].get("x") == "a"
-    assert envs[0].get("'Y") == frozenset("a")
-
-
-def test_unify_constant_mismatch_fails_before_lattice():
-    assert unify(LAT2, U2, env_with("'Y"), (Const("a"),), YVar("'Y"),
-                 ("b",), frozenset("a")) == []
-
-
-def test_unify_description_not_below_value_fails():
-    assert unify(LAT2, U2, env_with("x"), (Var("x"),), Repr(Var("x")),
-                 ("a",), frozenset("b")) == []
-
-
-# --- candidate enumeration ----------------------------------------------------------
+A, B, AB, BOT = frozenset("a"), frozenset("b"), frozenset("ab"), frozenset()
+RELS = "lattice powerset {a,b}\nrel R/1\nrel R2/2\nrel F/0\nclause 1"
 
 
 def engine_for(text):
@@ -126,25 +29,165 @@ def engine_for(text):
     return _Engine(program, SolveStats()), program
 
 
+def compiled(engine, bindings, build):
+    """Compile with the variables of ``bindings`` in scope, bound to the given
+    atom or lattice value (None leaves one unbound).  ``build(compiler, scope,
+    bound, record)`` returns the step; ``record`` is the continuation that
+    appends the bindings it sees, {name: atom or value}, to the returned list."""
+    compiler = _Compiler(engine)
+    scope = {n: compiler.slot(n.startswith("'")) for n in bindings}
+    seen = []
+
+    def record(after):
+        def k(env):
+            seen.append({n: env[s] if n.startswith("'") else engine.table.atoms((env[s],))[0]
+                         for n, s in scope.items() if n in after})
+        return k
+    bound = frozenset(n for n, v in bindings.items() if v is not None)
+    step = build(compiler, scope, bound, record)
+    env = [None] * compiler.size
+    for n, v in bindings.items():
+        if v is not None and n.startswith("'"):
+            env[scope[n]], env[scope[n] + 1] = v, engine.lattice.bottom
+        elif v is not None:
+            env[scope[n]] = engine.table.id(v)
+    return step, env, seen
+
+
+def check(engine, pre, bindings, needed=()):
+    """Bindings seen by each continuation call of one run of a precondition."""
+    rest = tuple(YVar(n) if n.startswith("'") else Var(n) for n in needed)
+    step, env, seen = compiled(engine, bindings, lambda c, scope, bound, k:
+                               c.pre(pre, scope, bound, rest, k))
+    step(env)
+    return seen
+
+
+def deliver(pre, bindings, atoms, l, text=RELS):
+    """Bindings that one delivery of (atoms; l) to a compiled query yields."""
+    engine, _ = engine_for(text)
+    step, env, seen = compiled(engine, bindings, lambda c, scope, bound, k:
+                               c.pre(pre, scope, bound, (), k))
+    step(env)  # registers the consumer; the store is empty, so nothing is swept
+    engine._broadcast(pre.pred, engine.table.ids(atoms), l)
+    return seen
+
+
+def asserted(engine, cl, bindings):
+    """(atoms, value) leaves in insertion order after running one assertion."""
+    step, env, _ = compiled(engine, bindings, lambda c, scope, bound, k:
+                            c.clause(cl, scope, bound))
+    step(env)
+    return [(engine.table.atoms(ids), v) for ids, v in engine.store.sub(cl.pred)]
+
+
+# --- tuple unification ------------------------------------------------------------
+
+
+def test_unify_tuple_binds_unbound_variable():
+    envs = deliver(Query("R", (Var("x"),), YVar("'Y")), {"x": None, "'Y": None}, ("a",), A)
+    assert envs[0]["x"] == "a"
+
+
+def test_unify_tuple_rejects_conflicting_binding():
+    assert deliver(Query("R", (Var("x"),), YVar("'Y")),
+                   {"x": "a", "'Y": None}, ("b",), A) == []
+
+
+def test_unify_tuple_constant_self_match():
+    q = Query("R", (Const("a"),), YVar("'Y"))
+    assert len(deliver(q, {"'Y": None}, ("a",), A)) == 1
+    assert deliver(q, {"'Y": None}, ("b",), A) == []
+
+
+def test_unify_tuple_threads_repeated_variable():
+    q = Query("R2", (Var("x"), Var("x")), YVar("'Y"))
+    assert deliver(q, {"x": None, "'Y": None}, ("a", "b"), A) == []
+    envs = deliver(q, {"x": None, "'Y": None}, ("a", "a"), A)
+    assert envs[0]["x"] == "a"
+
+
+# --- lattice unification ------------------------------------------------------------
+
+
+def flag(value):
+    return Query("F", (), value)
+
+
+def test_unify_lattice_binds_unbound_variable():
+    envs = deliver(flag(YVar("'Y")), {"'Y": None}, (), A)
+    assert [e["'Y"] for e in envs] == [A]
+
+
+def test_unify_lattice_unbound_variable_rejects_bottom():
+    assert deliver(flag(YVar("'Y")), {"'Y": None}, (), BOT) == []
+
+
+def test_unify_lattice_bound_variable_meets():
+    envs = deliver(flag(YVar("'Y")), {"'Y": AB}, (), A)
+    assert [e["'Y"] for e in envs] == [A]
+
+
+def test_unify_lattice_bound_variable_empty_meet_fails():
+    assert deliver(flag(YVar("'Y")), {"'Y": A}, (), B) == []
+
+
+def test_unify_lattice_description_of_unbound_enumerates():
+    envs = deliver(flag(Repr(Var("x"))), {"x": None}, (), A)
+    assert [e["x"] for e in envs] == ["a"]
+
+
+def test_unify_lattice_description_of_bound_checks_containment():
+    assert deliver(flag(Repr(Var("x"))), {"x": "a"}, (), B) == []
+    assert deliver(flag(Repr(Var("x"))), {"x": "a"}, (), AB) == [{"x": "a"}]
+
+
+def test_unify_lattice_constant_requires_containment():
+    assert deliver(flag(LitConst(A)), {}, (), AB) == [{}]
+    assert deliver(flag(LitConst(AB)), {}, (), A) == []
+
+
+# --- combined unification -----------------------------------------------------------
+
+
+def test_unify_binds_both_components():
+    envs = deliver(Query("R", (Var("x"),), YVar("'Y")), {"x": None, "'Y": None},
+                   ("a",), A)
+    assert len(envs) == 1
+    assert envs[0]["x"] == "a"
+    assert envs[0]["'Y"] == A
+
+
+def test_unify_constant_mismatch_fails_before_lattice():
+    assert deliver(Query("R", (Const("a"),), YVar("'Y")), {"'Y": None},
+                   ("b",), A) == []
+
+
+def test_unify_description_not_below_value_fails():
+    assert deliver(Query("R", (Var("x"),), Repr(Var("x"))), {"x": None},
+                   ("a",), B) == []
+
+
+# --- candidate enumeration ----------------------------------------------------------
+
+
 def test_unifiable_correlates_description_with_atom():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    env = Env.empty().declare("x")
-    got = list(engine.unifiable(env, (Var("x"),), Repr(Var("x"))))
+    got = asserted(engine, Assert("R", (Var("x"),), Repr(Var("x"))), {"x": None})
     assert got == [(("a",), frozenset("a")), (("b",), frozenset("b"))]
 
 
 def test_unifiable_bound_variables_fix_candidates():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    env = env_with(x="a", **{"'Y": frozenset("b")})
-    assert list(engine.unifiable(env, (Var("x"),), YVar("'Y"))) == \
-        [(("a",), frozenset("b"))]
+    got = asserted(engine, Assert("R", (Var("x"),), YVar("'Y")),
+                   {"x": "a", "'Y": frozenset("b")})
+    assert got == [(("a",), frozenset("b"))]
 
 
 def test_unifiable_unbound_lattice_variable_reads_top():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    env = env_with("'Y", x="a")
-    assert list(engine.unifiable(env, (Var("x"),), YVar("'Y"))) == \
-        [(("a",), frozenset(("a", "b")))]
+    got = asserted(engine, Assert("R", (Var("x"),), YVar("'Y")), {"'Y": None, "x": "a"})
+    assert got == [(("a",), frozenset(("a", "b")))]
 
 
 def test_unifiable_function_terms_evaluate_per_candidate():
@@ -152,9 +195,8 @@ def test_unifiable_function_terms_evaluate_per_candidate():
         "lattice interval zmin=0 zmax=3\nfun f_add/2\nrel R/1\n"
         "fact B(2) = [2,2]\nclause 1")
     mk = program.lattice.make_interval
-    env = env_with(x=2)
-    got = list(engine.unifiable(
-        env, (Var("x"),), ast.FnApp("f_add", (Repr(Var("x")), LitConst(mk(1, 1))))))
+    got = asserted(engine, Assert("R", (Var("x"),), ast.FnApp(
+        "f_add", (Repr(Var("x")), LitConst(mk(1, 1))))), {"x": 2})
     assert got == [((2,), mk(3, 3))]
 
 
@@ -252,11 +294,11 @@ def test_growth_invokes_each_consumer_once():
         text.replace("clause", "rel R/1\nclause", 1))))
     engine = _Engine(program, SolveStats())
     for cl in program.strata:  # register consumers without sealing strata
-        engine.execute(cl, Env.empty())
+        engine.run_stratum(cl)
     assert engine.stats.consumer_invocations == 0
     grew, leaf = engine.store.add("R", (0,), frozenset("a"))
     assert grew
-    engine._broadcast("R", (0,), ("a",), leaf)
+    engine._broadcast("R", (0,), leaf)
     assert engine.stats.consumer_invocations == 2
     assert engine.store.has("S", (0,), frozenset("a"))
     assert engine.store.has("T", (0,), frozenset("a"))
@@ -270,68 +312,57 @@ def test_non_growing_add_triggers_no_consumers():
     engine = _Engine(program, SolveStats())
     engine.run(program.facts)
     calls = []
-    engine.infl.register("E", (), lambda atoms, v: calls.append(atoms))
+    engine.infl.register("E", (), lambda ids, v: calls.append(ids))
     ids = engine.table.ids(("a",))
     assert engine.store.has("E", ids, frozenset("a"))
-    # the execute path skips non-growing candidates before broadcasting
-    engine.execute(ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))),
-                   Env.empty())
+    # a compiled assertion skips non-growing candidates before broadcasting
+    engine.run_stratum(ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))))
     assert calls == []
 
 
-# --- execute / check ---------------------------------------------------------------
+# --- compiled clauses and preconditions --------------------------------------------
 
 
 def test_execute_assert_constant_top():
     engine, _ = engine_for("lattice powerset {q0,v}\nrel A/2\nclause 1")
-    engine.execute(ast.Assert("A", (Const("q0"), Const("v")),
-                              LitConst(engine.lattice.top)), Env.empty())
+    engine.run_stratum(ast.Assert("A", (Const("q0"), Const("v")),
+                                  LitConst(engine.lattice.top)))
     assert engine.store.current("A", engine.table.ids(("q0", "v"))) == \
         engine.lattice.top
 
 
 def test_execute_unit_is_noop():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
-    engine.execute(ast.TrueClause(), Env.empty())
+    engine.run_stratum(ast.TrueClause())
     assert list(engine.store.sub("R")) == []
     assert engine.stats.growths == 0
 
 
 def test_execute_forall_described_atoms():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    engine.execute(ForallX("x", Assert("R", (Var("x"),), Repr(Var("x")))),
-                   Env.empty())
+    engine.run_stratum(ForallX("x", Assert("R", (Var("x"),), Repr(Var("x")))))
     leaves = {engine.table.atoms(ids): v for ids, v in engine.store.sub("R")}
     assert leaves == {("a",): frozenset("a"), ("b",): frozenset("b")}
 
 
 def test_check_apply_unbound_variable_reads_top():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    seen = []
-    env = Env.empty().declare("'Y").declare("x").bind("x", "a")
-    engine.check(Apply("'Y", Var("x")), lambda e: seen.append(e.get("'Y")),
-                 env, frozenset(("'Y",)))
-    assert seen == [engine.lattice.top]
+    seen = check(engine, Apply("'Y", Var("x")), {"'Y": None, "x": "a"}, ("'Y",))
+    assert [e["'Y"] for e in seen] == [engine.lattice.top]
 
 
 def test_check_apply_filters_atoms_by_description():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    seen = []
-    env = Env.empty().declare("'Y").bind("'Y", frozenset("a")).declare("x")
-    engine.check(Apply("'Y", Var("x")), lambda e: seen.append(e.get("x")),
-                 env, frozenset())
-    assert seen == ["a"]
+    seen = check(engine, Apply("'Y", Var("x")), {"'Y": frozenset("a"), "x": None})
+    assert [e["x"] for e in seen] == ["a"]
 
 
 def test_check_disjunction_memoizes_duplicate_environments():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
     engine.store.add("R", (0,), frozenset("a"))
     q = Query("R", (Var("x"),), Repr(Var("x")))
-    seen = []
-    env = Env.empty().declare("x")
-    engine.check(PreOr(q, q), lambda e: seen.append(e.get("x")), env,
-                 frozenset(("x",)))
-    assert seen == ["a"]
+    seen = check(engine, PreOr(q, q), {"x": None}, ("x",))
+    assert [e["x"] for e in seen] == ["a"]
 
 
 def test_check_exists_removes_variable_and_memoizes():
@@ -339,13 +370,9 @@ def test_check_exists_removes_variable_and_memoizes():
     engine.store.add("R", (0, 0), frozenset("a"))
     engine.store.add("R", (0, 1), frozenset("a"))
     q = Query("R", (Var("x"), Var("w")), LitConst(frozenset("a")))
-    seen = []
-    env = Env.empty().declare("x")
-    engine.check(ast.ExistsX("w", q),
-                 lambda e: seen.append((e.get("x"), e.declared("w"))),
-                 env, frozenset(("x",)))
+    seen = check(engine, ast.ExistsX("w", q), {"x": None}, ("x",))
     # two witnesses for w collapse to one continuation call, w out of scope
-    assert seen == [("a", False)]
+    assert [(e["x"], "w" in e) for e in seen] == [("a", False)]
 
 
 # --- whole solve runs ----------------------------------------------------------------
@@ -404,10 +431,12 @@ def test_solve_facts_with_unit_stratum():
 
 
 def test_env_rejects_out_of_scope_lookup():
+    engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
     with pytest.raises(SolverInvariantError, match="not in scope"):
-        Env.empty().get("x")
+        engine.run_stratum(Assert("R", (Var("x"),), LitConst(frozenset("a"))))
     with pytest.raises(SolverInvariantError, match="not in scope"):
-        Env.empty().bind("x", "a")
+        engine.run_stratum(Imply(Query("R", (Var("x"),), LitConst(frozenset("a"))),
+                                 TrueClause()))
 
 
 def test_zero_arity_predicate_end_to_end():
@@ -540,3 +569,94 @@ def test_solve_restores_recursion_limit_when_it_raises(recursion_limit):
     with pytest.raises(Boom):
         solve(program)
     assert sys.getrecursionlimit() == recursion_limit
+
+
+# --- applications 'Y(u) narrowed by a later query --------------------------------
+
+NARROWED_APPLICATIONS = [
+    "forall 'Y. 'Y(c) & Q(;'Y) & R(;'Y) => P(;'Y)",
+    "forall 'Y. 'Y(c) & Q(;'Y) => (R(;'Y) => P(;'Y))",
+    "forall 'Y. 'Y(c) & (exists 'Z. R(;'Y)) => P(;'Y)",
+]
+
+
+@pytest.mark.parametrize("clause", NARROWED_APPLICATIONS)
+def test_application_fails_when_a_later_query_narrows_below_it(clause):
+    # 'Y must contain c and lie below {d}: no binding satisfies the premise
+    text = ("lattice powerset {c,d}\nrel P/0\nrel Q/0\nrel R/0\n"
+            "fact Q() = {c,d}\nfact R() = {d}\nclause " + clause)
+    program, result = helpers.run_pipeline(text)
+    assert oracle.from_leaves(program, result.leaves()) == \
+        oracle.naive_fixpoint(program)
+    assert result.leaves()["P"] == {}
+    assert cli.run_compare(program).lines == ["identical"]
+
+
+def test_application_inside_exists_matches_naive():
+    from latlog.randgen import random_program
+
+    program = reorder_preconditions(random_program(3951134603))
+    assert cli.run_compare(program).lines == ["identical"]
+
+
+# --- process state and memory ----------------------------------------------------
+
+
+def test_solve_leaves_nothing_for_the_cycle_collector():
+    runs = [lambda name=name: cli.run_solve(helpers.sample(name))
+            for name in ("eq_neq.lat", "signs_relational.lat")]
+    runs += [lambda: cli.run_analyze(helpers.sample("loop.graph"), "intervals", 0, 3),
+             lambda: cli.run_analyze(helpers.sample("sums.graph"), "signs")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in runs:
+            gc.collect()
+            report = run()
+            assert report.lines
+            del report
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_solve_leaves_ast_caches_untouched():
+    # atom names no earlier test used, so cached entries cannot stand in
+    tag = f"u{id(object())}"
+    text = (f"lattice powerset {{a,b}}\nrel E/2\nrel T/2\n"
+            f"fact E({tag}0,{tag}1) = {{a}}\nfact E({tag}1,{tag}2) = {{b}}\n"
+            "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))"
+            " & (forall x. forall y. forall z. forall 'Y. forall 'Z."
+            " T(x,y;'Y) & E(y,z;'Z) & (exists w. !E(z,w;{a})) => T(x,z;'Y))")
+    program = reorder_preconditions(validate(parse_clauses(text)))
+    caches = (ast.clause_vars, ast.pre_vars, ast.lattice_term_vars)
+    before = [fn.cache_info().currsize for fn in caches]
+    result = solve(program)
+    assert result.leaves()["T"]
+    assert [fn.cache_info().currsize for fn in caches] == before
+
+
+def test_dump_renders_like_items():
+    graph_text = helpers.sample("loop.graph")
+    from latlog.analysis import gen_interval_clauses, parse_program_graph
+    program, result = helpers.run_pipeline(
+        gen_interval_clauses(parse_program_graph(graph_text), 0, 3))
+    render = program.lattice.render
+    assert result.dump_lines() == [
+        f"{pred}({','.join(str(a) for a in atoms)}) = {render(v)}"
+        for pred, atoms, v in result.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=100, max_value=2**32 - 1))
+def test_solver_matches_naive_on_drawn_random_programs(seed):
+    # the full fragment, with applications 'Y(u), on seeds past the fixed 100
+    from latlog.randgen import random_program
+
+    program = random_program(seed)
+    result = solve(reorder_preconditions(program))
+    assert oracle.from_leaves(program, result.leaves()) == \
+        oracle.naive_fixpoint(program)
+    assert result.stratum_isolation_holds()
+    assert result.stats.propagation_bound_holds()
