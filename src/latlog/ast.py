@@ -95,14 +95,16 @@ class Apply:
 
 @dataclass(frozen=True)
 class PreAnd:
-    left: "Pre"
-    right: "Pre"
+    """Conjunction of two or more preconditions, checked left to right."""
+
+    parts: tuple
 
 
 @dataclass(frozen=True)
 class PreOr:
-    left: "Pre"
-    right: "Pre"
+    """Disjunction of two or more preconditions."""
+
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,18 @@ class TrueClause:
 
 @dataclass(frozen=True)
 class ClauseAnd:
-    left: "Clause"
-    right: "Clause"
+    """Conjunction of two or more clauses.
+
+    A chain ``a & b & c`` is one node with three parts; a parenthesized
+    conjunction stays one part unless it comes first, as left nesting reads.
+    The same holds for :class:`PreAnd` and :class:`PreOr`.
+
+    Parts are built as ``tuple([...])``: ``tuple()`` of an iterator of unknown
+    length allocates ten slots and shrinks them, and CPython then keeps every
+    shrunk pair on its tuple free list, which a long run's peak memory counts.
+    """
+
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -227,9 +239,8 @@ def pre_vars(p: Pre) -> tuple:
     if isinstance(p, Apply):
         return _term_xvars(p.term), frozenset((p.yvar,))
     if isinstance(p, (PreAnd, PreOr)):
-        lx, ly = pre_vars(p.left)
-        rx, ry = pre_vars(p.right)
-        return lx | rx, ly | ry
+        xs, ys = zip(*map(pre_vars, p.parts))
+        return frozenset().union(*xs), frozenset().union(*ys)
     if isinstance(p, ExistsX):
         xs, ys = pre_vars(p.body)
         return xs - {p.var}, ys
@@ -249,9 +260,8 @@ def clause_vars(cl: Clause) -> tuple:
     if isinstance(cl, TrueClause):
         return frozenset(), frozenset()
     if isinstance(cl, ClauseAnd):
-        lx, ly = clause_vars(cl.left)
-        rx, ry = clause_vars(cl.right)
-        return lx | rx, ly | ry
+        xs, ys = zip(*map(clause_vars, cl.parts))
+        return frozenset().union(*xs), frozenset().union(*ys)
     if isinstance(cl, Imply):
         px, py = pre_vars(cl.pre)
         bx, by = clause_vars(cl.body)
@@ -263,18 +273,6 @@ def clause_vars(cl: Clause) -> tuple:
         xs, ys = clause_vars(cl.body)
         return xs, ys - {cl.yvar}
     raise TypeError(f"not a clause: {cl!r}")
-
-
-def conjuncts(cl) -> list:
-    """Conjuncts of a clause conjunction, left to right, without recursion."""
-    out, todo = [], [cl]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, ClauseAnd):
-            todo += (c.right, c.left)
-        else:
-            out.append(c)
-    return out
 
 
 def free_names(node) -> frozenset:
@@ -291,7 +289,7 @@ def free_names(node) -> frozenset:
     if isinstance(node, Apply):
         return free_names(node.term) | {node.yvar}
     if isinstance(node, (PreAnd, PreOr, ClauseAnd)):
-        return free_names(node.left) | free_names(node.right)
+        return frozenset().union(*[free_names(q) for q in node.parts])
     if isinstance(node, Imply):
         return free_names(node.pre) | free_names(node.body)
     if isinstance(node, (ForallX, ExistsX)):
@@ -302,12 +300,6 @@ def free_names(node) -> frozenset:
 
 
 # --- well-formedness --------------------------------------------------------
-
-
-def _value_has_fnapp(v: LatticeTerm) -> bool:
-    if isinstance(v, FnApp):
-        return True
-    return False
 
 
 class _WFChecker:
@@ -370,12 +362,10 @@ class _WFChecker:
             if p.yvar not in ys:
                 self.fail(path, f"free lattice variable {p.yvar!r}")
             self.check_term(p.term, xs, path)
-        elif isinstance(p, PreAnd):
-            self.check_pre(p.left, xs, ys, path + "/and.l")
-            self.check_pre(p.right, xs, ys, path + "/and.r")
-        elif isinstance(p, PreOr):
-            self.check_pre(p.left, xs, ys, path + "/or.l")
-            self.check_pre(p.right, xs, ys, path + "/or.r")
+        elif isinstance(p, (PreAnd, PreOr)):
+            op = "and" if isinstance(p, PreAnd) else "or"
+            for i, q in enumerate(p.parts, 1):
+                self.check_pre(q, xs, ys, f"{path}/{op}.{i}")
         elif isinstance(p, ExistsX):
             if p.var in xs or p.var in ys:
                 self.fail(path, f"shadowed variable {p.var!r}")
@@ -397,8 +387,8 @@ class _WFChecker:
         elif isinstance(cl, TrueClause):
             pass
         elif isinstance(cl, ClauseAnd):
-            self.check_clause(cl.left, xs, ys, path + "/and.l")
-            self.check_clause(cl.right, xs, ys, path + "/and.r")
+            for i, c in enumerate(cl.parts, 1):
+                self.check_clause(c, xs, ys, f"{path}/and.{i}")
         elif isinstance(cl, Imply):
             self.check_pre(cl.pre, xs, ys, path + "/pre")
             self.check_clause(cl.body, xs, ys, path + "/body")
@@ -448,8 +438,8 @@ def _collect_queries(p: Pre, pos: list, neg: list):
     elif isinstance(p, NegQuery):
         neg.append(p.pred)
     elif isinstance(p, (PreAnd, PreOr)):
-        _collect_queries(p.left, pos, neg)
-        _collect_queries(p.right, pos, neg)
+        for q in p.parts:
+            _collect_queries(q, pos, neg)
     elif isinstance(p, (ExistsX, ExistsY)):
         _collect_queries(p.body, pos, neg)
 
@@ -458,8 +448,8 @@ def _collect_clause(cl: Clause, asserted: list, pos: list, neg: list):
     if isinstance(cl, Assert):
         asserted.append(cl.pred)
     elif isinstance(cl, ClauseAnd):
-        _collect_clause(cl.left, asserted, pos, neg)
-        _collect_clause(cl.right, asserted, pos, neg)
+        for c in cl.parts:
+            _collect_clause(c, asserted, pos, neg)
     elif isinstance(cl, Imply):
         _collect_queries(cl.pre, pos, neg)
         _collect_clause(cl.body, asserted, pos, neg)
@@ -523,26 +513,21 @@ def _defines(p: Pre):
     return None
 
 
-def _flatten_and(p: Pre, out: list):
-    if isinstance(p, PreAnd):
-        _flatten_and(p.left, out)
-        _flatten_and(p.right, out)
-    else:
-        out.append(p)
-
-
-def _rebuild_and(items: list) -> Pre:
-    node = items[0]
-    for it in items[1:]:
-        node = PreAnd(node, it)
-    return node
+def _and_items(p: PreAnd) -> list:
+    """Parts of a conjunction, each reordered inside, with nested
+    conjunctions spliced in: the spine the applications move along."""
+    items: list = []
+    for q in p.parts:
+        if isinstance(q, PreAnd):
+            items += _and_items(q)
+        else:
+            items.append(_reorder_pre(q))
+    return items
 
 
 def _reorder_pre(p: Pre) -> Pre:
     if isinstance(p, PreAnd):
-        items = []
-        _flatten_and(p, items)
-        items = [_reorder_pre(it) for it in items]
+        items = _and_items(p)
         definers = {d for it in items if (d := _defines(it)) is not None}
         out: list = []
         waiting: dict[str, list] = {}
@@ -556,11 +541,9 @@ def _reorder_pre(p: Pre) -> Pre:
             if d is not None and d not in seen:
                 seen.add(d)
                 out.extend(waiting.pop(d, ()))
-        for pending in waiting.values():
-            out.extend(pending)
-        return _rebuild_and(out)
+        return PreAnd(tuple(out))
     if isinstance(p, PreOr):
-        return PreOr(_reorder_pre(p.left), _reorder_pre(p.right))
+        return PreOr(tuple([_reorder_pre(q) for q in p.parts]))
     if isinstance(p, ExistsX):
         return ExistsX(p.var, _reorder_pre(p.body))
     if isinstance(p, ExistsY):
@@ -570,7 +553,7 @@ def _reorder_pre(p: Pre) -> Pre:
 
 def _reorder_clause(cl: Clause) -> Clause:
     if isinstance(cl, ClauseAnd):
-        return ClauseAnd(_reorder_clause(cl.left), _reorder_clause(cl.right))
+        return ClauseAnd(tuple([_reorder_clause(c) for c in cl.parts]))
     if isinstance(cl, Imply):
         return Imply(_reorder_pre(cl.pre), _reorder_clause(cl.body))
     if isinstance(cl, ForallX):
@@ -612,8 +595,8 @@ def _pre_atoms(p, atoms: set) -> None:
     elif isinstance(p, Apply):
         _term_atoms((p.term,), atoms)
     elif isinstance(p, (PreAnd, PreOr)):
-        _pre_atoms(p.left, atoms)
-        _pre_atoms(p.right, atoms)
+        for q in p.parts:
+            _pre_atoms(q, atoms)
     elif isinstance(p, (ExistsX, ExistsY)):
         _pre_atoms(p.body, atoms)
 
@@ -623,8 +606,8 @@ def _clause_atoms(cl, atoms: set) -> None:
         _term_atoms(cl.args, atoms)
         _value_atoms(cl.value, atoms)
     elif isinstance(cl, ClauseAnd):
-        _clause_atoms(cl.left, atoms)
-        _clause_atoms(cl.right, atoms)
+        for c in cl.parts:
+            _clause_atoms(c, atoms)
     elif isinstance(cl, Imply):
         _pre_atoms(cl.pre, atoms)
         _clause_atoms(cl.body, atoms)

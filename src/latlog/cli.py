@@ -3,7 +3,8 @@
 Dumps go to stdout (one ``R(a,...) = value`` line per non-bottom leaf, in
 deterministic order); diagnostics and ``--stats`` output go to stderr.
 Exit codes: 0 success, 1 validation or comparison failure or input that
-nests too deeply for the recursive parser and engine, 2 usage or I/O.
+nests too deeply (deeply parenthesized text, or an engine delivery chain
+such as reachability along thousands of nodes), 2 usage or I/O.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ finite powersets, the sign powerset, and bounded integer intervals.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
@@ -159,9 +160,6 @@ class Lattice:
     zvalues: Optional[tuple] = None     # integer grid of the interval lattice
     make_interval: Optional[Callable[[Any, Any], IntervalValue]] = None
 
-    def is_bottom(self, v) -> bool:
-        return v == self.bottom
-
     def nonbottom_elements(self) -> list:
         if self.enumerate_elements is None:
             raise LatticeError(f"lattice {self.name!r} is not enumerable")
@@ -270,25 +268,14 @@ def interval_lattice(zvalues) -> Lattice:
         raise LatticeError("interval lattice needs a non-empty integer grid")
 
     def snap_lo(lo):
-        if lo == NEG_INF:
-            return NEG_INF
-        if lo < grid[0]:
-            return NEG_INF
-        best = None
-        for z in grid:
-            if z <= lo:
-                best = z
-        return best
+        """Largest grid value at most lo, else -inf."""
+        i = bisect_right(grid, lo)
+        return grid[i - 1] if i else NEG_INF
 
     def snap_hi(hi):
-        if hi == POS_INF:
-            return POS_INF
-        if hi > grid[-1]:
-            return POS_INF
-        for z in grid:
-            if z >= hi:
-                return z
-        return POS_INF
+        """Smallest grid value at least hi, else +inf."""
+        i = bisect_left(grid, hi)
+        return grid[i] if i < len(grid) else POS_INF
 
     def make(lo, hi) -> IntervalValue:
         if lo > hi:
@@ -308,7 +295,10 @@ def interval_lattice(zvalues) -> Lattice:
         elems += [IntervalValue(lo, hi) for lo in los for hi in his if lo <= hi]
         return elems
 
-    count = 1 + sum(1 for lo in los for hi in his if lo <= hi)
+    # bottom; -inf under each of the k + 1 upper ends; each grid value
+    # under +inf and under each of the k(k + 1)/2 grid values at or above it
+    k = len(grid)
+    count = 2 + 2 * k + k * (k + 1) // 2
 
     def sample_element(rng: random.Random) -> IntervalValue:
         if rng.random() < 0.1:

@@ -147,11 +147,9 @@ def satisfies_pre(program: Program, interp: Interpretation, env: dict, pre) -> b
     if isinstance(pre, Apply):
         return lattice.leq(lattice.represent(_sigma_term(env, pre.term)), env[pre.yvar])
     if isinstance(pre, PreAnd):
-        return (satisfies_pre(program, interp, env, pre.left)
-                and satisfies_pre(program, interp, env, pre.right))
+        return all(satisfies_pre(program, interp, env, q) for q in pre.parts)
     if isinstance(pre, PreOr):
-        return (satisfies_pre(program, interp, env, pre.left)
-                or satisfies_pre(program, interp, env, pre.right))
+        return any(satisfies_pre(program, interp, env, q) for q in pre.parts)
     if isinstance(pre, ExistsX):
         return any(satisfies_pre(program, interp, {**env, pre.var: a}, pre.body)
                    for a in program.universe)
@@ -170,8 +168,7 @@ def satisfies_clause(program: Program, interp: Interpretation, env: dict, cl) ->
     if isinstance(cl, TrueClause):
         return True
     if isinstance(cl, ClauseAnd):
-        return (satisfies_clause(program, interp, env, cl.left)
-                and satisfies_clause(program, interp, env, cl.right))
+        return all(satisfies_clause(program, interp, env, c) for c in cl.parts)
     if isinstance(cl, Imply):
         if not satisfies_pre(program, interp, env, cl.pre):
             return True
@@ -227,8 +224,8 @@ def _collect_assertions(program: Program, interp: Interpretation, env: dict,
     elif isinstance(cl, TrueClause):
         pass
     elif isinstance(cl, ClauseAnd):
-        _collect_assertions(program, interp, env, cl.left, out)
-        _collect_assertions(program, interp, env, cl.right, out)
+        for c in cl.parts:
+            _collect_assertions(program, interp, env, c, out)
     elif isinstance(cl, Imply):
         if satisfies_pre(program, interp, env, cl.pre):
             _collect_assertions(program, interp, env, cl.body, out)
@@ -377,21 +374,15 @@ class DQuery:
 
 
 @dataclass(frozen=True)
-class DEq:
-    left: Any
-    right: Any
-
-
-@dataclass(frozen=True)
 class DAnd:
-    left: Any
-    right: Any
+    """Conjunction of any number of parts; with none it is true."""
+
+    parts: tuple
 
 
 @dataclass(frozen=True)
 class DOr:
-    left: Any
-    right: Any
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -401,25 +392,16 @@ class DExists:
 
 
 @dataclass(frozen=True)
-class DTrue:
-    pass
-
-
-@dataclass(frozen=True)
 class DAssert:
     pred: str
     args: tuple
 
 
 @dataclass(frozen=True)
-class DTrueClause:
-    pass
-
-
-@dataclass(frozen=True)
 class DCAnd:
-    left: Any
-    right: Any
+    """Conjunction of any number of clauses; with none it is the clause 1."""
+
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -434,24 +416,14 @@ class DForall:
     body: Any
 
 
-def _d_conj(items: list, unit, ctor):
-    if not items:
-        return unit
-    node = items[0]
-    for it in items[1:]:
-        node = ctor(node, it)
-    return node
-
-
 def _translate_value_pre(pred, args, value, neg: bool):
     if isinstance(value, YVar):
         return DQuery(pred, args + (Var(value.name),), neg)
     if isinstance(value, Repr):
         return DQuery(pred, args + (value.term,), neg)
     if isinstance(value, LitConst):
-        queries = [DQuery(pred, args + (Const(b),), neg)
-                   for b in sorted(value.value, key=repr)]
-        return _d_conj(queries, DTrue(), DAnd)
+        return DAnd(tuple(DQuery(pred, args + (Const(b),), neg)
+                          for b in sorted(value.value, key=repr)))
     raise UnsupportedInstanceError(
         "function terms have no set-based counterpart")
 
@@ -465,9 +437,9 @@ def _translate_pre(pre):
         raise UnsupportedInstanceError(
             "lattice-variable applications are outside the set-based fragment")
     if isinstance(pre, PreAnd):
-        return DAnd(_translate_pre(pre.left), _translate_pre(pre.right))
+        return DAnd(tuple(map(_translate_pre, pre.parts)))
     if isinstance(pre, PreOr):
-        return DOr(_translate_pre(pre.left), _translate_pre(pre.right))
+        return DOr(tuple(map(_translate_pre, pre.parts)))
     if isinstance(pre, ExistsX):
         return DExists(pre.var, _translate_pre(pre.body))
     if isinstance(pre, ExistsY):
@@ -482,14 +454,13 @@ def _translate_clause(cl):
         if isinstance(cl.value, Repr):
             return DAssert(cl.pred, cl.args + (cl.value.term,))
         if isinstance(cl.value, LitConst):
-            asserts = [DAssert(cl.pred, cl.args + (Const(b),))
-                       for b in sorted(cl.value.value, key=repr)]
-            return _d_conj(asserts, DTrueClause(), DCAnd)
+            return DCAnd(tuple(DAssert(cl.pred, cl.args + (Const(b),))
+                               for b in sorted(cl.value.value, key=repr)))
         raise UnsupportedInstanceError("function terms have no set-based counterpart")
     if isinstance(cl, TrueClause):
-        return DTrueClause()
+        return DCAnd(())
     if isinstance(cl, ClauseAnd):
-        return DCAnd(_translate_clause(cl.left), _translate_clause(cl.right))
+        return DCAnd(tuple(map(_translate_clause, cl.parts)))
     if isinstance(cl, Imply):
         return DImply(_translate_pre(cl.pre), _translate_clause(cl.body))
     if isinstance(cl, ForallX):
@@ -521,30 +492,22 @@ def _d_sat(rel: dict, env: dict, universe: tuple, pre) -> bool:
         t = tuple(_sigma_term(env, a) for a in pre.args)
         present = t in rel.get(pre.pred, set())
         return not present if pre.neg else present
-    if isinstance(pre, DEq):
-        return _sigma_term(env, pre.left) == _sigma_term(env, pre.right)
     if isinstance(pre, DAnd):
-        return (_d_sat(rel, env, universe, pre.left)
-                and _d_sat(rel, env, universe, pre.right))
+        return all(_d_sat(rel, env, universe, q) for q in pre.parts)
     if isinstance(pre, DOr):
-        return (_d_sat(rel, env, universe, pre.left)
-                or _d_sat(rel, env, universe, pre.right))
+        return any(_d_sat(rel, env, universe, q) for q in pre.parts)
     if isinstance(pre, DExists):
         return any(_d_sat(rel, {**env, pre.var: a}, universe, pre.body)
                    for a in universe)
-    if isinstance(pre, DTrue):
-        return True
     raise TypeError(f"not a set-based precondition: {pre!r}")
 
 
 def _d_collect(rel: dict, env: dict, universe: tuple, cl, out: set) -> None:
     if isinstance(cl, DAssert):
         out.add((cl.pred, tuple(_sigma_term(env, a) for a in cl.args)))
-    elif isinstance(cl, DTrueClause):
-        pass
     elif isinstance(cl, DCAnd):
-        _d_collect(rel, env, universe, cl.left, out)
-        _d_collect(rel, env, universe, cl.right, out)
+        for c in cl.parts:
+            _d_collect(rel, env, universe, c, out)
     elif isinstance(cl, DImply):
         if _d_sat(rel, env, universe, cl.pre):
             _d_collect(rel, env, universe, cl.body, out)

@@ -93,16 +93,14 @@ class _One:
 
 @dataclass
 class _And:
-    left: Any
-    right: Any
-    tok: Token
+    parts: list
+    tok: Token  # the last '&'
 
 
 @dataclass
 class _Or:
-    left: Any
-    right: Any
-    tok: Token
+    parts: list
+    tok: Token  # the last '|'
 
 
 @dataclass
@@ -135,6 +133,7 @@ class Parser:
         self.xscope: list[dict] = []
         self.yscope: list[dict] = []
         self.used_names: set[str] = set()
+        self.next_suffix: dict[str, int] = {}
 
     # -- token plumbing
 
@@ -296,7 +295,7 @@ class Parser:
     def _parse_clause_item(self):
         self.expect("clause")
         while True:
-            self.used_names = set()
+            self.used_names, self.next_suffix = set(), {}
             node = self._parse_quantified()
             self.strata.append(self._to_clause(node))
             if not self.eat(","):
@@ -314,14 +313,17 @@ class Parser:
     # -- scopes
 
     def _bind(self, surface: str, is_y: bool, tok: Token) -> str:
-        base = surface
-        if base.lstrip("'") in _RESERVED:
+        """Internal name for a binder: the first of ``x, x_2, x_3, ...`` not
+        yet used in the clause.  Used names only accumulate, so the search
+        resumes where the previous binder of the same name stopped."""
+        if surface.lstrip("'") in _RESERVED:
             self.err(f"{surface!r} is reserved and cannot name a variable", tok)
-        internal = base
-        n = 2
+        n = self.next_suffix.get(surface, 1)
+        internal = surface if n == 1 else f"{surface}_{n}"
         while internal in self.used_names:
-            internal = f"{base}_{n}"
             n += 1
+            internal = f"{surface}_{n}"
+        self.next_suffix[surface] = n + 1
         self.used_names.add(internal)
         (self.yscope if is_y else self.xscope).append({surface: internal})
         return internal
@@ -506,18 +508,22 @@ class Parser:
         return _Quant(forall, internal, is_y, body, tok)
 
     def _parse_or(self):
-        node = self._parse_and()
-        while self.at("|"):
-            tok = self.advance()
-            node = _Or(node, self._parse_and(), tok)
-        return node
+        return self._parse_chain("|", _Or, self._parse_and)
 
     def _parse_and(self):
-        node = self._parse_unit()
-        while self.at("&"):
+        return self._parse_chain("&", _And, self._parse_unit)
+
+    def _parse_chain(self, op: str, node_type, operand):
+        """``operand (op operand)*`` as one node; a first operand that is a
+        parenthesized chain of the same operator contributes its parts."""
+        node = operand()
+        if not self.at(op):
+            return node
+        parts = list(node.parts) if isinstance(node, node_type) else [node]
+        while self.at(op):
             tok = self.advance()
-            node = _And(node, self._parse_unit(), tok)
-        return node
+            parts.append(operand())
+        return node_type(parts, tok)
 
     def _parse_unit(self):
         tok = self.peek()
@@ -574,7 +580,7 @@ class Parser:
         if isinstance(node, _Imp):
             return ast.Imply(self._to_pre(node.left), self._to_clause(node.right))
         if isinstance(node, _And):
-            return ast.ClauseAnd(self._to_clause(node.left), self._to_clause(node.right))
+            return ast.ClauseAnd(tuple([self._to_clause(n) for n in node.parts]))
         if isinstance(node, _One):
             return ast.TrueClause()
         if isinstance(node, _Atom):
@@ -596,24 +602,19 @@ class Parser:
             return ast.ExistsY(node.var, body) if node.is_y else ast.ExistsX(node.var, body)
         if isinstance(node, _Imp):
             self.err("'=>' is not allowed inside preconditions", node.tok)
-        if isinstance(node, _And):
-            return ast.PreAnd(self._to_pre(node.left), self._to_pre(node.right))
-        if isinstance(node, _Or):
-            return ast.PreOr(self._to_pre(node.left), self._to_pre(node.right))
+        if isinstance(node, (_And, _Or)):
+            ctor = ast.PreAnd if isinstance(node, _And) else ast.PreOr
+            return ctor(tuple([self._to_pre(n) for n in node.parts]))
         if isinstance(node, _One):
             self.err("'1' is a clause, not a precondition", node.tok)
         if isinstance(node, _YApp):
             return ast.Apply(node.yvar, node.term)
         if isinstance(node, _Atom):
-            if self._value_has_fnapp(node.value):
+            if isinstance(node.value, ast.FnApp):
                 self.err("function terms are not allowed in queries", node.tok)
             ctor = ast.NegQuery if node.neg else ast.Query
             return ctor(node.pred, node.args, node.value)
         raise AssertionError(node)
-
-    @staticmethod
-    def _value_has_fnapp(value) -> bool:
-        return isinstance(value, ast.FnApp)
 
 
 def parse_clauses(text: str, extra_functions=None) -> ast.Program:
@@ -677,10 +678,10 @@ def pre_text(lattice: Lattice, p, minimum: int = 0) -> str:
     if isinstance(p, ast.Apply):
         return f"{p.yvar}({_term_text(p.term)})"
     if isinstance(p, ast.PreAnd):
-        s = f"{pre_text(lattice, p.left, _LVL_AND)} & {pre_text(lattice, p.right, _LVL_AND + 1)}"
+        s = " & ".join(pre_text(lattice, q, _LVL_AND + 1) for q in p.parts)
         return _wrap(s, _LVL_AND, minimum)
     if isinstance(p, ast.PreOr):
-        s = f"{pre_text(lattice, p.left, _LVL_OR)} | {pre_text(lattice, p.right, _LVL_OR + 1)}"
+        s = " | ".join(pre_text(lattice, q, _LVL_OR + 1) for q in p.parts)
         return _wrap(s, _LVL_OR, minimum)
     if isinstance(p, ast.ExistsX):
         s = f"exists {p.var}. {pre_text(lattice, p.body, _LVL_QUANT)}"
@@ -697,8 +698,7 @@ def clause_text(lattice: Lattice, cl, minimum: int = 0) -> str:
     if isinstance(cl, ast.TrueClause):
         return "1"
     if isinstance(cl, ast.ClauseAnd):
-        s = (f"{clause_text(lattice, cl.left, _LVL_AND)}"
-             f" & {clause_text(lattice, cl.right, _LVL_AND + 1)}")
+        s = " & ".join(clause_text(lattice, c, _LVL_AND + 1) for c in cl.parts)
         return _wrap(s, _LVL_AND, minimum)
     if isinstance(cl, ast.Imply):
         s = (f"{pre_text(lattice, cl.pre, _LVL_OR)}"

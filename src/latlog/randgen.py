@@ -17,6 +17,13 @@ from .lattices import powerset_lattice, standard_registry
 _ATOMS = ("a", "b", "c")
 
 
+def _chain(node_type, first, *rest):
+    """The node the parser builds for ``first op rest...``: a first operand
+    of the same type contributes its parts."""
+    head = first.parts if isinstance(first, node_type) else (first,)
+    return node_type(head + rest)
+
+
 class _Gen:
     def __init__(self, rng: random.Random, set_fragment: bool, max_model_space: int):
         self.rng = rng
@@ -115,10 +122,7 @@ class _Gen:
 
     def _gen_stratum(self, asserted, i):
         parts = [self._gen_quantified(pred, i) for pred in asserted]
-        cl = parts[0]
-        for p in parts[1:]:
-            cl = ast.ClauseAnd(cl, p)
-        return cl
+        return _chain(ast.ClauseAnd, *parts) if len(parts) > 1 else parts[0]
 
     def _gen_quantified(self, pred, i):
         xs = [self._fresh_x() for _ in range(self.rng.randint(0, 2))]
@@ -135,9 +139,9 @@ class _Gen:
         head = ast.Assert(pred, self._args(pred, xs), self._value(xs, ys))
         if roll < 0.15:
             head = ast.ClauseAnd(
-                head, ast.Assert(pred, self._args(pred, xs), self._value(xs, ys)))
+                (head, ast.Assert(pred, self._args(pred, xs), self._value(xs, ys))))
         elif roll < 0.2:
-            head = ast.ClauseAnd(head, ast.TrueClause())
+            head = ast.ClauseAnd((head, ast.TrueClause()))
         if self.rng.random() < 0.8:
             return ast.Imply(self._gen_pre(i, xs, ys, depth=2), head)
         return head
@@ -164,12 +168,10 @@ class _Gen:
                                 self._value(xs, ys, allow_empty=False))
         if kind == "apply":
             return ast.Apply(rng.choice(ys), self._term(xs))
-        if kind == "and":
-            return ast.PreAnd(self._gen_pre(i, xs, ys, depth - 1),
-                              self._gen_pre(i, xs, ys, depth - 1))
-        if kind == "or":
-            return ast.PreOr(self._gen_pre(i, xs, ys, depth - 1),
-                             self._gen_pre(i, xs, ys, depth - 1))
+        if kind in ("and", "or"):
+            return _chain(ast.PreAnd if kind == "and" else ast.PreOr,
+                          self._gen_pre(i, xs, ys, depth - 1),
+                          self._gen_pre(i, xs, ys, depth - 1))
         if kind == "existsx":
             x = self._fresh_x()
             return ast.ExistsX(x, self._gen_pre(i, xs + [x], ys, depth - 1))

@@ -317,7 +317,7 @@ class _Compiler:
         if isinstance(cl, TrueClause):
             return None
         if isinstance(cl, ClauseAnd):
-            steps = tuple(filter(None, (self.clause(c, scope, bound) for c in ast.conjuncts(cl))))
+            steps = tuple(filter(None, (self.clause(c, scope, bound) for c in cl.parts)))
             if len(steps) < 2:
                 return steps[0] if steps else None
 
@@ -382,14 +382,14 @@ class _Compiler:
         if isinstance(p, Apply):
             return self.apply(p, scope, bound, kc)
         if isinstance(p, PreAnd):
-            right = p.right
-            return self.pre(p.left, scope, bound, (right,) + rest,
-                            lambda b: self.pre(right, scope, b, rest, kc))
+            tail = p.parts[1:]
+            later = tail[0] if len(tail) == 1 else PreAnd(tail)
+            return self.pre(p.parts[0], scope, bound, tail + rest,
+                            lambda b: self.pre(later, scope, b, rest, kc))
         memo = self.slot()
         if isinstance(p, PreOr):
             kc = self.memo(memo, scope, rest, kc)
-            branches = (self.pre(p.left, scope, bound, rest, kc),
-                        self.pre(p.right, scope, bound, rest, kc))
+            branches = tuple([self.pre(q, scope, bound, rest, kc) for q in p.parts])
         elif isinstance(p, (ExistsX, ExistsY)):
             y = isinstance(p, ExistsY)
             name = p.yvar if y else p.var
@@ -567,7 +567,7 @@ class _Engine:
     def run_stratum(self, cl) -> None:
         """Compile each top-level conjunct once and run it on a fresh
         environment; queries of predicates sealed by now register no consumers."""
-        for conjunct in ast.conjuncts(cl):
+        for conjunct in cl.parts if isinstance(cl, ClauseAnd) else (cl,):
             compiler = _Compiler(self)
             step = compiler.clause(conjunct, {}, frozenset())
             if step is not None:

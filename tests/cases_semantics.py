@@ -101,16 +101,16 @@ CASES = [
          ast.Apply("'Y", CA), False, env={"'Y": B}),
     # conjunction / disjunction
     Case("and_both", "direct", "pre",
-         ast.PreAnd(q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA))), True,
+         ast.PreAnd((q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA)))), True,
          leaves={"R": {("a",): A}, "S": {("a",): AB}}),
     Case("and_one_fails", "direct", "pre",
-         ast.PreAnd(q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA))), False,
+         ast.PreAnd((q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA)))), False,
          leaves={"R": {("a",): A}}),
     Case("or_right", "direct", "pre",
-         ast.PreOr(q("R", CB, v=ast.Repr(CB)), q("S", CA, v=ast.Repr(CA))), True,
+         ast.PreOr((q("R", CB, v=ast.Repr(CB)), q("S", CA, v=ast.Repr(CA)))), True,
          leaves={"S": {("a",): A}}),
     Case("or_neither", "direct", "pre",
-         ast.PreOr(q("R", CB, v=ast.Repr(CB)), q("S", CA, v=ast.Repr(CA))), False,
+         ast.PreOr((q("R", CB, v=ast.Repr(CB)), q("S", CA, v=ast.Repr(CA)))), False,
          leaves={}),
     # existential over the universe
     Case("exists_atom_witness", "direct", "pre",
@@ -143,11 +143,11 @@ CASES = [
     Case("unit_always_true", "direct", "clause", ast.TrueClause(), True),
     # clause conjunction
     Case("clause_and_both", "direct", "clause",
-         ast.ClauseAnd(asrt("R", CA, v=ast.LitConst(A)), ast.TrueClause()), True,
+         ast.ClauseAnd((asrt("R", CA, v=ast.LitConst(A)), ast.TrueClause())), True,
          leaves={"R": {("a",): A}}),
     Case("clause_and_one_fails", "direct", "clause",
-         ast.ClauseAnd(asrt("R", CA, v=ast.LitConst(A)),
-                       asrt("S", CA, v=ast.LitConst(B))), False,
+         ast.ClauseAnd((asrt("R", CA, v=ast.LitConst(A)),
+                        asrt("S", CA, v=ast.LitConst(B)))), False,
          leaves={"R": {("a",): A}}),
     # implication
     Case("imply_vacuous", "direct", "clause",

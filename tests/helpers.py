@@ -135,8 +135,8 @@ def independent_rank_check(program: ast.Program, ranks: dict) -> bool:
         elif isinstance(p, ast.NegQuery):
             neg.append(p.pred)
         elif isinstance(p, (ast.PreAnd, ast.PreOr)):
-            atoms_of_pre(p.left, pos, neg)
-            atoms_of_pre(p.right, pos, neg)
+            for q in p.parts:
+                atoms_of_pre(q, pos, neg)
         elif isinstance(p, (ast.ExistsX, ast.ExistsY)):
             atoms_of_pre(p.body, pos, neg)
 
@@ -145,7 +145,7 @@ def independent_rank_check(program: ast.Program, ranks: dict) -> bool:
             if ranks.get(cl.pred) != i:
                 return False
         elif isinstance(cl, ast.ClauseAnd):
-            return walk(cl.left, i) and walk(cl.right, i)
+            return all(walk(c, i) for c in cl.parts)
         elif isinstance(cl, ast.Imply):
             pos, neg = [], []
             atoms_of_pre(cl.pre, pos, neg)
@@ -184,8 +184,8 @@ def conjuncts(pre) -> list:
 
     def flatten(p):
         if isinstance(p, ast.PreAnd):
-            flatten(p.left)
-            flatten(p.right)
+            for q in p.parts:
+                flatten(q)
         else:
             out.append(p)
 

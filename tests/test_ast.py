@@ -96,8 +96,8 @@ def test_parse_interval_literals_and_descriptions():
 
     def walk(cl):
         if isinstance(cl, ClauseAnd):
-            walk(cl.left)
-            walk(cl.right)
+            for c in cl.parts:
+                walk(c)
         else:
             flat.append(cl)
 
@@ -128,6 +128,43 @@ def test_parse_shadowed_binder_renamed_apart():
     inner = p.strata[0].body
     assert inner.var == "x_2"
     assert inner.body.args == (Var("x_2"),)
+
+
+def test_parse_binder_names_skip_user_written_suffixes():
+    rule = "(forall x. R(x;[x]))"
+    p = parse_clauses("lattice powerset {a}\nclause forall x_3. forall 'Y. "
+                      f"{rule} & {rule} & {rule} & {rule} & (forall 'Y. R(x_3;'Y))")
+    outer = p.strata[0]
+    conj = outer.body.body
+    assert [outer.var, outer.body.yvar] == ["x_3", "'Y"]
+    assert [c.var for c in conj.parts[:4]] == ["x", "x_2", "x_4", "x_5"]
+    assert conj.parts[4].yvar == "'Y_2"
+    # each clause item names its binders afresh
+    p = parse_clauses(f"lattice powerset {{a}}\nclause {rule} & {rule}, {rule}")
+    assert [c.var for c in p.strata[0].parts] + [p.strata[1].var] == ["x", "x_2", "x"]
+
+
+def test_parse_chains_into_one_node():
+    r, s, t = (f"{n}(a;[a])" for n in "RST")
+    want = ClauseAnd(tuple(Assert(n, (Const("a"),), Repr(Const("a"))) for n in "RST"))
+    for text in (f"{r} & {s} & {t}", f"({r} & {s}) & {t}", f"(({r} & {s})) & {t}"):
+        assert parse_clauses(f"lattice powerset {{a}}\nclause {text}").strata == (want,)
+    nested = parse_clauses(f"lattice powerset {{a}}\nclause {r} & ({s} & {t})").strata[0]
+    assert nested == ClauseAnd((want.parts[0], ClauseAnd(want.parts[1:])))
+    pre = parse_clauses(
+        f"lattice powerset {{a}}\nclause {r} | {s} & {t} | ({r} | {s}) => {t}").strata[0].pre
+    q = {n: Query(n, (Const("a"),), Repr(Const("a"))) for n in "RST"}
+    assert pre == PreOr((q["R"], PreAnd((q["S"], q["T"])), PreOr((q["R"], q["S"]))))
+
+
+@pytest.mark.parametrize("text", [
+    "R(a;[a]) & S(a;[a]) & T(a;[a])",
+    "R(a;[a]) & (S(a;[a]) & T(a;[a]))",
+    "R(a;[a]) | (S(a;[a]) | T(a;[a])) & R(a;[a]) | T(a;[a]) => S(a;[a]) & 1",
+])
+def test_pretty_prints_chains_as_written(text):
+    p = parse_clauses(f"lattice powerset {{a}}\nclause {text}")
+    assert pretty(p).splitlines()[-1] == f"clause {text}"
 
 
 def test_parse_fact_override_text():
@@ -175,6 +212,17 @@ def test_free_variable_rejected():
     program = powerset_program([Assert("E", (Var("x"),), Repr(Var("x")))])
     with pytest.raises(ValidationError, match="free variable"):
         check_well_formed(program)
+
+
+def test_validation_paths_index_the_parts():
+    ok = Assert("E", (Const("a"),), Repr(Const("a")))
+    ok_q = Query("R", (Const("a"),), Repr(Const("a")))
+    bad_q = Query("R", (Var("x"),), LitConst(frozenset("a")))
+    pre = PreOr((ok_q, PreAnd((ok_q, bad_q))))
+    program = powerset_program([ClauseAnd((ok, ok, Imply(pre, ok)))])
+    with pytest.raises(ValidationError) as err:
+        check_well_formed(program)
+    assert str(err.value) == "stratum 1/and.3/pre/or.2/and.2: free variable 'x'"
 
 
 def test_fnapp_in_query_rejected_programmatically():
@@ -285,33 +333,33 @@ def _spine_program(pre):
 
 
 def test_reorder_moves_application_after_definition():
-    pre = PreAnd(Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y")))
+    pre = PreAnd((Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y"))))
     program = validate(_spine_program(pre))
     out = reorder_preconditions(program).strata[0].body.body.pre
-    assert out == PreAnd(Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x")))
+    assert out == PreAnd((Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x"))))
 
 
 def test_reorder_keeps_ordered_spine():
-    pre = PreAnd(Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x")))
+    pre = PreAnd((Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x"))))
     program = validate(_spine_program(pre))
     assert reorder_preconditions(program).strata[0].body.body.pre == pre
 
 
 def test_reorder_leaves_undefined_application_alone():
-    pre = PreAnd(Apply("'Y", Var("x")),
-                 Query("T", (Var("x"),), Repr(Var("x"))))
+    pre = PreAnd((Apply("'Y", Var("x")),
+                  Query("T", (Var("x"),), Repr(Var("x")))))
     program = validate(_spine_program(pre))
     assert reorder_preconditions(program).strata[0].body.body.pre == pre
 
 
 def test_reorder_recurses_into_disjuncts():
-    inner = PreAnd(Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y")))
-    pre = PreOr(inner, Query("T", (Var("x"),), Repr(Var("x"))))
+    inner = PreAnd((Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y"))))
+    pre = PreOr((inner, Query("T", (Var("x"),), Repr(Var("x")))))
     program = validate(_spine_program(pre))
     out = reorder_preconditions(program).strata[0].body.body.pre
-    assert out.left == PreAnd(Query("R", (Var("x"),), YVar("'Y")),
-                              Apply("'Y", Var("x")))
-    assert out.right == pre.right
+    assert out.parts[0] == PreAnd((Query("R", (Var("x"),), YVar("'Y")),
+                                   Apply("'Y", Var("x"))))
+    assert out.parts[1] == pre.parts[1]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -321,8 +369,8 @@ def test_reorder_preserves_conjunct_multisets(seed):
 
     def spines(cl, out):
         if isinstance(cl, ClauseAnd):
-            spines(cl.left, out)
-            spines(cl.right, out)
+            for c in cl.parts:
+                spines(c, out)
         elif isinstance(cl, Imply):
             out.append(sorted(map(repr, helpers.conjuncts(cl.pre))))
             spines(cl.body, out)

@@ -1,5 +1,8 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import sys
+from itertools import cycle
+
 import pytest
 
 from latlog.ast import validate, reorder_preconditions
@@ -135,20 +138,43 @@ def test_analyze_bad_graph_exits_1(capsys, tmp_path):
     assert "unknown state" in err
 
 
-def test_analyze_too_deep_input_is_one_error_line(tmp_path, capsys):
-    # a 1 200-state ring gives one left-nested clause conjunction that the
-    # parser recurses through once per rule, past the default limit
-    n = 1200
-    lines = ["initial q0", *(f"state q{i}" for i in range(1, n)), "var x",
-             *(f"q{i} -> q{i + 1} : x := x + 1" for i in range(n - 1)),
-             f"q{n - 1} -> q0 : skip"]
-    path = tmp_path / "deep.graph"
+def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys):
+    # reachability along a 4 000-node chain: each delivery nests the next
+    # one on the Python stack, past the limit the engine raises itself
+    n = 4000
+    lines = ["lattice signs", *(f"fact E(n{i},n{i + 1}) = {{+}}" for i in range(n - 1)),
+             "clause R(n0;{+}) & (forall x. forall y. R(x;{+}) & E(x,y;{+}) => R(y;{+}))"]
+    path = tmp_path / "chain.lat"
     path.write_text("\n".join(lines) + "\n")
-    code, out, err = run(capsys, "analyze", str(path), "--analysis", "signs")
+    code, out, err = run(capsys, "solve", str(path))
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: input nests too deeply (")
+
+
+@pytest.fixture
+def default_recursion_limit():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(before)
+
+
+@pytest.mark.parametrize("n, variables", [(1200, ("x",)), (800, ("x", "y"))])
+def test_analyze_long_ring_at_default_recursion_limit(n, variables, tmp_path, capsys,
+                                                      default_recursion_limit):
+    # one generated clause of about n conjuncts per variable
+    lines = ["initial q0", *(f"state q{i}" for i in range(1, n)),
+             *(f"var {v}" for v in variables),
+             *(f"q{i} -> q{i + 1} : {v} := {v} + 1"
+               for i, v in zip(range(n - 1), cycle(variables))),
+             f"q{n - 1} -> q0 : skip"]
+    path = tmp_path / "ring.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", str(path), "--analysis", "signs")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == n * len(variables)
 
 
 # --- compare --------------------------------------------------------------------

@@ -168,6 +168,26 @@ def test_snap_onto_sparse_grid_widens_outward():
     assert lat.make_interval(6, 7) == IntervalValue(5, POS_INF)
 
 
+_ENDPOINT = st.one_of(st.integers(-12, 12), st.sampled_from((NEG_INF, POS_INF)))
+
+
+@settings(max_examples=300)
+@given(st.sets(st.integers(-8, 8), min_size=1), _ENDPOINT, _ENDPOINT)
+def test_snapping_matches_a_scan_of_the_grid(grid, lo, hi):
+    # random subsets of -8..8 give contiguous and gapped grids alike
+    lo, hi = min(lo, hi), max(lo, hi)
+    want_lo = max((z for z in grid if z <= lo), default=NEG_INF)
+    want_hi = min((z for z in grid if z >= hi), default=POS_INF)
+    assert interval_lattice(grid).make_interval(lo, hi) == interval(want_lo, want_hi)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_element_count_matches_enumeration(k):
+    for grid in (range(k), range(0, 3 * k, 3)):
+        lat = interval_lattice(grid)
+        assert lat.element_count == len(lat.enumerate_elements())
+
+
 def test_representation_of_integers_and_names():
     lat = interval_lattice(range(0, 4))
     assert lat.represent(2) == IntervalValue(2, 2)

@@ -361,7 +361,7 @@ def test_check_disjunction_memoizes_duplicate_environments():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
     engine.store.add("R", (0,), frozenset("a"))
     q = Query("R", (Var("x"),), Repr(Var("x")))
-    seen = check(engine, PreOr(q, q), {"x": None}, ("x",))
+    seen = check(engine, PreOr((q, q)), {"x": None}, ("x",))
     assert [e["x"] for e in seen] == ["a"]
 
 
