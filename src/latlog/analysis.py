@@ -183,6 +183,8 @@ _OP_NAME = {"+": "add", "-": "sub", "*": "mul"}
 
 
 def _interval_grid(graph: ProgramGraph, zmin, zmax) -> tuple[int, int]:
+    if zmin is not None and zmax is not None and zmin > zmax:
+        raise ValidationError(f"empty integer grid: zmin={zmin} > zmax={zmax}")
     lits = int_literals(graph)
     candidates = set(lits)
     if zmin is not None:

@@ -45,6 +45,12 @@ def _solve_program(program: Program, fact_texts=()) -> SolveResult:
     overrides = []
     for fact_text in fact_texts:
         fact = parse_fact("fact " + fact_text, program)
+        rank = program.ranks.get(fact.pred)
+        if rank != 0:
+            reason = (f"undeclared predicate {fact.pred}" if rank is None
+                      else f"{fact.pred} is asserted by a clause")
+            raise ValidationError(f"fact {fact.pred}: {reason}; facts may only "
+                                  "populate base relations")
         unknown = [a for a in fact.atoms if a not in set(program.universe)]
         if unknown:
             raise ValidationError(f"fact override uses unknown atoms {unknown!r}")

@@ -381,24 +381,25 @@ def sign_transfer(op: str) -> Callable[[frozenset, frozenset], frozenset]:
 # ---------------------------------------------------------------------------
 # Function registry
 
+EXHAUSTIVE_LIMIT = 64
+SPOT_CHECKS = 1000
+
 
 class FunctionRegistry:
     """Named monotone operations usable as function terms.
 
     Registration validates monotonicity in each argument.  When the lattice
-    enumerates fewer than ``exhaustive_limit`` elements the proof is
+    enumerates fewer than ``EXHAUSTIVE_LIMIT`` elements the proof is
     exhaustive: the function is tabulated once over every argument tuple, and
     each argument is checked along the covering pairs of the order (``b``
     covers ``a`` when ``a < b`` with nothing strictly between), which implies
-    every ordered pair by transitivity.  Larger lattices get ``spot_checks``
+    every ordered pair by transitivity.  Larger lattices get ``SPOT_CHECKS``
     sampled ordered pairs.  Register everything up front; the registry must
     not change during a solve run.
     """
 
-    def __init__(self, lattice: Lattice, exhaustive_limit: int = 64, spot_checks: int = 1000):
+    def __init__(self, lattice: Lattice):
         self.lattice = lattice
-        self.exhaustive_limit = exhaustive_limit
-        self.spot_checks = spot_checks
         self._fns: dict[tuple[str, int], Callable] = {}
 
     def register(self, name: str, arity: int, fn: Callable) -> None:
@@ -429,7 +430,7 @@ class FunctionRegistry:
             return
         lat = self.lattice
         count = lat.element_count
-        if (count is not None and count < self.exhaustive_limit
+        if (count is not None and count < EXHAUSTIVE_LIMIT
                 and lat.enumerate_elements is not None
                 and count ** (arity + 1) * arity <= 2_000_000):
             self._check_exhaustive(name, arity, fn)
@@ -480,7 +481,7 @@ class FunctionRegistry:
                 return rng.choice(extremes)
             return lat.sample_element(rng)
 
-        for _ in range(self.spot_checks):
+        for _ in range(SPOT_CHECKS):
             pos = rng.randrange(arity)
             others = tuple(sample() for _ in range(arity - 1))
             hi = sample()

@@ -20,7 +20,7 @@ are independent, and a finished result is safe to share.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
@@ -97,45 +97,14 @@ class PrefixTree:
 
 
 @dataclass
-class ConsumerRecord:
-    """Per-consumer instrumentation for the difference-propagation bound."""
-
-    pred: str
-    growths_at_registration: int
-    sweep_invocations: int = 0
-    delivery_invocations: int = 0
-
-
-@dataclass
 class SolveStats:
     """Instrumentation counters for one solve run."""
 
     growths: int = 0
-    growths_per_pred: dict = field(default_factory=dict)
     consumer_invocations: int = 0
     sweep_invocations: int = 0
     candidates: int = 0
     redundant_adds: int = 0
-    consumers: list = field(default_factory=list)
-    stratum_snapshots: dict = field(default_factory=dict)
-
-    def record_growth(self, pred: str) -> None:
-        self.growths += 1
-        self.growths_per_pred[pred] = self.growths_per_pred.get(pred, 0) + 1
-
-    def new_consumer(self, pred: str) -> ConsumerRecord:
-        rec = ConsumerRecord(pred, self.growths_per_pred.get(pred, 0))
-        self.consumers.append(rec)
-        return rec
-
-    def propagation_bound_holds(self) -> bool:
-        """Every consumer was invoked at most once per post-registration growth
-        plus once per swept tuple."""
-        for rec in self.consumers:
-            after = self.growths_per_pred.get(rec.pred, 0) - rec.growths_at_registration
-            if rec.delivery_invocations > after:
-                return False
-        return True
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in (
@@ -168,9 +137,6 @@ class ResultStore:
         leaf = self.tree(pred).get(ids)
         return self.lattice.bottom if leaf is None else leaf
 
-    def has(self, pred: str, ids: tuple, l) -> bool:
-        return self.lattice.leq(l, self.current(pred, ids))
-
     def raise_leaf(self, pred: str, ids: tuple, l):
         """Join l into the leaf; the new leaf if it strictly grew, else None."""
         tree, lattice = self.tree(pred), self.lattice
@@ -185,7 +151,7 @@ class ResultStore:
                 f"grew at {ids} after sealing")
         joined = lattice.join(current, l)
         tree.set(ids, joined)
-        self.stats.record_growth(pred)
+        self.stats.growths += 1
         return joined
 
     def add(self, pred: str, ids: tuple, l) -> tuple[bool, Any]:
@@ -455,23 +421,19 @@ class _Compiler:
                     return
             match_value(env, l)
         prefix_of = _reader(parts[:plen])
-        pred, stats, sub = q.pred, e.stats, e.store.sub
-        new_consumer, register = stats.new_consumer, e.infl.register
+        pred, stats, sub, register = q.pred, e.stats, e.store.sub, e.infl.register
         live = not e.store.sealed(pred)
 
         def query(env):
-            rec = new_consumer(pred)
             prefix = prefix_of(env)
             if live:
                 snapshot = env[:]
 
                 def deliver(ids, l):
-                    rec.delivery_invocations += 1
                     stats.consumer_invocations += 1
                     match(snapshot[:], ids, l)
                 register(pred, prefix, deliver)
             for ids, l in sub(pred, prefix):
-                rec.sweep_invocations += 1
                 stats.sweep_invocations += 1
                 match(env, ids, l)
         return query
@@ -573,20 +535,12 @@ class _Engine:
             if step is not None:
                 step([None] * compiler.size)
 
-    def snapshot_rank(self, rank: int) -> None:
-        self.stats.stratum_snapshots[rank] = {
-            pred: dict(self.store.sub(pred))
-            for pred, r in self.program.ranks.items() if r == rank
-        }
-
     def run(self, facts) -> None:
         for f in facts:
             self.store.raise_leaf(f.pred, self.table.ids(f.atoms), f.value)
-        self.snapshot_rank(0)
         self.store.seal_up_to(0)
         for i, cl in enumerate(self.program.strata, 1):
             self.run_stratum(cl)
-            self.snapshot_rank(i)
             self.store.seal_up_to(i)
 
 
@@ -630,14 +584,6 @@ class SolveResult:
                     text = values[v] = render(v)
                 lines.append(f"{pred}({','.join([names[i] for i in ids])}) = {text}")
         return lines
-
-    def stratum_isolation_holds(self) -> bool:
-        """Leaves of each rank are unchanged since their stratum completed."""
-        for rank, snap in self.stats.stratum_snapshots.items():
-            for pred, leaves in snap.items():
-                if dict(self.store.sub(pred)) != leaves:
-                    return False
-        return True
 
 
 def solve(program: Program, fact_overrides=None) -> SolveResult:

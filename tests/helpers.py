@@ -1,19 +1,23 @@
-"""Shared test utilities: independent brute-force oracles and fixtures.
+"""Shared test utilities: independent brute-force oracles, an observer of
+solve runs, and fixtures.
 
 Everything here recomputes expected values from first principles (set
 denotations, exhaustive enumeration, representative integers) so the tests
-stay independent of the code paths they check.
+stay independent of the code paths they check; the solve audit records what
+the engine does from outside it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
 from latlog import ast
 from latlog.lattices import IntervalValue, sign_of
 from latlog.parser import parse_clauses
-from latlog.solver import solve
+from latlog.solver import ConsumerStore, ResultStore, solve
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -159,6 +163,90 @@ def independent_rank_check(program: ast.Program, ranks: dict) -> bool:
         return True
 
     return all(walk(cl, i) for i, cl in enumerate(program.strata, 1))
+
+
+# --- solve audit ----------------------------------------------------------------
+
+
+@dataclass
+class ConsumerRecord:
+    """One registered consumer: the growths of its predicate before it was
+    registered, and the deliveries it has received since."""
+
+    pred: str
+    growths_at_registration: int
+    delivery_invocations: int = 0
+
+
+@dataclass
+class SolveAudit:
+    """What :func:`audit` saw of the solves run inside it."""
+
+    growths_per_pred: dict = field(default_factory=dict)
+    consumers: list = field(default_factory=list)
+    stratum_snapshots: dict = field(default_factory=dict)
+
+
+@contextmanager
+def audit():
+    """Observe the engine from outside while the block runs, by wrapping
+    ``ResultStore.raise_leaf`` (growths per predicate),
+    ``ConsumerStore.register`` (one record per consumer, counting its
+    deliveries) and ``ResultStore.seal_up_to`` (a copy of the leaves of the
+    rank being sealed).  Wrap one solve per block."""
+    seen = SolveAudit()
+    raise_leaf, register, seal_up_to = (
+        ResultStore.raise_leaf, ConsumerStore.register, ResultStore.seal_up_to)
+
+    def counted_raise_leaf(store, pred, ids, l):
+        leaf = raise_leaf(store, pred, ids, l)
+        if leaf is not None:
+            seen.growths_per_pred[pred] = seen.growths_per_pred.get(pred, 0) + 1
+        return leaf
+
+    def recorded_register(infl, pred, prefix, consumer):
+        rec = ConsumerRecord(pred, seen.growths_per_pred.get(pred, 0))
+        seen.consumers.append(rec)
+
+        def deliver(ids, leaf):
+            rec.delivery_invocations += 1
+            consumer(ids, leaf)
+        register(infl, pred, prefix, deliver)
+
+    def snapshot_seal_up_to(store, rank):
+        seen.stratum_snapshots[rank] = {
+            pred: dict(store.sub(pred))
+            for pred, r in store.ranks.items() if r == rank}
+        seal_up_to(store, rank)
+
+    ResultStore.raise_leaf = counted_raise_leaf
+    ConsumerStore.register = recorded_register
+    ResultStore.seal_up_to = snapshot_seal_up_to
+    try:
+        yield seen
+    finally:
+        ResultStore.raise_leaf = raise_leaf
+        ConsumerStore.register = register
+        ResultStore.seal_up_to = seal_up_to
+
+
+def propagation_bound_holds(seen: SolveAudit) -> bool:
+    """Every consumer was delivered at most once per growth of its predicate
+    after its registration."""
+    for rec in seen.consumers:
+        after = seen.growths_per_pred.get(rec.pred, 0) - rec.growths_at_registration
+        if rec.delivery_invocations > after:
+            return False
+    return True
+
+
+def stratum_isolation_holds(seen: SolveAudit, result) -> bool:
+    """Leaves of each rank are unchanged since their stratum completed."""
+    for snap in seen.stratum_snapshots.values():
+        for pred, leaves in snap.items():
+            if dict(result.store.sub(pred)) != leaves:
+                return False
+    return True
 
 
 # --- misc -----------------------------------------------------------------------

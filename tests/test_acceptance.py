@@ -171,14 +171,14 @@ def test_criterion_7_difference_propagation():
             _loop_interval_program(),
         ]
         for program in workloads:
-            result = solve(program)
-            stats = result.stats
-            for rec in stats.consumers:
+            with helpers.audit() as seen:
+                solve(program)
+            for rec in seen.consumers:
                 after_registration = (
-                    stats.growths_per_pred.get(rec.pred, 0)
+                    seen.growths_per_pred.get(rec.pred, 0)
                     - rec.growths_at_registration)
                 assert rec.delivery_invocations <= after_registration
-            assert stats.propagation_bound_holds()
+            assert helpers.propagation_bound_holds(seen)
             # a non-growing add reaches no consumer
             engine = _Engine(program, SolveStats())
             engine.run(program.facts)
@@ -195,16 +195,16 @@ def test_criterion_7_difference_propagation():
 
 def test_criterion_8_termination_and_stratum_isolation():
     with criterion(8, "termination and stratum isolation"):
-        runs = [
-            helpers.run_pipeline(helpers.sample("eq_neq.lat"))[1],
-            helpers.run_pipeline(helpers.sample("eq_neq_abc.lat"))[1],
-            helpers.run_pipeline(helpers.sample("facts_only.lat"))[1],
-            solve(_loop_interval_program()),
-        ]
-        for seed in range(40):
-            runs.append(solve_program(random_program(seed)))
-        for result in runs:  # every run above terminated to get here
-            assert result.stratum_isolation_holds()
+        programs = [
+            reorder_preconditions(validate(parse_clauses(helpers.sample(name))))
+            for name in ("eq_neq.lat", "eq_neq_abc.lat", "facts_only.lat")]
+        programs.append(_loop_interval_program())
+        programs += [reorder_preconditions(random_program(seed))
+                     for seed in range(40)]
+        for program in programs:
+            with helpers.audit() as seen:
+                result = solve(program)  # terminated to get past this line
+            assert helpers.stratum_isolation_holds(seen, result)
 
 
 def test_criterion_9_lattice_law_suite():

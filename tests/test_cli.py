@@ -52,6 +52,18 @@ def test_solve_fact_override(capsys):
     assert "R(a,b) = {a}" in out.splitlines()
 
 
+@pytest.mark.parametrize("fact, reason", [
+    ("N(a) = {a}", "N is asserted by a clause"),
+    ("Z(a) = {a}", "undeclared predicate Z"),
+])
+def test_solve_fact_override_must_name_a_base_relation(fact, reason, capsys):
+    code, out, err = run(capsys, "solve", spath("eq_neq.lat"), "--fact", fact)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: fact {fact[0]}: {reason}; facts may only populate base relations"]
+
+
 def test_solve_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "no_such_file.lat")
     assert code == 2
@@ -136,6 +148,14 @@ def test_analyze_bad_graph_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad), "--analysis", "signs")
     assert code == 1
     assert "unknown state" in err
+
+
+def test_analyze_inverted_grid_exits_1(capsys):
+    code, out, err = run(capsys, "analyze", spath("loop.graph"), "--analysis",
+                         "intervals", "--zmin", "5", "--zmax", "0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: empty integer grid: zmin=5 > zmax=0"]
 
 
 def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys):

@@ -13,7 +13,7 @@ from latlog.lattices import (EMPTY_INTERVAL, FULL_INTERVAL, NEG_INF, POS_INF,
                              interval_arithmetic, interval_inf, interval_join,
                              interval_lattice, interval_leq, interval_meet,
                              interval_sup, powerset_lattice, SIGNS, sign_lattice,
-                             sign_transfer, standard_registry)
+                             sign_transfer, standard_registry, EXHAUSTIVE_LIMIT)
 from latlog.parser import parse_clauses
 from latlog.solver import solve
 
@@ -332,7 +332,7 @@ def assert_real_violation(lat, fn, arity, exc):
 def test_exhaustive_proof_agrees_with_all_pairs(lat_name, arity, shape, data):
     lat = SMALL_LATTICES[lat_name]
     elems = lat.enumerate_elements()
-    assert len(elems) < FunctionRegistry(lat).exhaustive_limit
+    assert len(elems) < EXHAUSTIVE_LIMIT
     keys = list(product(elems, repeat=arity))
     values = data.draw(st.lists(st.sampled_from(elems), min_size=len(keys),
                                 max_size=len(keys)))

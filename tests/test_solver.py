@@ -229,12 +229,17 @@ def store2(arities=None, ranks=None):
     return ResultStore(LAT2, arities, ranks)
 
 
+def has(store, pred, ids, l):
+    """The leaf at ``ids`` lies at or above ``l``."""
+    return store.lattice.leq(l, store.current(pred, ids))
+
+
 def test_store_first_insert_grows():
     s = store2()
-    assert not s.has("R", (0,), frozenset("a"))
+    assert not has(s, "R", (0,), frozenset("a"))
     grew, leaf = s.add("R", (0,), frozenset("a"))
     assert grew and leaf == frozenset("a")
-    assert s.has("R", (0,), frozenset("a"))
+    assert has(s, "R", (0,), frozenset("a"))
 
 
 def test_store_join_merges_leaf():
@@ -242,15 +247,15 @@ def test_store_join_merges_leaf():
     s.add("R", (0,), frozenset("a"))
     grew, leaf = s.add("R", (0,), frozenset("b"))
     assert grew and leaf == frozenset(("a", "b"))
-    assert s.has("R", (0,), frozenset(("a", "b")))
+    assert has(s, "R", (0,), frozenset(("a", "b")))
     grew, _ = s.add("R", (0,), frozenset("a"))
     assert not grew
 
 
 def test_store_absent_leaf_reads_bottom():
     s = store2()
-    assert not s.has("R", (1,), frozenset("a"))
-    assert s.has("R", (1,), frozenset())  # bottom is below everything
+    assert not has(s, "R", (1,), frozenset("a"))
+    assert has(s, "R", (1,), frozenset())  # bottom is below everything
 
 
 def test_store_rejects_growth_after_seal():
@@ -300,8 +305,8 @@ def test_growth_invokes_each_consumer_once():
     assert grew
     engine._broadcast("R", (0,), leaf)
     assert engine.stats.consumer_invocations == 2
-    assert engine.store.has("S", (0,), frozenset("a"))
-    assert engine.store.has("T", (0,), frozenset("a"))
+    assert has(engine.store, "S", (0,), frozenset("a"))
+    assert has(engine.store, "T", (0,), frozenset("a"))
 
 
 def test_non_growing_add_triggers_no_consumers():
@@ -314,7 +319,7 @@ def test_non_growing_add_triggers_no_consumers():
     calls = []
     engine.infl.register("E", (), lambda ids, v: calls.append(ids))
     ids = engine.table.ids(("a",))
-    assert engine.store.has("E", ids, frozenset("a"))
+    assert has(engine.store, "E", ids, frozenset("a"))
     # a compiled assertion skips non-growing candidates before broadcasting
     engine.run_stratum(ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))))
     assert calls == []
@@ -489,14 +494,15 @@ def test_solve_labeled_transitive_closure():
     """
     program = reorder_preconditions(validate(parse_clauses(
         text, {("u_join", 2): frozenset.union})))
-    result = solve(program)
+    with helpers.audit() as seen:
+        result = solve(program)
     assert oracle.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
     paths = result.leaves()["Path"]
     assert paths[("a", "d")] == frozenset(("a", "b", "c", "d"))
     assert paths[("b", "b")] == frozenset(("b", "c", "d"))
     assert ("b", "a") not in paths
-    assert result.stats.propagation_bound_holds()
+    assert helpers.propagation_bound_holds(seen)
 
 
 def test_solve_dump_deterministic():
@@ -507,9 +513,33 @@ def test_solve_dump_deterministic():
 
 
 def test_solve_stratum_isolation_and_propagation_bound():
-    program, result = helpers.run_pipeline(helpers.sample("eq_neq.lat"))
-    assert result.stratum_isolation_holds()
-    assert result.stats.propagation_bound_holds()
+    with helpers.audit() as seen:
+        program, result = helpers.run_pipeline(helpers.sample("eq_neq.lat"))
+    assert helpers.stratum_isolation_holds(seen, result)
+    assert helpers.propagation_bound_holds(seen)
+
+
+def test_audit_catches_delivery_without_growth():
+    program = reorder_preconditions(validate(parse_clauses(
+        "lattice powerset {a,b}\nrel R/1\n"
+        "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y)")))
+    with helpers.audit() as seen:
+        engine = _Engine(program, SolveStats())
+        for cl in program.strata:  # register consumers without sealing strata
+            engine.run_stratum(cl)
+        assert helpers.propagation_bound_holds(seen)
+        engine._broadcast("R", (0,), A)  # no growth of R behind it
+    assert engine.stats.consumer_invocations == 1
+    assert not helpers.propagation_bound_holds(seen)
+
+
+def test_audit_catches_write_into_sealed_rank():
+    with helpers.audit() as seen:
+        program, result = helpers.run_pipeline(helpers.sample("eq_neq.lat"))
+    assert helpers.stratum_isolation_holds(seen, result)
+    # past raise_leaf, which would refuse the growth
+    result.store.tree("E").set(result.table.ids(("a",)), AB)
+    assert not helpers.stratum_isolation_holds(seen, result)
 
 
 def test_solver_matches_naive_on_random_programs():
@@ -517,11 +547,12 @@ def test_solver_matches_naive_on_random_programs():
 
     for seed in range(60):
         program = random_program(seed)
-        result = solve(reorder_preconditions(program))
+        with helpers.audit() as seen:
+            result = solve(reorder_preconditions(program))
         assert oracle.from_leaves(program, result.leaves()) == \
             oracle.naive_fixpoint(program), f"seed {seed}"
-        assert result.stratum_isolation_holds(), f"seed {seed}"
-        assert result.stats.propagation_bound_holds(), f"seed {seed}"
+        assert helpers.stratum_isolation_holds(seen, result), f"seed {seed}"
+        assert helpers.propagation_bound_holds(seen), f"seed {seed}"
         # every growth strictly climbs one leaf's chain, so the total is
         # bounded by (number of possible tuples) x (longest chain)
         height = len(program.lattice.atoms) + 1
@@ -655,8 +686,9 @@ def test_solver_matches_naive_on_drawn_random_programs(seed):
     from latlog.randgen import random_program
 
     program = random_program(seed)
-    result = solve(reorder_preconditions(program))
+    with helpers.audit() as seen:
+        result = solve(reorder_preconditions(program))
     assert oracle.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
-    assert result.stratum_isolation_holds()
-    assert result.stats.propagation_bound_holds()
+    assert helpers.stratum_isolation_holds(seen, result)
+    assert helpers.propagation_bound_holds(seen)
