@@ -1,11 +1,12 @@
-"""Program graphs and clause generation for the shipped analyses.
+"""Program graphs and the shipped analyses built from them.
 
 A program graph is a set of states with action-labeled edges (three-address
-assignments, boolean tests, skip).  The generators emit single-stratum clause
-files over the interval or sign lattice: the initial state starts every
-variable at top, assignments update the target through a registered transfer
-function and frame-copy the remaining variables, and tests/skips propagate
-unchanged.  A bounded concrete interpreter backs the soundness tests.
+assignments, boolean tests, skip).  :func:`analysis_program` builds a
+single-stratum ``ast.Program`` from a graph, with no clause text in between:
+the initial state starts every variable at top, assignments update the target
+through a registered transfer function and frame-copy the remaining variables,
+and tests/skips propagate unchanged.  ``gen_*_clauses`` pretty-print those
+programs.  A bounded concrete interpreter backs the soundness tests.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from . import ast
 from .errors import ParseError, ValidationError
-from .lattices import sign_of
+from .lattices import Lattice, interval_lattice, sign_lattice, standard_registry
+from .parser import _RESERVED, pretty
 
 _RESERVED_GRAPH = {"state", "initial", "var", "skip", "test"}
 
@@ -109,6 +112,10 @@ def parse_program_graph(text: str) -> ProgramGraph:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("initial", "state", "var") and (
+                not rest.isidentifier() or rest in _RESERVED_GRAPH):
+            kind = "variable" if head == "var" else "state"
+            raise ParseError(f"bad {kind} name {rest!r}", lineno, 1)
         if head == "initial":
             if initial is not None:
                 raise ParseError("second 'initial' line", lineno, 1)
@@ -119,8 +126,6 @@ def parse_program_graph(text: str) -> ProgramGraph:
             if rest not in states:
                 states.append(rest)
         elif head == "var":
-            if not rest.isidentifier() or rest in _RESERVED_GRAPH:
-                raise ParseError(f"bad variable name {rest!r}", lineno, 1)
             if rest not in variables:
                 variables.append(rest)
         else:
@@ -196,107 +201,101 @@ def _interval_grid(graph: ProgramGraph, zmin, zmax) -> tuple[int, int]:
     return min(candidates), max(candidates)
 
 
-def _frame_rules(graph: ProgramGraph, edge: Edge, target: str) -> list[str]:
-    rules = []
-    for v in graph.variables:
-        if v != target:
-            rules.append(f"(forall 'i. A({edge.src},{v};'i) => A({edge.dst},{v};'i))")
-    return rules
+def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
+    """One clause over ``A(state, variable; value)``, equal to what the parser
+    makes of its pretty-printed text: the k-th binder named ``b`` is ``b_k``
+    from k = 2 on.  Variable operands are queried at the source state, which
+    gates the rule on its reachability; an all-literal right-hand side is
+    gated on the target variable itself."""
+    _check_graph_names(graph)
+    taken: dict[str, int] = {}
+    funs: set[str] = set()
 
+    def fresh(base: str) -> str:
+        n = taken[base] = taken.get(base, 0) + 1
+        return base if n == 1 else f"{base}_{n}"
 
-def _propagate_rule(edge: Edge) -> str:
-    return f"(forall v. forall 'i. A({edge.src},v;'i) => A({edge.dst},v;'i))"
+    def at(state: str, var) -> tuple:
+        return ast.Const(state), var if isinstance(var, ast.Var) else ast.Const(var)
 
+    def rule(edge: Edge, reads: list, var, value) -> ast.Clause:
+        """``forall Y.. A(src,r;Y) & .. => A(dst,var;value)`` per (r, Y) read."""
+        pre = [ast.Query("A", at(edge.src, r), y) for r, y in reads]
+        cl = ast.Imply(pre[0] if len(pre) == 1 else ast.PreAnd(tuple(pre)),
+                       ast.Assert("A", at(edge.dst, var), value))
+        for _, y in reversed(reads):
+            cl = ast.ForallY(y.name, cl)
+        return cl
 
-def _assign_rule(edge: Edge, rhs, fn_prefix: str, const) -> str:
-    """One rule per assignment edge: variable operands are queried at the
-    source state (which also gates on its reachability), literal operands
-    become lattice constants; an all-literal right-hand side is gated on the
-    target variable itself."""
-    target = edge.action.target
-    if isinstance(rhs, BinOp):
-        guards, terms = [], []
-        for tag, o in (("l", rhs.left), ("r", rhs.right)):
+    def assign(edge: Edge, target: str, rhs) -> ast.Clause:
+        if not isinstance(rhs, BinOp):
+            y = ast.YVar(fresh("'i"))
+            if isinstance(rhs, VarRef):
+                return rule(edge, [(rhs.name, y)], target, y)
+            return rule(edge, [(target, y)], target,
+                        ast.LitConst(lattice.represent(rhs.value)))
+        reads, terms = [], []
+        for base, o in (("'il", rhs.left), ("'ir", rhs.right)):
             if isinstance(o, VarRef):
-                yv = f"'i{tag}"
-                guards.append(f"A({edge.src},{o.name};{yv})")
-                terms.append(yv)
+                reads.append((o.name, ast.YVar(fresh(base))))
+                terms.append(reads[-1][1])
             else:
-                terms.append(const(o.value))
-        value = f"{fn_prefix}{_OP_NAME[rhs.op]}({terms[0]},{terms[1]})"
-        if not guards:
-            guards = [f"A({edge.src},{target};'ig)"]
-            quant = "forall 'ig. "
-        else:
-            quant = "".join(f"forall {t}. " for t in terms if t.startswith("'"))
-        return f"({quant}{' & '.join(guards)} => A({edge.dst},{target};{value}))"
-    if isinstance(rhs, VarRef):
-        return (f"(forall 'i. A({edge.src},{rhs.name};'i)"
-                f" => A({edge.dst},{target};'i))")
-    return (f"(forall 'i. A({edge.src},{target};'i)"
-            f" => A({edge.dst},{target};{const(rhs.value)}))")
+                terms.append(ast.LitConst(lattice.represent(o.value)))
+        value = ast.FnApp(prefix + _OP_NAME[rhs.op], tuple(terms))
+        funs.add(value.name)
+        return rule(edge, reads or [(target, ast.YVar(fresh("'ig")))], target, value)
 
-
-def _gen_clauses(graph: ProgramGraph, lattice_line: str, funs: list[str],
-                 fn_prefix: str, const) -> str:
-    rules = [f"A({graph.initial},{v};top)" for v in graph.variables]
+    top = ast.LitConst(lattice.top)
+    rules = [ast.Assert("A", at(graph.initial, v), top) for v in graph.variables]
     for edge in graph.edges:
         action = edge.action
         if isinstance(action, Assign):
-            rules.append(_assign_rule(edge, action.rhs, fn_prefix, const))
-            rules.extend(_frame_rules(graph, edge, action.target))
+            rules.append(assign(edge, action.target, action.rhs))
+            for v in graph.variables:
+                if v != action.target:
+                    y = ast.YVar(fresh("'i"))
+                    rules.append(rule(edge, [(v, y)], v, y))
         else:
-            rules.append(_propagate_rule(edge))
-    lines = [lattice_line]
-    lines += [f"fun {f}/2" for f in funs]
-    lines.append("rel A/2")
-    lines.append("clause " + rules[0])
-    lines += [f"  & {r}" for r in rules[1:]]
-    return "\n".join(lines) + "\n"
+            x, y = ast.Var(fresh("v")), ast.YVar(fresh("'i"))
+            rules.append(ast.ForallX(x.name, rule(edge, [(x, y)], x, y)))
+    strata = (rules[0] if len(rules) == 1 else ast.ClauseAnd(tuple(rules)),)
+    return ast.Program(lattice=lattice, registry=standard_registry(lattice),
+                       strata=strata, arities={"A": 2},
+                       universe=ast.universe_of(strata, ()),
+                       declared_funs=tuple((f, 2) for f in sorted(funs)))
 
 
 def _check_graph_names(graph: ProgramGraph) -> None:
-    from .parser import _RESERVED
-
+    # every name prints as an atom that no binder v, v_2, ... captures
     for name in graph.states + graph.variables:
         if not (name[0].islower() and name.isidentifier()):
             raise ValidationError(
                 f"graph name {name!r} cannot be used as a clause-file atom")
-        if name in _RESERVED or name == "v":
+        if name in _RESERVED or re.fullmatch(r"v(_\d+)?", name):
             raise ValidationError(
                 f"graph name {name!r} collides with generated clause syntax")
 
 
+def analysis_program(graph: ProgramGraph, which: str, zmin: int | None = None,
+                     zmax: int | None = None) -> ast.Program:
+    """Program computing, per state and variable, the signs (``which`` is
+    ``"signs"``) or an interval (``"intervals"``) covering every value the
+    variable may hold there; ``zmin``/``zmax`` widen the interval grid."""
+    if which == "signs":
+        return _program(graph, sign_lattice(), "s_")
+    lo, hi = _interval_grid(graph, zmin, zmax)
+    return _program(graph, interval_lattice(range(lo, hi + 1)), "f_")
+
+
 def gen_interval_clauses(graph: ProgramGraph, zmin: int | None = None,
                          zmax: int | None = None) -> str:
-    """Clause file computing, per state and variable, an interval covering
-    every value the variable may hold there."""
-    _check_graph_names(graph)
-    lo, hi = _interval_grid(graph, zmin, zmax)
-    ops = sorted({_OP_NAME[e.action.rhs.op] for e in graph.edges
-                  if isinstance(e.action, Assign) and isinstance(e.action.rhs, BinOp)})
-    return _gen_clauses(
-        graph,
-        f"lattice interval zmin={lo} zmax={hi}",
-        [f"f_{op}" for op in ops],
-        "f_",
-        lambda n: f"[{n},{n}]",
-    )
+    """Clause-file text of the interval analysis."""
+    return pretty(analysis_program(graph, "intervals", zmin, zmax))
 
 
 def gen_sign_clauses(graph: ProgramGraph) -> str:
-    """Clause file computing, per state and variable, the set of signs the
-    variable may have there."""
-    _check_graph_names(graph)
-    ops = sorted({_OP_NAME[e.action.rhs.op] for e in graph.edges
-                  if isinstance(e.action, Assign) and isinstance(e.action.rhs, BinOp)})
-    return _gen_clauses(
-        graph,
-        "lattice signs",
-        [f"s_{op}" for op in ops],
-        "s_",
-        lambda n: "{" + sign_of(n) + "}",
-    )
+    """Clause-file text of the sign analysis."""
+    return pretty(analysis_program(graph, "signs"))
 
 
 # --- bounded concrete execution ------------------------------------------------

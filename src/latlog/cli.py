@@ -1,7 +1,7 @@
 """Command-line interface: solve, analyze, compare, check.
 
 Dumps go to stdout (one ``R(a,...) = value`` line per non-bottom leaf, in
-deterministic order); diagnostics and ``--stats`` output go to stderr.
+deterministic order); errors and ``--stats`` output go to stderr.
 Exit codes: 0 success, 1 validation or comparison failure or input that
 nests too deeply (deeply parenthesized text, or an engine delivery chain
 such as reachability along thousands of nodes), 2 usage or I/O.
@@ -19,26 +19,23 @@ from . import analysis, oracle
 from .ast import Program, validate, reorder_preconditions
 from .errors import LatlogError, ValidationError
 from .lattices import render_atom
-from .parser import parse_clauses, parse_fact
+from .parser import parse_clauses, parse_fact, pretty
 from .randgen import random_program
 from .solver import SolveResult, solve
 
 
 @dataclass
 class RunReport:
-    """Outcome of one command: dump lines, counters, timing, diagnostics."""
+    """Outcome of one command: dump lines, counters, timing."""
 
     lines: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    diagnostics: list = field(default_factory=list)
     ok: bool = True
 
 
-def _prepare(text: str) -> Program:
-    program = parse_clauses(text)
-    validate(program)
-    return reorder_preconditions(program)
+def _prepare(program: Program) -> Program:
+    return reorder_preconditions(validate(program))
 
 
 def _solve_program(program: Program, fact_texts=()) -> SolveResult:
@@ -58,11 +55,18 @@ def _solve_program(program: Program, fact_texts=()) -> SolveResult:
     return solve(program, overrides)
 
 
-def run_solve(text: str, fact_texts=()) -> RunReport:
-    start = time.perf_counter()
-    result = _solve_program(_prepare(text), fact_texts)
+def _run_program(program: Program, start: float, fact_texts=()) -> RunReport:
+    """Validate, reorder and solve a program; time the run from ``start``.
+    Rebinding ``program`` frees the unreordered clauses before the solve."""
+    program = _prepare(program)
+    result = _solve_program(program, fact_texts)
     return RunReport(lines=result.dump_lines(), counters=result.stats.as_dict(),
                      elapsed=time.perf_counter() - start)
+
+
+def run_solve(text: str, fact_texts=()) -> RunReport:
+    start = time.perf_counter()
+    return _run_program(parse_clauses(text), start, fact_texts)
 
 
 def run_check(text: str) -> RunReport:
@@ -78,14 +82,12 @@ def run_check(text: str) -> RunReport:
 
 def run_analyze(graph_text: str, which: str, zmin=None, zmax=None,
                 emit_clauses: bool = False) -> RunReport:
+    start = time.perf_counter()
     graph = analysis.parse_program_graph(graph_text)
-    if which == "intervals":
-        clause_text = analysis.gen_interval_clauses(graph, zmin, zmax)
-    else:
-        clause_text = analysis.gen_sign_clauses(graph)
+    program = analysis.analysis_program(graph, which, zmin, zmax)
     if emit_clauses:
-        return RunReport(lines=clause_text.rstrip("\n").split("\n"))
-    return run_solve(clause_text)
+        return RunReport(lines=pretty(program).splitlines())
+    return _run_program(program, start)
 
 
 def leaf_diff(program: Program, got: dict, want: dict) -> list[str]:
@@ -156,8 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(report: RunReport, stats: bool) -> None:
     for line in report.lines:
         print(line)
-    for line in report.diagnostics:
-        print(line, file=sys.stderr)
     if stats:
         counters = " ".join(f"{k}={v}" for k, v in sorted(report.counters.items()))
         print(f"stats: {counters} elapsed_ms={report.elapsed * 1000:.1f}",
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 program = reorder_preconditions(random_program(args.seed))
             else:
-                program = _prepare(Path(args.file).read_text())
+                program = _prepare(parse_clauses(Path(args.file).read_text()))
             report = run_compare(program)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

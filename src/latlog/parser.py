@@ -624,9 +624,7 @@ def parse_clauses(text: str, extra_functions=None) -> ast.Program:
 
 def parse_fact(text: str, program: ast.Program) -> ast.Fact:
     """Parse one fact written in clause-file syntax against an existing program."""
-    parser = Parser("")
-    parser.tokens = tokenize(text)
-    parser.pos = 0
+    parser = Parser(text)
     parser.lattice = program.lattice
     parser.registry = program.registry
     parser.arities = dict(program.arities)

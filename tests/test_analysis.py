@@ -6,9 +6,9 @@ from latlog import ast, oracle
 from latlog.analysis import (Assign, BinOp, BoolTest, Edge, IntLit, Skip,
                              VarRef, concrete_reachable, gen_interval_clauses,
                              gen_sign_clauses, initial_stores, int_literals,
-                             parse_program_graph)
+                             analysis_program, parse_program_graph)
 from latlog.errors import ParseError, ValidationError
-from latlog.parser import parse_clauses
+from latlog.parser import parse_clauses, pretty
 from latlog.solver import solve
 
 import helpers
@@ -70,6 +70,26 @@ def test_generator_rejects_colliding_names():
     g = parse_program_graph("initial q0\nstate q1\nvar v\nq0 -> q1 : v := 1")
     with pytest.raises(ValidationError, match="collides"):
         gen_interval_clauses(g)
+    # the second propagation rule binds v_2, which would capture this state
+    g = parse_program_graph("initial q0\nstate v_2\nvar x\n"
+                            "q0 -> v_2 : skip\nv_2 -> q0 : skip")
+    with pytest.raises(ValidationError, match="collides"):
+        gen_sign_clauses(g)
+
+
+@pytest.mark.parametrize("name", [*GRAPHS, "no-edges"])
+def test_built_program_is_what_its_text_parses_to(name):
+    # a graph without edges makes a single assertion, not a conjunction
+    g = parse_program_graph("initial q0\nvar x\n" if name == "no-edges"
+                            else helpers.sample(name))
+    for args in (("signs",), ("intervals",), ("intervals", -2, 7)):
+        program = analysis_program(g, *args)
+        parsed = parse_clauses(pretty(program))
+        assert parsed.strata == program.strata
+        assert (parsed.arities, parsed.universe, parsed.declared_funs) == \
+            (program.arities, program.universe, program.declared_funs)
+        assert (parsed.lattice.kind, parsed.lattice.zvalues) == \
+            (program.lattice.kind, program.lattice.zvalues)
 
 
 # --- interval analysis ----------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import sys
 from itertools import cycle
+from pathlib import Path
 
 import pytest
 
+from latlog import parser
 from latlog.ast import validate, reorder_preconditions
-from latlog.cli import leaf_diff, main, run_compare
+from latlog.cli import leaf_diff, main, run_analyze, run_compare
 from latlog.parser import parse_clauses
 
 import helpers
@@ -128,18 +130,49 @@ def test_analyze_signs(capsys):
         path.unlink()
 
 
-def test_emit_clauses_round_trips(capsys, tmp_path):
-    code, emitted, _ = run(capsys, "analyze", spath("loop.graph"),
-                           "--analysis", "intervals", "--zmin", "0",
-                           "--zmax", "3", "--emit-clauses")
+GRAPH_SAMPLES = sorted(p.name for p in helpers.SAMPLES.glob("*.graph"))
+
+ANALYSES = {"signs": ["--analysis", "signs"],
+            "intervals": ["--analysis", "intervals", "--zmin", "0", "--zmax", "3"]}
+
+
+@pytest.mark.parametrize("which", sorted(ANALYSES))
+@pytest.mark.parametrize("name", GRAPH_SAMPLES)
+def test_emit_clauses_round_trips(name, which, capsys, tmp_path):
+    args = ANALYSES[which]
+    code, emitted, _ = run(capsys, "analyze", spath(name), *args, "--emit-clauses")
     assert code == 0
-    clause_file = tmp_path / "loop.lat"
+    clause_file = tmp_path / f"{name}.lat"
     clause_file.write_text(emitted)
     code, via_solve, _ = run(capsys, "solve", str(clause_file))
     assert code == 0
-    code, direct, _ = run(capsys, "analyze", spath("loop.graph"),
-                          "--analysis", "intervals", "--zmin", "0", "--zmax", "3")
+    code, direct, _ = run(capsys, "analyze", spath(name), *args)
+    assert code == 0
     assert via_solve == direct
+
+
+@pytest.mark.parametrize("which", ["signs", "intervals"])
+def test_analyze_solves_without_clause_text(which, monkeypatch):
+    def no_text(text):
+        raise AssertionError("analyze tokenized clause text")
+
+    monkeypatch.setattr(parser, "tokenize", no_text)
+    report = run_analyze(helpers.sample("loop.graph"), which)
+    golden = Path(__file__).resolve().parent / "golden" / f"loop.graph.{which}"
+    assert golden.read_text() == "exit 0\n" + "".join(f"{line}\n" for line in report.lines)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("initial\nvar x\n", "1:1: bad state name ''"),
+    ("initial q0\nstate\nvar x\n", "2:1: bad state name ''"),
+    ("initial q0 q1\nvar x\n", "1:1: bad state name 'q0 q1'"),
+], ids=["initial-without-name", "state-without-name", "initial-with-two-names"])
+def test_analyze_bad_state_name_is_one_error_line(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path), "--analysis", "signs")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_analyze_bad_graph_exits_1(capsys, tmp_path):

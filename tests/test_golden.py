@@ -1,9 +1,11 @@
 """Recorded command outputs: every sample's stdout and exit code, byte for byte.
 
 Each file under ``tests/golden/`` holds ``exit N`` on its first line and the
-command's stdout after it.  The files were recorded before conjunctions became
-n-ary, so they pin that no output changed.  After an intended output change,
-``PYTHONPATH=src python tests/test_golden.py`` records them again.
+command's stdout after it.  The dumps were recorded before conjunctions became
+n-ary and have not changed since.  The ``*-emit`` files hold the analysis
+programs as the pretty-printer renders them, one ``clause`` line each.  After
+an intended output change, ``PYTHONPATH=src python tests/test_golden.py``
+records them again.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ _ANALYSES = {
     "signs": ["--analysis", "signs"],
     "intervals": ["--analysis", "intervals"],
     "intervals-emit": ["--analysis", "intervals", "--emit-clauses"],
+    "signs-emit": ["--analysis", "signs", "--emit-clauses"],
 }
 
 
