@@ -1,9 +1,9 @@
 """Clause solving over finite lattices.
 
 Parse stratified clause programs whose relations carry values from a
-pluggable complete lattice, compute their unique least model with a
-continuation-passing engine that only re-evaluates consequences of new
-information, and cross-check against slow reference semantics.  Ships
+pluggable complete lattice, compute their unique least model with an
+engine that delivers each new fact from one worklist to the queries waiting
+for it, and cross-check against slow reference semantics.  Ships
 sign and interval analyses generated from program graphs.
 """
 

@@ -1,25 +1,25 @@
 """Least-model computation: each stratum is compiled once into closures,
-then run by continuation passing with difference propagation.
+then run with difference propagation from one worklist of growths.
 
 Compiling fixes each variable's slot in a list environment (universe
 variables hold interned atom ids, lattice variables values), constant ids,
 the argument positions that bind or compare, the variables keying each
 disjunction or existential memo and an evaluator per lattice term; a clause
 conjunction becomes a flat tuple of steps.  Running joins assertion
-candidates into per-predicate prefix trees over atom ids and delivers each
-strict growth to the consumers that positive queries registered under a
-matching prefix; negative queries read the complement of final values.  A
-lattice variable also carries a lower bound, the join of the descriptions
-``'Y(u)`` checked it against; narrowing it by meet below that bound fails.
-Leaves are never bottom; atoms reappear only in :class:`SolveResult`.
+candidates into per-predicate prefix trees over atom ids and queues each
+strict growth with the consumers registered under a matching prefix so far;
+one loop delivers the queue, newest first, so deliveries never nest.
+Negative queries read the complement of final values.  A lattice variable
+also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
+it against; narrowing it by meet below that bound fails.  Leaves are never
+bottom; atoms reappear only in :class:`SolveResult`.
 
-A run mutates its stores reentrantly and is single-threaded; distinct runs
+A run is single-threaded and touches no process-wide state; distinct runs
 are independent, and a finished result is safe to share.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -31,8 +31,6 @@ from .lattices import Lattice, render_atom
 from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY,
                   FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
                   PreOr, Program, Query, Repr, TrueClause, Var, YVar)
-
-_MIN_RECURSION = 20_000
 
 
 # --- stores -------------------------------------------------------------------
@@ -91,6 +89,8 @@ class PrefixTree:
             return []
         level = [(tuple(prefix), node)]
         for _ in range(self.arity - len(prefix)):
+            if not level:
+                break
             level = [(path + (i,), child) for path, inner in level
                      for i, child in inner.items()]
         return level
@@ -104,7 +104,7 @@ class SolveStats:
     consumer_invocations: int = 0
     sweep_invocations: int = 0
     candidates: int = 0
-    redundant_adds: int = 0
+    redundant_adds: int = 0  # always 0: joins that do not grow are not counted
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in (
@@ -153,16 +153,6 @@ class ResultStore:
         tree.set(ids, joined)
         self.stats.growths += 1
         return joined
-
-    def add(self, pred: str, ids: tuple, l) -> tuple[bool, Any]:
-        """Join l into the leaf; returns (strictly grew, new leaf value)."""
-        if l == self.lattice.bottom:
-            raise SolverInvariantError("bottom is never stored")
-        leaf = self.raise_leaf(pred, ids, l)
-        if leaf is None:
-            self.stats.redundant_adds += 1
-            return False, self.current(pred, ids)
-        return True, leaf
 
     def sub(self, pred: str, prefix: tuple = ()) -> list[tuple[tuple, Any]]:
         return self.tree(pred).items(prefix)
@@ -521,19 +511,29 @@ class _Engine:
         self.stats = stats
         self.store = ResultStore(self.lattice, program.arities, program.ranks, stats)
         self.infl = ConsumerStore()
+        self.pending: list = []
 
     def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
-        for consumer in self.infl.matching(pred, ids):
-            consumer(ids, leaf)
+        """Queue a growth with the consumers registered for it so far."""
+        self.pending.append((self.infl.matching(pred, ids), ids, leaf))
+
+    def _drain(self) -> None:
+        """Deliver queued growths, newest first, until none is left."""
+        pending = self.pending
+        while pending:
+            consumers, ids, leaf = pending.pop()
+            for consumer in consumers:
+                consumer(ids, leaf)
 
     def run_stratum(self, cl) -> None:
-        """Compile each top-level conjunct once and run it on a fresh
-        environment; queries of predicates sealed by now register no consumers."""
+        """Compile each top-level conjunct once, run it on a fresh environment
+        and deliver its growths; queries of sealed predicates register no consumers."""
         for conjunct in cl.parts if isinstance(cl, ClauseAnd) else (cl,):
             compiler = _Compiler(self)
             step = compiler.clause(conjunct, {}, frozenset())
             if step is not None:
                 step([None] * compiler.size)
+                self._drain()
 
     def run(self, facts) -> None:
         for f in facts:
@@ -592,15 +592,12 @@ def solve(program: Program, fact_overrides=None) -> SolveResult:
         ast.validate(program)
     stats = SolveStats()
     engine = _Engine(program, stats)
-    limit = sys.getrecursionlimit()
-    # the engine recurses per delivery; raise the limit for this run only
-    sys.setrecursionlimit(max(limit, _MIN_RECURSION))
     try:
         engine.run(_merge_facts(program.facts, fact_overrides))
     finally:
-        sys.setrecursionlimit(limit)
         # consumers and their continuations refer to each other; drop them
         engine.infl.clear()
+        engine.pending.clear()
     return SolveResult(program, engine.store, engine.table, stats)
 
 

@@ -47,6 +47,14 @@ def test_solve_facts_only(capsys):
     assert out.splitlines() == ["R(a,b) = {c}", "R(b,c) = {a,b,c}"]
 
 
+@pytest.mark.parametrize("command, out", [("solve", ""), ("compare", "identical\n")])
+def test_empty_relation_of_huge_arity(command, out, tmp_path, capsys):
+    # reading the empty store stops at its first empty level
+    path = tmp_path / "wide.lat"
+    path.write_text("lattice powerset {a}\nrel R/99999999999999999999\nclause 1\n")
+    assert run(capsys, command, str(path)) == (0, out, "")
+
+
 def test_solve_fact_override(capsys):
     code, out, _ = run(capsys, "solve", spath("facts_only.lat"),
                        "--fact", "R(a,b) = {a}")
@@ -191,13 +199,22 @@ def test_analyze_inverted_grid_exits_1(capsys):
     assert err.splitlines() == ["error: empty integer grid: zmin=5 > zmax=0"]
 
 
-def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys):
-    # reachability along a 4 000-node chain: each delivery nests the next
-    # one on the Python stack, past the limit the engine raises itself
-    n = 4000
-    lines = ["lattice signs", *(f"fact E(n{i},n{i + 1}) = {{+}}" for i in range(n - 1)),
-             "clause R(n0;{+}) & (forall x. forall y. R(x;{+}) & E(x,y;{+}) => R(y;{+}))"]
-    path = tmp_path / "chain.lat"
+@pytest.fixture
+def default_recursion_limit():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(before)
+
+
+def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys, default_recursion_limit):
+    # a precondition conjunction of 2 000 queries: each part is compiled, and
+    # matched, inside the continuation of the part before it
+    n, rels = 2000, 50
+    lines = ["lattice powerset {a}", *(f"fact R{i}(a) = {{a}}" for i in range(rels)),
+             "clause forall x. " + " & ".join(f"R{i % rels}(x;[x])" for i in range(n))
+             + " => S(x;[x])"]
+    path = tmp_path / "conjunction.lat"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1
@@ -206,12 +223,20 @@ def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: input nests too deeply (")
 
 
-@pytest.fixture
-def default_recursion_limit():
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(before)
+def test_solve_long_chain_at_default_recursion_limit(tmp_path, capsys,
+                                                      default_recursion_limit):
+    # reachability along a 4 000-node chain: growths are delivered from one
+    # worklist, so the chain's length puts nothing on the Python stack
+    n = 4000
+    lines = ["lattice signs", *(f"fact E(n{i},n{i + 1}) = {{+}}" for i in range(n - 1)),
+             "clause R(n0;{+}) & (forall x. forall y. R(x;{+}) & E(x,y;{+}) => R(y;{+}))"]
+    path = tmp_path / "chain.lat"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    dump = out.splitlines()
+    assert len(dump) == 2 * n - 1
+    assert f"R(n{n - 1}) = {{+}}" in dump
 
 
 @pytest.mark.parametrize("n, variables", [(1200, ("x",)), (800, ("x", "y"))])

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,7 @@ def deliver(pre, bindings, atoms, l, text=RELS):
                                c.pre(pre, scope, bound, (), k))
     step(env)  # registers the consumer; the store is empty, so nothing is swept
     engine._broadcast(pre.pred, engine.table.ids(atoms), l)
+    engine._drain()
     return seen
 
 
@@ -237,19 +239,18 @@ def has(store, pred, ids, l):
 def test_store_first_insert_grows():
     s = store2()
     assert not has(s, "R", (0,), frozenset("a"))
-    grew, leaf = s.add("R", (0,), frozenset("a"))
-    assert grew and leaf == frozenset("a")
+    leaf = s.raise_leaf("R", (0,), frozenset("a"))
+    assert leaf is not None and leaf == frozenset("a")
     assert has(s, "R", (0,), frozenset("a"))
 
 
 def test_store_join_merges_leaf():
     s = store2()
-    s.add("R", (0,), frozenset("a"))
-    grew, leaf = s.add("R", (0,), frozenset("b"))
-    assert grew and leaf == frozenset(("a", "b"))
+    s.raise_leaf("R", (0,), frozenset("a"))
+    leaf = s.raise_leaf("R", (0,), frozenset("b"))
+    assert leaf is not None and leaf == frozenset(("a", "b"))
     assert has(s, "R", (0,), frozenset(("a", "b")))
-    grew, _ = s.add("R", (0,), frozenset("a"))
-    assert not grew
+    assert s.raise_leaf("R", (0,), frozenset("a")) is None
 
 
 def test_store_absent_leaf_reads_bottom():
@@ -260,12 +261,12 @@ def test_store_absent_leaf_reads_bottom():
 
 def test_store_rejects_growth_after_seal():
     s = store2()
-    s.add("R", (0,), frozenset("a"))
+    s.raise_leaf("R", (0,), frozenset("a"))
     s.seal_up_to(1)
     with pytest.raises(SolverInvariantError, match="completed stratum"):
-        s.add("R", (1,), frozenset("a"))
-    grew, _ = s.add("R", (0,), frozenset("a"))  # non-growing joins stay no-ops
-    assert not grew
+        s.raise_leaf("R", (1,), frozenset("a"))
+    # non-growing joins stay no-ops
+    assert s.raise_leaf("R", (0,), frozenset("a")) is None
 
 
 def test_atom_table_is_deterministic():
@@ -301,9 +302,10 @@ def test_growth_invokes_each_consumer_once():
     for cl in program.strata:  # register consumers without sealing strata
         engine.run_stratum(cl)
     assert engine.stats.consumer_invocations == 0
-    grew, leaf = engine.store.add("R", (0,), frozenset("a"))
-    assert grew
+    leaf = engine.store.raise_leaf("R", (0,), frozenset("a"))
+    assert leaf is not None
     engine._broadcast("R", (0,), leaf)
+    engine._drain()
     assert engine.stats.consumer_invocations == 2
     assert has(engine.store, "S", (0,), frozenset("a"))
     assert has(engine.store, "T", (0,), frozenset("a"))
@@ -364,7 +366,7 @@ def test_check_apply_filters_atoms_by_description():
 
 def test_check_disjunction_memoizes_duplicate_environments():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
-    engine.store.add("R", (0,), frozenset("a"))
+    engine.store.raise_leaf("R", (0,), frozenset("a"))
     q = Query("R", (Var("x"),), Repr(Var("x")))
     seen = check(engine, PreOr((q, q)), {"x": None}, ("x",))
     assert [e["x"] for e in seen] == ["a"]
@@ -372,8 +374,8 @@ def test_check_disjunction_memoizes_duplicate_environments():
 
 def test_check_exists_removes_variable_and_memoizes():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/2\nclause 1")
-    engine.store.add("R", (0, 0), frozenset("a"))
-    engine.store.add("R", (0, 1), frozenset("a"))
+    engine.store.raise_leaf("R", (0, 0), frozenset("a"))
+    engine.store.raise_leaf("R", (0, 1), frozenset("a"))
     q = Query("R", (Var("x"), Var("w")), LitConst(frozenset("a")))
     seen = check(engine, ast.ExistsX("w", q), {"x": None}, ("x",))
     # two witnesses for w collapse to one continuation call, w out of scope
@@ -529,6 +531,7 @@ def test_audit_catches_delivery_without_growth():
             engine.run_stratum(cl)
         assert helpers.propagation_bound_holds(seen)
         engine._broadcast("R", (0,), A)  # no growth of R behind it
+        engine._drain()
     assert engine.stats.consumer_invocations == 1
     assert not helpers.propagation_bound_holds(seen)
 
@@ -563,7 +566,7 @@ def test_solver_matches_naive_on_random_programs():
 
 @pytest.fixture
 def recursion_limit():
-    """A known limit below the solver's own, restored after the test."""
+    """A known limit, which a solve must leave as it is, restored after the test."""
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1500)
     yield 1500
@@ -600,6 +603,16 @@ def test_solve_restores_recursion_limit_when_it_raises(recursion_limit):
     with pytest.raises(Boom):
         solve(program)
     assert sys.getrecursionlimit() == recursion_limit
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in helpers.SAMPLES.glob("*.lat")))
+def test_solve_never_sets_the_recursion_limit(name, monkeypatch, capsys):
+    def refuse(limit):
+        raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    code = cli.main(["solve", str(helpers.SAMPLES / name)])
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.solve"
+    assert f"exit {code}\n{capsys.readouterr().out}" == golden.read_text()
 
 
 # --- applications 'Y(u) narrowed by a later query --------------------------------
