@@ -57,6 +57,55 @@ def test_parse_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+POWERSET = "lattice powerset {a,b}\n"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    (POWERSET + "clause exists x. R(x;[x])",
+     "exists is not allowed in clause position", 2, 8),
+    (POWERSET + "clause forall x. (forall y. R(y;[y])) => S(x;[x])",
+     "forall is not allowed in preconditions", 2, 19),
+    (POWERSET + "clause R(a;[a]) | S(a;[a])",
+     "disjunction is only allowed in preconditions", 2, 17),
+    (POWERSET + "clause !R(a;[a])",
+     "a negated query cannot be asserted", 2, 8),
+    (POWERSET + "clause forall 'Y. 'Y(a)",
+     "a lattice-variable application is only allowed in preconditions", 2, 19),
+    (POWERSET + "clause 1 => R(a;[a])",
+     "'1' is a clause, not a precondition", 2, 8),
+    (POWERSET + "clause (R(a;[a]) => S(a;[a])) & T(a;[a]) => U(a;[a])",
+     "'=>' is not allowed inside preconditions", 2, 18),
+    ("lattice signs\nfun s_add/2\nclause forall 'Y. R(a;s_add('Y,'Y)) => S(a;'Y)",
+     "function terms are not allowed in queries", 3, 19),
+    (POWERSET + "clause R(a;[a]) # S(a;[a])",
+     "unexpected character '#'", 2, 17),
+    (POWERSET + "clause R(a;[a]) &",
+     "expected a clause or precondition, found end of input", 2, 18),
+    ("// header\n" + POWERSET + "\n   // note\nclause !R(a;[a])",
+     "a negated query cannot be asserted", 5, 8),
+    (POWERSET + "clause\tR(a;[a]) |\tS(a;[a])",
+     "disjunction is only allowed in preconditions", 2, 17),
+], ids=["exists-in-clause", "forall-in-precondition", "disjunction-asserted",
+        "negation-asserted", "application-asserted", "one-as-precondition",
+        "implication-in-precondition", "function-term-in-query", "bad-character",
+        "and-at-end", "after-comment-and-blank-lines", "after-tab"])
+def test_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_clauses(text)
+    assert (str(err.value), err.value.line, err.value.col) == \
+        (f"{line}:{col}: {message}", line, col)
+
+
+@pytest.mark.parametrize("suffix", ["", " => S(a;[a])"],
+                         ids=["clause", "precondition"])
+def test_parse_deep_parentheses_at_default_recursion_limit(suffix, default_recursion_limit):
+    depth = 150
+    text = f"{POWERSET}clause {'(' * depth}R(a;[a]){')' * depth}{suffix}"
+    atom = (Const("a"),), Repr(Const("a"))
+    want = Imply(Query("R", *atom), Assert("S", *atom)) if suffix else Assert("R", *atom)
+    assert parse_clauses(text).strata == (want,)
+
+
 def test_parse_arity_mismatch():
     with pytest.raises(ParseError, match="arity mismatch"):
         parse_clauses("lattice powerset {a}\nrel E/2\nclause E(a;[a])")

@@ -1,6 +1,5 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
-import sys
 from itertools import cycle
 from pathlib import Path
 
@@ -197,14 +196,6 @@ def test_analyze_inverted_grid_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: empty integer grid: zmin=5 > zmax=0"]
-
-
-@pytest.fixture
-def default_recursion_limit():
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(before)
 
 
 def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys, default_recursion_limit):
