@@ -8,12 +8,18 @@ are universe constants.  Precedence, weakest first: quantifiers, ``=>``
 (right-associative), ``|``, ``&``; parentheses group both clauses and
 preconditions.  A bracketed single term ``[x]`` denotes the description of
 an atom; a bracketed pair ``[lo,hi]`` is an interval constant.
+
+Tokens carry their offset in the text; line and column are computed from it
+only when an error is reported.  The parser builds AST nodes in one pass.
+Whether an operand is read as a clause or as a precondition is decided when
+it starts: in clause position, a chain followed by ``=>`` at its own bracket
+depth is the precondition of an implication, and a lookahead over the tokens
+finds that ``=>``.  Faults are reported in reading order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import ast
@@ -27,100 +33,55 @@ _RESERVED = {
     "rel", "fun", "fact", "clause", "forall", "exists", "top", "bot", "inf",
 }
 
+# one match per token, skipping the whitespace and comments in front of it
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<yvar>'[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<punct>=>|:=|->|[(){}\[\],;./=!&|+\-*<>])
+    (?:\s+|//[^\n]*)*
+    (?: (?P<yvar>'[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<int>\d+)
+      | (?P<punct>=>|:=|->|[(){}\[\],;./=!&|+\-*<>])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | yvar | int | punct | eof
-    value: Any
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "offset")
+
+    def __init__(self, kind: str, value: Any, offset: int):
+        self.kind = kind  # ident | yvar | int | punct | eof
+        self.value = value  # an int for kind int, None for eof
+        self.offset = offset
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            value: Any = int(lexeme) if kind == "int" else lexeme
-            tokens.append(Token(kind, value, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+        if kind == "int":
+            tokens.append(Token(kind, int(m[kind]), m.start(kind)))
+        elif kind == "eof":
+            tokens.append(Token(kind, None, m.start(kind)))
+            return tokens
+        elif kind == "bad":
+            start = m.start(kind)
+            raise ParseError(f"unexpected character {text[start]!r}", *_line_col(text, start))
         else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", None, line, col))
-    return tokens
+            tokens.append(Token(kind, m[kind], m.start(kind)))
 
 
-# --- ambiguous parse tree (clause vs precondition is resolved afterwards) ----
-
-
-@dataclass
-class _Atom:
-    neg: bool
-    pred: str
-    args: tuple
-    value: Any
-    tok: Token
-
-
-@dataclass
-class _YApp:
-    yvar: str
-    term: Any
-    tok: Token
-
-
-@dataclass
-class _One:
-    tok: Token
-
-
-@dataclass
-class _And:
-    parts: list
-    tok: Token  # the last '&'
-
-
-@dataclass
-class _Or:
-    parts: list
-    tok: Token  # the last '|'
-
-
-@dataclass
-class _Imp:
-    left: Any
-    right: Any
-    tok: Token
-
-
-@dataclass
-class _Quant:
-    forall: bool
-    var: str
-    is_y: bool
-    body: Any
-    tok: Token
+# token values that open or close a group, and that end a clause item
+_OPEN, _CLOSE = frozenset("([{"), frozenset(")]}")
+_ITEM_END = frozenset({"rel", "fun", "fact", "clause", None})
 
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.lattice: Optional[Lattice] = None
@@ -138,7 +99,9 @@ class Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -147,8 +110,7 @@ class Parser:
         return tok
 
     def at(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind in ("punct", "ident") and tok.value == value
+        return self.tokens[self.pos].value == value
 
     def eat(self, value) -> bool:
         if self.at(value):
@@ -159,13 +121,13 @@ class Parser:
     def expect(self, value) -> Token:
         tok = self.peek()
         if not self.at(value):
-            raise ParseError(f"expected {value!r}, found {self._show(tok)}", tok.line, tok.col)
+            self.err(f"expected {value!r}, found {self._show(tok)}", tok)
         return self.advance()
 
     def expect_kind(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {self._show(tok)}", tok.line, tok.col)
+            self.err(f"expected {kind}, found {self._show(tok)}", tok)
         return self.advance()
 
     @staticmethod
@@ -173,7 +135,7 @@ class Parser:
         return "end of input" if tok.kind == "eof" else repr(str(tok.value))
 
     def err(self, msg: str, tok: Token):
-        raise ParseError(msg, tok.line, tok.col)
+        raise ParseError(msg, *_line_col(self.text, tok.offset))
 
     # -- file structure
 
@@ -296,8 +258,7 @@ class Parser:
         self.expect("clause")
         while True:
             self.used_names, self.next_suffix = set(), {}
-            node = self._parse_quantified()
-            self.strata.append(self._to_clause(node))
+            self.strata.append(self._parse_quantified(True))
             if not self.eat(","):
                 break
 
@@ -476,86 +437,117 @@ class Parser:
             return ast.FnApp(name, tuple(args))
         self.err(f"expected a lattice term, found {self._show(tok)}", tok)
 
-    # -- clause / precondition parsing over the ambiguous tree
+    # -- clauses and preconditions: ``clause`` tells the position being read
 
-    def _parse_quantified(self):
-        tok = self.peek()
+    def _implies_ahead(self) -> bool:
+        """Whether ``=>`` comes next at the current bracket depth, before the
+        group's closing bracket, a ``,`` at depth 0, an item keyword or the
+        end: that is, whether the chain starting here is a precondition."""
+        tokens, i, depth = self.tokens, self.pos, 0
+        while True:
+            value = tokens[i].value
+            if value in _OPEN:
+                depth += 1
+            elif value in _CLOSE:
+                if not depth:
+                    return False
+                depth -= 1
+            elif not depth and value == "=>":
+                return True
+            elif value in _ITEM_END or not depth and value == ",":
+                return False
+            i += 1
+
+    def _parse_quantified(self, clause: bool):
         if self.at("forall") or self.at("exists"):
-            forall = self.at("forall")
-            self.advance()
-            node = self._parse_binder_body(forall, top=True, tok=tok)
-            return node
-        node = self._parse_or()
-        if self.at("=>"):
-            imp = self.advance()
-            rhs = self._parse_quantified()
-            return _Imp(node, rhs, imp)
+            return self._parse_binder_body(clause, top=True)
+        if clause and self._implies_ahead():
+            pre = self._parse_or(False)
+            self.expect("=>")
+            return ast.Imply(pre, self._parse_quantified(True))
+        node = self._parse_or(clause)
+        if not clause and self.at("=>"):
+            self.err("'=>' is not allowed inside preconditions", self.peek())
         return node
 
-    def _parse_binder_body(self, forall: bool, top: bool, tok: Token):
+    def _parse_binder_body(self, clause: bool, top: bool):
+        """``forall`` binds in clause position and ``exists`` in preconditions;
+        a binder inside a chain (not ``top``) scopes over one or-chain."""
+        tok = self.advance()
+        if (tok.value == "forall") != clause:
+            self.err("exists is not allowed in clause position" if clause
+                     else "forall is not allowed in preconditions", tok)
         bind_tok = self.peek()
-        if bind_tok.kind == "yvar":
-            self.advance()
-            internal = self._bind(bind_tok.value, is_y=True, tok=bind_tok)
-            is_y = True
-        else:
-            name = self.expect_kind("ident").value
-            internal = self._bind(name, is_y=False, tok=bind_tok)
-            is_y = False
+        is_y = bind_tok.kind == "yvar"
+        name = self.advance().value if is_y else self.expect_kind("ident").value
+        var = self._bind(name, is_y, bind_tok)
         self.expect(".")
-        body = self._parse_quantified() if top else self._parse_or()
+        body = self._parse_quantified(clause) if top else self._parse_or(clause)
         self._unbind(is_y)
-        return _Quant(forall, internal, is_y, body, tok)
+        if clause:
+            return ast.ForallY(var, body) if is_y else ast.ForallX(var, body)
+        return ast.ExistsY(var, body) if is_y else ast.ExistsX(var, body)
 
-    def _parse_or(self):
-        return self._parse_chain("|", _Or, self._parse_and)
+    # A chain ``a op b op c`` is one node; a first operand that is a
+    # parenthesized chain of the same operator contributes its parts.
 
-    def _parse_and(self):
-        return self._parse_chain("&", _And, self._parse_unit)
-
-    def _parse_chain(self, op: str, node_type, operand):
-        """``operand (op operand)*`` as one node; a first operand that is a
-        parenthesized chain of the same operator contributes its parts."""
-        node = operand()
-        if not self.at(op):
+    def _parse_or(self, clause: bool):
+        node = self._parse_and(clause)
+        if not self.at("|"):
             return node
-        parts = list(node.parts) if isinstance(node, node_type) else [node]
-        while self.at(op):
+        parts = list(node.parts) if isinstance(node, ast.PreOr) else [node]
+        while self.at("|"):
             tok = self.advance()
-            parts.append(operand())
-        return node_type(parts, tok)
+            parts.append(self._parse_and(False))
+        if clause:
+            self.err("disjunction is only allowed in preconditions", tok)
+        return ast.PreOr(tuple(parts))
 
-    def _parse_unit(self):
+    def _parse_and(self, clause: bool):
+        node = self._parse_unit(clause)
+        if not self.at("&"):
+            return node
+        node_type = ast.ClauseAnd if clause else ast.PreAnd
+        parts = list(node.parts) if isinstance(node, node_type) else [node]
+        while self.eat("&"):
+            parts.append(self._parse_unit(clause))
+        return node_type(tuple(parts))
+
+    def _parse_unit(self, clause: bool):
         tok = self.peek()
-        if self.at("("):
-            self.advance()
-            node = self._parse_quantified()
+        if self.eat("("):
+            node = self._parse_quantified(clause)
             self.expect(")")
             return node
         if self.at("forall") or self.at("exists"):
-            forall = self.at("forall")
-            self.advance()
-            return self._parse_binder_body(forall, top=False, tok=tok)
+            return self._parse_binder_body(clause, top=False)
         if self.at("!"):
+            if clause:
+                self.err("a negated query cannot be asserted", tok)
             self.advance()
-            return self._parse_rel_atom(neg=True, tok=tok)
+            return self._parse_rel_atom(False, neg=True, tok=tok)
         if tok.kind == "int" and tok.value == 1:
+            if not clause:
+                self.err("'1' is a clause, not a precondition", tok)
             self.advance()
-            return _One(tok)
+            return ast.TrueClause()
         if tok.kind == "yvar":
             name = self.advance().value
             bound = self._lookup_y(name)
             if bound is None:
                 self.err(f"unbound lattice variable {name}", tok)
+            if clause:
+                self.err("a lattice-variable application is only allowed in preconditions",
+                         tok)
             self.expect("(")
             term = self._parse_term()
             self.expect(")")
-            return _YApp(bound, term, tok)
+            return ast.Apply(bound, term)
         if tok.kind == "ident":
-            return self._parse_rel_atom(neg=False, tok=tok)
+            return self._parse_rel_atom(clause, neg=False, tok=tok)
         self.err(f"expected a clause or precondition, found {self._show(tok)}", tok)
 
-    def _parse_rel_atom(self, neg: bool, tok: Token):
+    def _parse_rel_atom(self, clause: bool, neg: bool, tok: Token):
         pred = self.expect_kind("ident").value
         self.expect("(")
         args = []
@@ -567,54 +559,11 @@ class Parser:
         value = self._parse_value()
         self.expect(")")
         self._note_arity(pred, len(args), tok)
-        return _Atom(neg, pred, tuple(args), value, tok)
-
-    # -- resolution of the ambiguous tree
-
-    def _to_clause(self, node):
-        if isinstance(node, _Quant):
-            if not node.forall:
-                self.err("exists is not allowed in clause position", node.tok)
-            body = self._to_clause(node.body)
-            return ast.ForallY(node.var, body) if node.is_y else ast.ForallX(node.var, body)
-        if isinstance(node, _Imp):
-            return ast.Imply(self._to_pre(node.left), self._to_clause(node.right))
-        if isinstance(node, _And):
-            return ast.ClauseAnd(tuple([self._to_clause(n) for n in node.parts]))
-        if isinstance(node, _One):
-            return ast.TrueClause()
-        if isinstance(node, _Atom):
-            if node.neg:
-                self.err("a negated query cannot be asserted", node.tok)
-            return ast.Assert(node.pred, node.args, node.value)
-        if isinstance(node, _Or):
-            self.err("disjunction is only allowed in preconditions", node.tok)
-        if isinstance(node, _YApp):
-            self.err("a lattice-variable application is only allowed in preconditions",
-                     node.tok)
-        raise AssertionError(node)
-
-    def _to_pre(self, node):
-        if isinstance(node, _Quant):
-            if node.forall:
-                self.err("forall is not allowed in preconditions", node.tok)
-            body = self._to_pre(node.body)
-            return ast.ExistsY(node.var, body) if node.is_y else ast.ExistsX(node.var, body)
-        if isinstance(node, _Imp):
-            self.err("'=>' is not allowed inside preconditions", node.tok)
-        if isinstance(node, (_And, _Or)):
-            ctor = ast.PreAnd if isinstance(node, _And) else ast.PreOr
-            return ctor(tuple([self._to_pre(n) for n in node.parts]))
-        if isinstance(node, _One):
-            self.err("'1' is a clause, not a precondition", node.tok)
-        if isinstance(node, _YApp):
-            return ast.Apply(node.yvar, node.term)
-        if isinstance(node, _Atom):
-            if isinstance(node.value, ast.FnApp):
-                self.err("function terms are not allowed in queries", node.tok)
-            ctor = ast.NegQuery if node.neg else ast.Query
-            return ctor(node.pred, node.args, node.value)
-        raise AssertionError(node)
+        if clause:
+            return ast.Assert(pred, tuple(args), value)
+        if isinstance(value, ast.FnApp):
+            self.err("function terms are not allowed in queries", tok)
+        return (ast.NegQuery if neg else ast.Query)(pred, tuple(args), value)
 
 
 def parse_clauses(text: str, extra_functions=None) -> ast.Program:
