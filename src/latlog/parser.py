@@ -20,6 +20,7 @@ finds that ``=>``.  Faults are reported in reading order.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Any, Optional
 
 from . import ast
@@ -275,19 +276,26 @@ class Parser:
 
     def _bind(self, surface: str, is_y: bool, tok: Token) -> str:
         """Internal name for a binder: the first of ``x, x_2, x_3, ...`` not
-        yet used in the clause.  Used names only accumulate, so the search
-        resumes where the previous binder of the same name stopped."""
+        yet used in the clause; a suffixed name also skips every name the
+        file spells, so that printing it captures no constant.  Used names
+        only accumulate, so the search resumes where the previous binder of
+        the same name stopped."""
         if surface.lstrip("'") in _RESERVED:
             self.err(f"{surface!r} is reserved and cannot name a variable", tok)
         n = self.next_suffix.get(surface, 1)
         internal = surface if n == 1 else f"{surface}_{n}"
-        while internal in self.used_names:
+        while internal in self.used_names or n > 1 and internal in self._spelled:
             n += 1
             internal = f"{surface}_{n}"
         self.next_suffix[surface] = n + 1
         self.used_names.add(internal)
         (self.yscope if is_y else self.xscope).append({surface: internal})
         return internal
+
+    @cached_property
+    def _spelled(self) -> set:
+        """Every token value of the file, collected when a suffix is first tried."""
+        return {tok.value for tok in self.tokens}
 
     def _unbind(self, is_y: bool):
         (self.yscope if is_y else self.xscope).pop()

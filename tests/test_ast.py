@@ -243,6 +243,15 @@ def test_roundtrip_random_programs(seed):
     assert helpers.program_fingerprint(p1) == helpers.program_fingerprint(p2)
 
 
+def test_roundtrip_renamed_binder_captures_no_constant():
+    # the second binder x must not be renamed to x_2, a constant of its scope
+    p1 = parse_clauses("lattice powerset {a,x_2}\n"
+                       "clause (forall x. A(x;top)) & (forall x. B(x_2,x;top))")
+    assert p1.strata[0].parts[1].body.args[0] == Const("x_2")
+    p2 = parse_clauses(pretty(p1))
+    assert helpers.program_fingerprint(p1) == helpers.program_fingerprint(p2)
+
+
 def test_roundtrip_interval_program():
     text = ("lattice interval zmin=-2 zmax=3\n"
             "fun f_add/2\n"
