@@ -8,7 +8,8 @@ disjunction or existential memo and an evaluator per lattice term; a clause
 conjunction becomes a flat tuple of steps.  Running joins assertion
 candidates into per-predicate prefix trees over atom ids and queues each
 strict growth with the consumers registered under a matching prefix so far;
-one loop delivers the queue, newest first, so deliveries never nest.
+one loop delivers the queue, newest first, so deliveries never nest, and
+stops delivering a leaf once a later growth has replaced it.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
 it against; narrowing it by meet below that bound fails.  Leaves are never
@@ -515,14 +516,20 @@ class _Engine:
 
     def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
         """Queue a growth with the consumers registered for it so far."""
-        self.pending.append((self.infl.matching(pred, ids), ids, leaf))
+        self.pending.append((pred, self.infl.matching(pred, ids), ids, leaf))
 
     def _drain(self) -> None:
-        """Deliver queued growths, newest first, until none is left."""
-        pending = self.pending
+        """Deliver queued growths, newest first, until none is left.  A leaf
+        that is no longer the stored one is delivered no further: the growth
+        that replaced it queued the larger leaf for a superset of the same
+        consumers, and matching is monotone in the value."""
+        pending, tree = self.pending, self.store.tree
         while pending:
-            consumers, ids, leaf = pending.pop()
+            pred, consumers, ids, leaf = pending.pop()
+            get = tree(pred).get
             for consumer in consumers:
+                if get(ids) is not leaf:
+                    break
                 consumer(ids, leaf)
 
     def run_stratum(self, cl) -> None:

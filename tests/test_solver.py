@@ -70,7 +70,12 @@ def deliver(pre, bindings, atoms, l, text=RELS):
     step, env, seen = compiled(engine, bindings, lambda c, scope, bound, k:
                                c.pre(pre, scope, bound, (), k))
     step(env)  # registers the consumer; the store is empty, so nothing is swept
-    engine._broadcast(pre.pred, engine.table.ids(atoms), l)
+    ids = engine.table.ids(atoms)
+    leaf = engine.store.raise_leaf(pre.pred, ids, l)
+    if leaf is None:  # bottom never grows a leaf; store it as it is
+        engine.store.tree(pre.pred).set(ids, l)
+        leaf = l
+    engine._broadcast(pre.pred, ids, leaf)
     engine._drain()
     return seen
 
@@ -514,6 +519,36 @@ def test_solve_dump_deterministic():
     assert lines1 == ["E(a) = {a}", "E(b) = {b}", "N(a) = {b}", "N(b) = {a}"]
 
 
+def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
+    # transitive closure over labelled edges: leaves of T grow more than
+    # once, so a queued leaf can be replaced before it is delivered
+    labels = "abcd"
+    edges = [(i, j, labels[(i + j) % 4] + labels[(i * j) % 4])
+             for i in range(6) for j in range(i + 1, min(6, i + 3))]
+    text = "\n".join(
+        [f"lattice powerset {{{','.join(labels)}}}", "rel E/2", "rel T/2",
+         *(f"fact E(n{i},n{j}) = {{{','.join(lab)}}}" for i, j, lab in edges),
+         "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))"
+         "  & (forall x. forall y. forall z. forall 'Y. forall 'Z."
+         " T(x,y;'Y) & E(y,z;'Z) => T(x,z;'Y) & T(x,z;'Z))"])
+    program = reorder_preconditions(validate(parse_clauses(text)))
+    engine = _Engine(program, SolveStats())
+    stale = []
+    register = ConsumerStore.register
+
+    def checked_register(infl, pred, prefix, consumer):
+        def deliver(ids, leaf):
+            if leaf is not engine.store.current(pred, ids):
+                stale.append((pred, ids, leaf))
+            consumer(ids, leaf)
+        register(infl, pred, prefix, deliver)
+
+    monkeypatch.setattr(ConsumerStore, "register", checked_register)
+    engine.run(program.facts)
+    assert engine.stats.consumer_invocations > 0
+    assert stale == []
+
+
 def test_solve_stratum_isolation_and_propagation_bound():
     with helpers.audit() as seen:
         program, result = helpers.run_pipeline(helpers.sample("eq_neq.lat"))
@@ -525,12 +560,15 @@ def test_audit_catches_delivery_without_growth():
     program = reorder_preconditions(validate(parse_clauses(
         "lattice powerset {a,b}\nrel R/1\n"
         "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y)")))
+    unobserved_raise_leaf = ResultStore.raise_leaf
     with helpers.audit() as seen:
         engine = _Engine(program, SolveStats())
         for cl in program.strata:  # register consumers without sealing strata
             engine.run_stratum(cl)
         assert helpers.propagation_bound_holds(seen)
-        engine._broadcast("R", (0,), A)  # no growth of R behind it
+        # a growth of R that the audit does not see
+        leaf = unobserved_raise_leaf(engine.store, "R", (0,), A)
+        engine._broadcast("R", (0,), leaf)
         engine._drain()
     assert engine.stats.consumer_invocations == 1
     assert not helpers.propagation_bound_holds(seen)
