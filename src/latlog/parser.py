@@ -61,18 +61,18 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    match, pos = _TOKEN_RE.match, 0
+    while True:
+        m = match(text, pos)
         kind = m.lastgroup
-        if kind == "int":
-            tokens.append(Token(kind, int(m[kind]), m.start(kind)))
-        elif kind == "eof":
-            tokens.append(Token(kind, None, m.start(kind)))
+        start, pos = m.start(kind), m.end()
+        if kind == "eof":
+            tokens.append(Token(kind, None, start))
             return tokens
-        elif kind == "bad":
-            start = m.start(kind)
+        if kind == "bad":
             raise ParseError(f"unexpected character {text[start]!r}", *_line_col(text, start))
-        else:
-            tokens.append(Token(kind, m[kind], m.start(kind)))
+        lexeme = text[start:pos]
+        tokens.append(Token(kind, int(lexeme) if kind == "int" else lexeme, start))
 
 
 # token values that open or close a group, and that end a clause item
