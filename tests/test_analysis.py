@@ -1,5 +1,7 @@
 """Program-graph parsing, clause generation, and analysis soundness."""
 
+from itertools import cycle
+
 import pytest
 
 from latlog import ast, oracle
@@ -90,6 +92,17 @@ def test_built_program_is_what_its_text_parses_to(name):
             (program.arities, program.universe, program.declared_funs)
         assert (parsed.lattice.kind, parsed.lattice.zvalues) == \
             (program.lattice.kind, program.lattice.zvalues)
+
+
+def test_long_ring_text_parses_at_default_recursion_limit(default_recursion_limit):
+    # one clause of about 2 000 conjuncts, each a parenthesized implication
+    n = 1000
+    g = parse_program_graph("\n".join([
+        "initial q0", *(f"state q{i}" for i in range(1, n)), "var x", "var y",
+        *(f"q{i} -> q{i + 1} : {v} := {v} + 1" for i, v in zip(range(n - 1), cycle("xy"))),
+        f"q{n - 1} -> q0 : skip"]))
+    program = analysis_program(g, "intervals", 0, 5)
+    assert ast.validate(parse_clauses(pretty(program))).strata == program.strata
 
 
 # --- interval analysis ----------------------------------------------------------
