@@ -102,9 +102,9 @@ def parse_program_graph(text: str) -> ProgramGraph:
     ``qs -> qt : x := y + z | x := n | x := y | test <cmp> | skip``;
     ``//`` comments.
     """
-    states: list = []
+    states: dict = {}  # dicts as insertion-ordered sets
     initial = None
-    variables: list = []
+    variables: dict = {}
     raw_edges: list = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("//")[0].strip()
@@ -120,14 +120,11 @@ def parse_program_graph(text: str) -> ProgramGraph:
             if initial is not None:
                 raise ParseError("second 'initial' line", lineno, 1)
             initial = rest
-            if rest not in states:
-                states.append(rest)
+            states[rest] = None
         elif head == "state":
-            if rest not in states:
-                states.append(rest)
+            states[rest] = None
         elif head == "var":
-            if rest not in variables:
-                variables.append(rest)
+            variables[rest] = None
         else:
             m = _EDGE_RE.match(line)
             if m is None:
@@ -283,8 +280,7 @@ def analysis_program(graph: ProgramGraph, which: str, zmin: int | None = None,
     variable may hold there; ``zmin``/``zmax`` widen the interval grid."""
     if which == "signs":
         return _program(graph, sign_lattice(), "s_")
-    lo, hi = _interval_grid(graph, zmin, zmax)
-    return _program(graph, interval_lattice(range(lo, hi + 1)), "f_")
+    return _program(graph, interval_lattice(*_interval_grid(graph, zmin, zmax)), "f_")
 
 
 def gen_interval_clauses(graph: ProgramGraph, zmin: int | None = None,

@@ -9,7 +9,6 @@ finite powersets, the sign powerset, and bounded integer intervals.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
@@ -157,7 +156,7 @@ class Lattice:
     sample_element: Optional[Callable[[random.Random], Any]] = None
     render: Callable[[Any], str] = repr
     atoms: Optional[tuple] = None       # carrier of set-based lattices
-    zvalues: Optional[tuple] = None     # integer grid of the interval lattice
+    zvalues: Optional[range] = None     # integer grid zmin..zmax of the interval lattice
     make_interval: Optional[Callable[[Any, Any], IntervalValue]] = None
 
     def nonbottom_elements(self) -> list:
@@ -256,55 +255,50 @@ def sign_lattice() -> Lattice:
 # Interval lattice
 
 
-def interval_lattice(zvalues) -> Lattice:
-    """Bounded-interval lattice over a finite integer grid.
+def interval_lattice(zmin: int, zmax: int) -> Lattice:
+    """Bounded-interval lattice over the integer grid ``zmin..zmax``.
 
     Endpoints of every constructed value are snapped outward onto the grid
-    (below the grid to -inf, above to +inf), which keeps the element set
-    finite and every ascending chain stabilizing.
+    (below it to -inf, above it to +inf), which keeps the element set finite
+    and every ascending chain stabilizing.  The grid is held as its bounds,
+    so its width costs nothing per operation.
     """
-    grid = tuple(sorted(set(int(z) for z in zvalues)))
-    if not grid:
-        raise LatticeError("interval lattice needs a non-empty integer grid")
-
-    def snap_lo(lo):
-        """Largest grid value at most lo, else -inf."""
-        i = bisect_right(grid, lo)
-        return grid[i - 1] if i else NEG_INF
-
-    def snap_hi(hi):
-        """Smallest grid value at least hi, else +inf."""
-        i = bisect_left(grid, hi)
-        return grid[i] if i < len(grid) else POS_INF
+    if zmin > zmax:
+        raise LatticeError(f"empty integer grid: zmin={zmin} > zmax={zmax}")
+    grid = range(zmin, zmax + 1)
 
     def make(lo, hi) -> IntervalValue:
         if lo > hi:
             return EMPTY_INTERVAL
-        return interval(snap_lo(lo), snap_hi(hi))
+        return interval(NEG_INF if lo < zmin else min(lo, zmax),
+                        POS_INF if hi > zmax else max(hi, zmin))
 
     def represent(a: Atom) -> IntervalValue:
         if isinstance(a, int):
             return make(a, a)
         return FULL_INTERVAL
 
-    los = (NEG_INF,) + grid
-    his = grid + (POS_INF,)
-
     def enumerate_elements():
+        los = [NEG_INF, *grid]
+        his = [*grid, POS_INF]
         elems = [EMPTY_INTERVAL]
         elems += [IntervalValue(lo, hi) for lo in los for hi in his if lo <= hi]
         return elems
 
     # bottom; -inf under each of the k + 1 upper ends; each grid value
     # under +inf and under each of the k(k + 1)/2 grid values at or above it
-    k = len(grid)
+    k = zmax - zmin + 1
     count = 2 + 2 * k + k * (k + 1) // 2
 
     def sample_element(rng: random.Random) -> IntervalValue:
+        # a draw from the k + 1 lower and the k + 1 upper ends, reading the
+        # value just off the grid as -inf or +inf
         if rng.random() < 0.1:
             return EMPTY_INTERVAL
-        lo = rng.choice(los)
-        hi = rng.choice(his)
+        lo = rng.randrange(zmin - 1, zmax + 1)
+        hi = rng.randrange(zmin, zmax + 2)
+        lo = NEG_INF if lo < zmin else lo
+        hi = POS_INF if hi > zmax else hi
         if lo > hi:
             lo, hi = hi, lo
         return interval(lo, hi)

@@ -194,7 +194,7 @@ class Parser:
             zmax = self._parse_signed_int()
             if zmin > zmax:
                 self.err(f"empty integer grid: zmin={zmin} > zmax={zmax}", tok)
-            self.lattice = interval_lattice(range(zmin, zmax + 1))
+            self.lattice = interval_lattice(zmin, zmax)
         else:
             self.err("expected powerset, signs, or interval", tok)
         self.registry = standard_registry(self.lattice)

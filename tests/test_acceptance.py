@@ -213,5 +213,5 @@ def test_criterion_9_lattice_law_suite():
                                    atoms=("a", "b", "c"))
         helpers.check_lattice_laws(sign_lattice(),
                                    atoms=(-7, -1, 0, 1, 7, "q0"))
-        helpers.check_lattice_laws(interval_lattice(range(-2, 3)),
+        helpers.check_lattice_laws(interval_lattice(-2, 2),
                                    atoms=(-2, 0, 2, 44, -44, "q0"))

@@ -63,6 +63,16 @@ def test_parse_requires_initial():
         parse_program_graph("state q0\nvar x\nq0 -> q0 : skip")
 
 
+def test_parse_long_ring_keeps_first_occurrence_order():
+    # a state line before the initial one, and every name declared twice
+    n = 20_000
+    g = parse_program_graph("\n".join([
+        "state q1", "initial q0", *(f"state q{i}" for i in range(1, n)), "var x", "var x",
+        *(f"q{i} -> q{i + 1} : x := x + 1" for i in range(n - 1)), f"q{n - 1} -> q0 : skip"]))
+    assert g.states == ("q1", "q0", *(f"q{i}" for i in range(2, n)))
+    assert (len(g.edges), g.variables) == (n, ("x",))
+
+
 def test_literals_come_from_assignments_only():
     assert int_literals(graph("loop.graph")) == {0, 1}
     assert int_literals(graph("countdown.graph")) == {5, 1}

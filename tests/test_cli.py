@@ -198,6 +198,34 @@ def test_analyze_inverted_grid_exits_1(capsys):
     assert err.splitlines() == ["error: empty integer grid: zmin=5 > zmax=0"]
 
 
+WIDE_GRID = ("lattice interval zmin=0 zmax=1000000000000\n"
+             "fact P(a) = [0,5]\n"
+             "clause forall x. forall 'i. P(x;'i) => Q(x;f_mul('i,[3,3]))\n")
+
+
+def test_solve_on_a_wide_grid(tmp_path, capsys):
+    path = tmp_path / "wide.lat"
+    path.write_text(WIDE_GRID)
+    assert run(capsys, "solve", str(path)) == (0, "P(a) = [0,5]\nQ(a) = [0,15]\n", "")
+
+
+def test_compare_on_a_wide_grid_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "wide.lat"
+    path.write_text(WIDE_GRID)
+    code, out, err = run(capsys, "compare", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lattice has ")
+    assert err.endswith(" elements (reference evaluator cap 4096)\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_analyze_on_a_wide_grid_matches_a_narrow_one(capsys):
+    outputs = [run(capsys, "analyze", spath("branch.graph"), "--analysis", "intervals",
+                   "--zmax", zmax) for zmax in ("1000", str(10**12))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys, default_recursion_limit):
     # a precondition conjunction of 2 000 queries: each part is compiled, and
     # matched, inside the continuation of the part before it

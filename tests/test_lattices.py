@@ -1,5 +1,6 @@
 """Lattice construction, interval arithmetic, and function-registry checks."""
 
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -23,7 +24,7 @@ import helpers
 @pytest.fixture(scope="module")
 def iv5():
     """Interval lattice over a five-value grid."""
-    return interval_lattice(range(-1, 4))
+    return interval_lattice(-1, 3)
 
 
 def all_intervals(lat):
@@ -86,7 +87,7 @@ def _is_glb(lat, a, b, m):
 
 
 def test_join_meet_frozen_values():
-    lat = interval_lattice(range(0, 8))
+    lat = interval_lattice(0, 7)
     assert interval_join(lat.make_interval(1, 2), lat.make_interval(5, 7)) == \
         lat.make_interval(1, 7)
     assert interval_meet(lat.make_interval(1, 4), lat.make_interval(3, 7)) == \
@@ -110,7 +111,7 @@ def test_join_meet_are_lub_glb_everywhere(iv5):
 
 
 def test_add_matches_brute_force():
-    lat = interval_lattice(range(0, 10))
+    lat = interval_lattice(0, 9)
     got = interval_arithmetic("add", lat.make_interval(1, 2),
                               lat.make_interval(3, 4), lat.make_interval)
     values = [z1 + z2 for z1 in (1, 2) for z2 in (3, 4)]
@@ -119,13 +120,13 @@ def test_add_matches_brute_force():
 
 
 def test_add_strict_in_empty():
-    lat = interval_lattice(range(0, 2))
+    lat = interval_lattice(0, 1)
     assert interval_arithmetic("add", EMPTY_INTERVAL, lat.make_interval(0, 1),
                                lat.make_interval) == EMPTY_INTERVAL
 
 
 def test_mul_matches_brute_force():
-    lat = interval_lattice(range(-3, 7))
+    lat = interval_lattice(-3, 6)
     got = interval_arithmetic("mul", lat.make_interval(-1, 2),
                               lat.make_interval(3, 3), lat.make_interval)
     values = [z1 * 3 for z1 in (-1, 0, 1, 2)]
@@ -156,40 +157,49 @@ def test_arith_over_approximates(op, iv5):
 
 
 def test_snap_out_of_range_endpoints():
-    lat = interval_lattice(range(0, 4))
+    lat = interval_lattice(0, 3)
     assert lat.make_interval(-10, 10) == FULL_INTERVAL
     assert lat.make_interval(1, 5) == IntervalValue(1, POS_INF)
     assert lat.make_interval(-2, 2) == IntervalValue(NEG_INF, 2)
 
 
-def test_snap_onto_sparse_grid_widens_outward():
-    lat = interval_lattice((0, 5))
-    assert lat.make_interval(1, 4) == IntervalValue(0, 5)
-    assert lat.make_interval(6, 7) == IntervalValue(5, POS_INF)
-
-
 _ENDPOINT = st.one_of(st.integers(-12, 12), st.sampled_from((NEG_INF, POS_INF)))
+_BOUND = st.integers(-8, 8)
 
 
 @settings(max_examples=300)
-@given(st.sets(st.integers(-8, 8), min_size=1), _ENDPOINT, _ENDPOINT)
-def test_snapping_matches_a_scan_of_the_grid(grid, lo, hi):
-    # random subsets of -8..8 give contiguous and gapped grids alike
+@given(_BOUND, _BOUND, _ENDPOINT, _ENDPOINT)
+def test_snapping_matches_a_scan_of_the_grid(zmin, zmax, lo, hi):
+    zmin, zmax = min(zmin, zmax), max(zmin, zmax)
     lo, hi = min(lo, hi), max(lo, hi)
+    grid = range(zmin, zmax + 1)
     want_lo = max((z for z in grid if z <= lo), default=NEG_INF)
     want_hi = min((z for z in grid if z >= hi), default=POS_INF)
-    assert interval_lattice(grid).make_interval(lo, hi) == interval(want_lo, want_hi)
+    assert interval_lattice(zmin, zmax).make_interval(lo, hi) == interval(want_lo, want_hi)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_element_count_matches_enumeration(k):
-    for grid in (range(k), range(0, 3 * k, 3)):
-        lat = interval_lattice(grid)
+    for zmin, zmax in ((0, k - 1), (-k, -1)):
+        lat = interval_lattice(zmin, zmax)
         assert lat.element_count == len(lat.enumerate_elements())
 
 
+@pytest.mark.parametrize("width", [10**12, 10**30])  # 10**30 is past sys.maxsize
+def test_wide_grid_is_held_by_its_bounds(width):
+    tracemalloc.start()
+    try:
+        lat = interval_lattice(-width, width)
+        standard_registry(lat)
+        assert lat.make_interval(3, 10 * width) == IntervalValue(3, POS_INF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_representation_of_integers_and_names():
-    lat = interval_lattice(range(0, 4))
+    lat = interval_lattice(0, 3)
     assert lat.represent(2) == IntervalValue(2, 2)
     assert lat.represent(9) == IntervalValue(3, POS_INF)
     assert lat.represent("q0") == FULL_INTERVAL
@@ -249,7 +259,7 @@ def test_lattice_laws_all_shipped():
     helpers.check_lattice_laws(powerset_lattice(("a", "b", "c")),
                                atoms=("a", "b", "c"))
     helpers.check_lattice_laws(sign_lattice(), atoms=(-2, 0, 7, "q0"))
-    helpers.check_lattice_laws(interval_lattice(range(0, 3)),
+    helpers.check_lattice_laws(interval_lattice(0, 2),
                                atoms=(0, 1, 2, 99, "q0"))
 
 
@@ -257,7 +267,7 @@ def test_lattice_laws_all_shipped():
 
 
 def test_standard_registry_contents():
-    assert standard_registry(interval_lattice(range(0, 3))).names() == \
+    assert standard_registry(interval_lattice(0, 2)).names() == \
         [("f_add", 2), ("f_mul", 2), ("f_sub", 2)]
     assert standard_registry(sign_lattice()).names() == \
         [("s_add", 2), ("s_mul", 2), ("s_sub", 2)]
@@ -288,7 +298,7 @@ def test_reject_anti_monotone_function():
 
 
 def test_reject_anti_monotone_on_large_lattice_by_sampling():
-    lat = interval_lattice(range(-50, 51))
+    lat = interval_lattice(-50, 50)
     assert lat.element_count > 64
     reg = FunctionRegistry(lat)
     flip = lambda v: lat.top if v == lat.bottom else lat.bottom
@@ -297,7 +307,7 @@ def test_reject_anti_monotone_on_large_lattice_by_sampling():
     reg.register("widen", 1, lambda v: interval_join(v, lat.make_interval(0, 1)))
 
 
-SMALL_LATTICES = {"signs": sign_lattice(), "interval 0..2": interval_lattice(range(0, 3))}
+SMALL_LATTICES = {"signs": sign_lattice(), "interval 0..2": interval_lattice(0, 2)}
 
 
 def brute_monotone(lat, arity, fn) -> bool:
@@ -390,7 +400,7 @@ def test_parse_rejects_non_monotone_user_function():
 
 
 def test_reject_duplicate_registration():
-    reg = standard_registry(interval_lattice(range(0, 3)))
+    reg = standard_registry(interval_lattice(0, 2))
     with pytest.raises(RegistryError):
         reg.register("f_add", 2, lambda a, b: a)
 

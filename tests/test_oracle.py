@@ -63,7 +63,7 @@ def test_satisfies_unit_clause():
 
 
 def test_existential_lattice_quantifier_needs_enumeration():
-    lat = interval_lattice(range(0, 2))
+    lat = interval_lattice(0, 1)
     object.__setattr__(lat, "enumerate_elements", None)
     program = ast.Program(lattice=lat, registry=standard_registry(lat),
                           strata=(), arities={"R": 1}, universe=(0, 1))
