@@ -3,18 +3,21 @@
 import tracemalloc
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latlog.ast import reorder_preconditions, validate
+from latlog.cli import run_analyze
 from latlog.errors import LatticeError, MonotonicityError, RegistryError
 from latlog.lattices import (EMPTY_INTERVAL, FULL_INTERVAL, NEG_INF, POS_INF,
                              FunctionRegistry, IntervalValue, interval,
                              interval_arithmetic, interval_inf, interval_join,
                              interval_lattice, interval_leq, interval_meet,
                              interval_sup, powerset_lattice, SIGNS, sign_lattice,
-                             sign_transfer, standard_registry, EXHAUSTIVE_LIMIT)
+                             sign_transfer, standard_registry, EXHAUSTIVE_LIMIT,
+                             _xmul)
 from latlog.parser import parse_clauses
 from latlog.solver import solve
 
@@ -191,6 +194,9 @@ def test_wide_grid_is_held_by_its_bounds(width):
     try:
         lat = interval_lattice(-width, width)
         standard_registry(lat)
+        # a sampled proof draws its pairs by the grid's bounds
+        FunctionRegistry(lat).register(
+            "widen", 1, lambda v: interval_join(v, lat.make_interval(0, 1)))
         assert lat.make_interval(3, 10 * width) == IntervalValue(3, POS_INF)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -203,6 +209,13 @@ def test_representation_of_integers_and_names():
     assert lat.represent(2) == IntervalValue(2, 2)
     assert lat.represent(9) == IntervalValue(3, POS_INF)
     assert lat.represent("q0") == FULL_INTERVAL
+
+
+def test_constructors_normalise_float_endpoints():
+    lat = interval_lattice(0, 3)
+    for v in (interval(1.0, 2.0), lat.make_interval(1.0, 2.0)):
+        assert type(v.lo) is int and type(v.hi) is int
+        assert lat.render(v) == "[1,2]"
 
 
 @given(lo=st.integers(-6, 6), hi=st.integers(-6, 6))
@@ -418,3 +431,139 @@ def test_sign_transfer_tables_match_brute_force():
             for s2 in helpers.all_sign_sets():
                 assert fn(s1, s2) == helpers.brute_sign_transfer(op, s1, s2), \
                     (op, s1, s2)
+
+
+# --- the builtins' monotonicity, proved here once -----------------------------------
+#
+# standard_registry enters the builtins without a proof, so these tests carry
+# it.  The sign lattice and every grid within -4..4 get the exhaustive
+# covering-pair proof.  Every other grid is covered by three facts: outward
+# snapping is monotone, exact interval arithmetic is inclusion-monotone
+# (Moore), and each interval builtin is snapping after exact arithmetic.
+
+BUILTIN_OPS = ("add", "sub", "mul")
+# the 45 grids within -4..4; -4..4 itself has 65 elements, which register
+# would only sample, so the proofs call _check_exhaustive directly
+SMALL_GRIDS = [(zmin, zmax) for zmin in range(-4, 5) for zmax in range(zmin, 5)]
+
+
+def prove_builtins(lat):
+    reg = standard_registry(lat)
+    assert len(reg.names()) == len(BUILTIN_OPS)
+    for name, arity in reg.names():
+        reg._check_exhaustive(name, arity, reg.function(name, arity))
+
+
+def test_sign_builtins_are_monotone():
+    prove_builtins(sign_lattice())
+
+
+@pytest.mark.parametrize("zmin, zmax", SMALL_GRIDS)
+def test_interval_builtins_are_monotone_on_small_grids(zmin, zmax):
+    prove_builtins(interval_lattice(zmin, zmax))
+
+
+_SHIFT = st.one_of(st.just(0), st.integers(-10**30, 10**30))
+_LO = st.one_of(st.integers(-12, 12), st.just(NEG_INF))
+_HI = st.one_of(st.integers(-12, 12), st.just(POS_INF))
+
+
+def _shifted(z, shift):
+    return z if z in (NEG_INF, POS_INF) else z + shift
+
+
+@settings(max_examples=200)
+@given(_BOUND, _BOUND, _SHIFT, _LO, _HI, _LO, _HI)
+def test_snapping_is_an_upper_closure(zmin, zmax, shift, lo, hi, lo2, hi2):
+    """Outward snapping is extensive, idempotent and monotone."""
+    zmin, zmax = sorted((zmin + shift, zmax + shift))
+    lo, hi, lo2, hi2 = (_shifted(z, shift) for z in (lo, hi, lo2, hi2))
+    make = interval_lattice(zmin, zmax).make_interval
+    snapped = make(lo, hi)
+    assert interval_leq(interval(lo, hi), snapped)
+    assert make(snapped.lo, snapped.hi) == snapped
+    assert interval_leq(snapped, make(min(lo, lo2), max(hi, hi2)))
+
+
+@st.composite
+def nested_intervals(draw):
+    """(inner, outer): integer intervals, possibly unbounded or empty, inner inside outer."""
+    lo, hi = draw(_LO), draw(_HI)
+    inner = interval(max(lo, draw(_LO)), min(hi, draw(_HI)))
+    return inner, interval(lo, hi)
+
+
+@settings(max_examples=300)
+@given(nested_intervals(), nested_intervals())
+@example((interval(0, 0), interval(0, 0)), (interval(1, POS_INF), FULL_INTERVAL))
+@example((interval(0, 0), interval(NEG_INF, 0)), (EMPTY_INTERVAL, interval(-2, 3)))
+def test_exact_arithmetic_is_inclusion_monotone(a, b):
+    (a_in, a_out), (b_in, b_out) = a, b
+    assert interval_leq(a_in, a_out) and interval_leq(b_in, b_out)
+    for op in BUILTIN_OPS:
+        assert interval_leq(interval_arithmetic(op, a_in, b_in),
+                            interval_arithmetic(op, a_out, b_out)), op
+
+
+@settings(max_examples=150)
+@given(_BOUND, _BOUND, _SHIFT, st.randoms(use_true_random=False))
+def test_interval_builtins_snap_exact_arithmetic(zmin, zmax, shift, rng):
+    zmin, zmax = sorted((zmin + shift, zmax + shift))
+    lat = interval_lattice(zmin, zmax)
+    reg = standard_registry(lat)
+    a, b = lat.sample_element(rng), lat.sample_element(rng)
+    for op in BUILTIN_OPS:
+        exact = interval_arithmetic(op, a, b)
+        assert reg.function(f"f_{op}", 2)(a, b) == lat.make_interval(exact.lo, exact.hi), op
+
+
+def test_corner_dropping_interval_mul_is_rejected():
+    lat = interval_lattice(-1, 1)
+
+    def mul(i1, i2):  # keeps the lo*lo and hi*hi corners only
+        if i1.is_empty or i2.is_empty:
+            return EMPTY_INTERVAL
+        corners = (_xmul(i1.lo, i2.lo), _xmul(i1.hi, i2.hi))
+        return lat.make_interval(min(corners), max(corners))
+
+    with pytest.raises(MonotonicityError) as info:
+        FunctionRegistry(lat)._check_exhaustive("f_mul", 2, mul)
+    assert_real_violation(lat, mul, 2, info.value)
+
+
+def test_top_zeroing_sign_mul_is_rejected():
+    lat = sign_lattice()
+    s_mul = sign_transfer("mul")
+    mul = lambda s1, s2: frozenset("0") if lat.top in (s1, s2) else s_mul(s1, s2)
+    with pytest.raises(MonotonicityError) as info:
+        FunctionRegistry(lat)._check_exhaustive("s_mul", 2, mul)
+    assert_real_violation(lat, mul, 2, info.value)
+
+
+class _RuntimeProof(Exception):
+    pass
+
+
+@pytest.fixture
+def proofs_refused(monkeypatch):
+    def refuse(self, name, arity, fn):
+        raise _RuntimeProof(f"{name}/{arity}")
+
+    monkeypatch.setattr(FunctionRegistry, "_validate_monotone", refuse)
+
+
+def test_standard_registry_proves_nothing_at_run_time(proofs_refused):
+    test_standard_registry_contents()
+
+
+@pytest.mark.parametrize("which", ["signs", "intervals"])
+def test_analyze_proves_nothing_at_run_time(which, proofs_refused):
+    report = run_analyze(helpers.sample("loop.graph"), which)
+    golden = Path(__file__).resolve().parent / "golden" / f"loop.graph.{which}"
+    assert golden.read_text() == "exit 0\n" + "".join(f"{line}\n" for line in report.lines)
+
+
+def test_user_functions_are_still_proved_at_run_time(proofs_refused):
+    widen = lambda s: s | {"+"} if s else s
+    with pytest.raises(_RuntimeProof, match="widen/1"):
+        parse_clauses(USER_FN_PROGRAM, extra_functions={("widen", 1): widen})
