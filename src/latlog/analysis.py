@@ -6,14 +6,14 @@ single-stratum ``ast.Program`` from a graph, with no clause text in between:
 the initial state starts every variable at top, assignments update the target
 through a registered transfer function and frame-copy the remaining variables,
 and tests/skips propagate unchanged.  ``gen_*_clauses`` pretty-print those
-programs.  A bounded concrete interpreter backs the soundness tests.
+programs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from . import ast
 from .errors import ParseError, ValidationError
@@ -293,70 +293,3 @@ def gen_sign_clauses(graph: ProgramGraph) -> str:
     """Clause-file text of the sign analysis."""
     return pretty(analysis_program(graph, "signs"))
 
-
-# --- bounded concrete execution ------------------------------------------------
-
-_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
-
-
-def _eval_operand(o: Operand, store: dict) -> int:
-    return o.value if isinstance(o, IntLit) else store[o.name]
-
-
-def concrete_reachable(graph: ProgramGraph, initial_store: dict,
-                       max_steps: int = 1000, max_configs: int = 200_000) -> set:
-    """(state, variable, value) triples reachable within the step bound."""
-    start = (graph.initial, tuple(sorted(initial_store.items())))
-    frontier = [start]
-    visited = {start}
-    reached = {(graph.initial, v, n) for v, n in initial_store.items()}
-    for _ in range(max_steps):
-        if not frontier or len(visited) > max_configs:
-            break
-        nxt = []
-        for state, items in frontier:
-            store = dict(items)
-            for edge in graph.edges:
-                if edge.src != state:
-                    continue
-                action = edge.action
-                if isinstance(action, Assign):
-                    rhs = action.rhs
-                    if isinstance(rhs, BinOp):
-                        value = _ARITH[rhs.op](_eval_operand(rhs.left, store),
-                                               _eval_operand(rhs.right, store))
-                    else:
-                        value = _eval_operand(rhs, store)
-                    new_store = dict(store)
-                    new_store[action.target] = value
-                elif isinstance(action, BoolTest):
-                    if not _CMP[action.op](_eval_operand(action.left, store),
-                                           _eval_operand(action.right, store)):
-                        continue
-                    new_store = store
-                else:
-                    new_store = store
-                config = (edge.dst, tuple(sorted(new_store.items())))
-                if config not in visited:
-                    visited.add(config)
-                    nxt.append(config)
-                    reached.update((edge.dst, v, n) for v, n in new_store.items())
-        frontier = nxt
-    return reached
-
-
-def initial_stores(graph: ProgramGraph, values: Iterable[int]) -> list[dict]:
-    """All assignments of the given start values to the graph's variables."""
-    stores = [dict()]
-    for v in graph.variables:
-        stores = [{**s, v: n} for s in stores for n in values]
-    return stores

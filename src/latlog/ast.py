@@ -307,7 +307,8 @@ class _WFChecker:
         self.program = program
         self.universe = set(program.universe)
         self.errors: list[str] = []
-        self.asserted: set[str] = set()
+        # per stratum: the predicates it asserts, queries and negatively queries
+        self.uses: list[tuple[list, list, list]] = []
 
     def fail(self, path: str, msg: str):
         self.errors.append(f"{path}: {msg}")
@@ -351,6 +352,8 @@ class _WFChecker:
 
     def check_pre(self, p: Pre, xs: set, ys: set, path: str):
         if isinstance(p, (Query, NegQuery)):
+            _, queried, negated = self.uses[-1]
+            (queried if isinstance(p, Query) else negated).append(p.pred)
             self.check_atom_args(p.pred, p.args, path)
             for t in p.args:
                 self.check_term(t, xs, path)
@@ -379,7 +382,8 @@ class _WFChecker:
 
     def check_clause(self, cl: Clause, xs: set, ys: set, path: str):
         if isinstance(cl, Assert):
-            self.asserted.add(cl.pred)
+            asserted, _, _ = self.uses[-1]
+            asserted.append(cl.pred)
             self.check_atom_args(cl.pred, cl.args, path)
             for t in cl.args:
                 self.check_term(t, xs, path)
@@ -404,74 +408,55 @@ class _WFChecker:
             self.fail(path, f"not a clause: {cl!r}")
 
 
-def check_well_formed(program: Program) -> Program:
-    """Validate closedness, occurrence discipline, arities, and negation use.
-
-    Raises :class:`ValidationError` listing every violation with its clause
-    path; returns the program unchanged when valid.
-    """
+def _checked_uses(program: Program) -> list:
+    """The walk behind :func:`check_well_formed`; returns, per stratum, the
+    predicates it asserts, queries and negatively queries."""
     if not program.universe:
         raise ValidationError("empty universe: no atoms declared or mentioned")
     checker = _WFChecker(program)
     for i, cl in enumerate(program.strata, 1):
+        checker.uses.append(([], [], []))
         checker.check_clause(cl, set(), set(), f"stratum {i}")
+    asserted = {pred for preds, _, _ in checker.uses for pred in preds}
     for f in program.facts:
         path = f"fact {f.pred}"
         checker.check_atom_args(f.pred, tuple(Const(a) for a in f.atoms), path)
         for a in f.atoms:
             if a not in checker.universe:
                 checker.fail(path, f"unknown atom {a!r}")
-        if f.pred in checker.asserted:
+        if f.pred in asserted:
             checker.fail(path, f"{f.pred} is asserted by a clause; facts may only "
                                "populate base relations")
     if checker.errors:
         raise ValidationError("; ".join(checker.errors))
+    return checker.uses
+
+
+def check_well_formed(program: Program) -> Program:
+    """Validate closedness, occurrence discipline, arities, and negation use.
+
+    Raises :class:`ValidationError` listing every violation with its clause
+    path; returns the program unchanged when valid.
+    """
+    _checked_uses(program)
     return program
 
 
 # --- stratification ---------------------------------------------------------
 
 
-def _collect_queries(p: Pre, pos: list, neg: list):
-    if isinstance(p, Query):
-        pos.append(p.pred)
-    elif isinstance(p, NegQuery):
-        neg.append(p.pred)
-    elif isinstance(p, (PreAnd, PreOr)):
-        for q in p.parts:
-            _collect_queries(q, pos, neg)
-    elif isinstance(p, (ExistsX, ExistsY)):
-        _collect_queries(p.body, pos, neg)
-
-
-def _collect_clause(cl: Clause, asserted: list, pos: list, neg: list):
-    if isinstance(cl, Assert):
-        asserted.append(cl.pred)
-    elif isinstance(cl, ClauseAnd):
-        for c in cl.parts:
-            _collect_clause(c, asserted, pos, neg)
-    elif isinstance(cl, Imply):
-        _collect_queries(cl.pre, pos, neg)
-        _collect_clause(cl.body, asserted, pos, neg)
-    elif isinstance(cl, (ForallX, ForallY)):
-        _collect_clause(cl.body, asserted, pos, neg)
-
-
 def compute_ranks(program: Program) -> dict:
-    """Assign each predicate its stratum and validate the query side conditions.
+    """Check the program as :func:`check_well_formed` does, then assign each
+    predicate its stratum and validate the query side conditions.
 
-    A predicate asserted in stratum i gets rank i; predicates never asserted
-    are base relations of rank 0.  Positive queries in stratum i require
-    rank <= i, negative queries require rank < i.
+    An ill-formed program raises that :class:`ValidationError`.  A predicate
+    asserted in stratum i gets rank i; predicates never asserted are base
+    relations of rank 0.  Positive queries in stratum i require rank <= i,
+    negative queries require rank < i.
     """
-    per_stratum = []
+    per_stratum = _checked_uses(program)
     ranks: dict[str, int] = {}
-    for i, cl in enumerate(program.strata, 1):
-        asserted: list = []
-        pos: list = []
-        neg: list = []
-        _collect_clause(cl, asserted, pos, neg)
-        per_stratum.append((asserted, pos, neg))
+    for i, (asserted, _, _) in enumerate(per_stratum, 1):
         for pred in asserted:
             if ranks.get(pred, i) != i:
                 raise StratificationError(
@@ -498,8 +483,7 @@ def compute_ranks(program: Program) -> dict:
 
 
 def validate(program: Program) -> Program:
-    """Full static pipeline: well-formedness plus stratification."""
-    check_well_formed(program)
+    """Full static pipeline: well-formedness plus stratification, in one walk."""
     compute_ranks(program)
     return program
 

@@ -91,9 +91,9 @@ class Parser:
         self.declared_funs: list[tuple[str, int]] = []
         self.facts: list[ast.Fact] = []
         self.strata: list = []
-        # scope stacks map surface names to unique internal names
-        self.xscope: list[dict] = []
-        self.yscope: list[dict] = []
+        # surface name -> internal name of the innermost binder in scope,
+        # None once that binder's scope has closed
+        self.scope: dict[str, Optional[str]] = {}
         self.used_names: set[str] = set()
         self.next_suffix: dict[str, int] = {}
 
@@ -174,12 +174,7 @@ class Parser:
         tok = self.peek()
         if self.eat("powerset"):
             self.expect("{")
-            atoms = []
-            while not self.at("}"):
-                atoms.append(self._parse_atom_token())
-                if not self.eat(","):
-                    break
-            self.expect("}")
+            atoms = self._parse_list(self._parse_atom_token, "}")
             if not atoms:
                 self.err("powerset universe must not be empty", tok)
             self.lattice = powerset_lattice(atoms)
@@ -203,13 +198,21 @@ class Parser:
         sign = -1 if self.eat("-") else 1
         return sign * self.expect_kind("int").value
 
+    def _parse_list(self, item, *close) -> list:
+        """Comma-separated ``item``s up to the first of the ``close`` tokens,
+        which is then expected; one trailing comma is accepted."""
+        items = []
+        while self.peek().value not in close:
+            items.append(item())
+            if not self.eat(","):
+                break
+        self.expect(close[0])
+        return items
+
     def _parse_atom_token(self):
         tok = self.peek()
-        if tok.kind == "int":
-            return self.advance().value
-        if self.at("-"):
-            self.advance()
-            return -self.expect_kind("int").value
+        if tok.kind == "int" or self.at("-"):
+            return self._parse_signed_int()
         if tok.kind == "ident":
             name = self.advance().value
             if name in _RESERVED:
@@ -222,12 +225,10 @@ class Parser:
 
     def _parse_rel_decl(self):
         self.expect("rel")
+        tok = self.peek()
         name = self.expect_kind("ident").value
         self.expect("/")
-        arity = self.expect_kind("int").value
-        prev = self.arities.setdefault(name, arity)
-        if prev != arity:
-            self.err(f"arity mismatch for {name}: {arity} vs declared {prev}", self.peek())
+        self._note_arity(name, self.expect_kind("int").value, tok)
 
     def _parse_fun_decl(self):
         self.expect("fun")
@@ -244,12 +245,7 @@ class Parser:
         tok = self.peek()
         pred = self.expect_kind("ident").value
         self.expect("(")
-        atoms = []
-        while not self.at(")"):
-            atoms.append(self._parse_atom_token())
-            if not self.eat(","):
-                break
-        self.expect(")")
+        atoms = self._parse_list(self._parse_atom_token, ")")
         self._note_arity(pred, len(atoms), tok)
         self.expect("=")
         value = self._parse_lconst()
@@ -274,12 +270,13 @@ class Parser:
 
     # -- scopes
 
-    def _bind(self, surface: str, is_y: bool, tok: Token) -> str:
-        """Internal name for a binder: the first of ``x, x_2, x_3, ...`` not
-        yet used in the clause; a suffixed name also skips every name the
-        file spells, so that printing it captures no constant.  Used names
-        only accumulate, so the search resumes where the previous binder of
-        the same name stopped."""
+    def _bind(self, surface: str, tok: Token) -> str:
+        """Bring a binder into scope under its internal name: the first of
+        ``x, x_2, x_3, ...`` not yet used in the clause; a suffixed name also
+        skips every name the file spells, so that printing it captures no
+        constant.  Used names only accumulate, so the search resumes where the
+        previous binder of the same name stopped.  A lattice variable's
+        surface name keeps its apostrophe, so the two kinds never collide."""
         if surface.lstrip("'") in _RESERVED:
             self.err(f"{surface!r} is reserved and cannot name a variable", tok)
         n = self.next_suffix.get(surface, 1)
@@ -289,7 +286,7 @@ class Parser:
             internal = f"{surface}_{n}"
         self.next_suffix[surface] = n + 1
         self.used_names.add(internal)
-        (self.yscope if is_y else self.xscope).append({surface: internal})
+        self.scope[surface] = internal
         return internal
 
     @cached_property
@@ -297,37 +294,25 @@ class Parser:
         """Every token value of the file, collected when a suffix is first tried."""
         return {tok.value for tok in self.tokens}
 
-    def _unbind(self, is_y: bool):
-        (self.yscope if is_y else self.xscope).pop()
-
-    def _lookup_x(self, name: str) -> Optional[str]:
-        for frame in reversed(self.xscope):
-            if name in frame:
-                return frame[name]
-        return None
-
-    def _lookup_y(self, name: str) -> Optional[str]:
-        for frame in reversed(self.yscope):
-            if name in frame:
-                return frame[name]
-        return None
+    def _bound_yvar(self) -> str:
+        """Internal name of the lattice variable token read next."""
+        tok = self.advance()
+        bound = self.scope.get(tok.value)
+        if bound is None:
+            self.err(f"unbound lattice variable {tok.value}", tok)
+        return bound
 
     # -- terms and lattice terms
 
     def _parse_term(self):
         tok = self.peek()
-        if tok.kind == "int":
-            atom = self.advance().value
-            self._check_powerset_atom(atom, tok)
-            return ast.Const(atom)
-        if self.at("-"):
-            self.advance()
-            atom = -self.expect_kind("int").value
+        if tok.kind == "int" or self.at("-"):
+            atom = self._parse_signed_int()
             self._check_powerset_atom(atom, tok)
             return ast.Const(atom)
         if tok.kind == "ident":
             name = self.advance().value
-            bound = self._lookup_x(name)
+            bound = self.scope.get(name)
             if bound is not None:
                 return ast.Var(bound)
             if name in _RESERVED:
@@ -359,13 +344,7 @@ class Parser:
         tok = self.expect("{")
         if self.lattice.kind not in ("powerset", "signs"):
             self.err("set literals require a powerset or signs lattice", tok)
-        elems = set()
-        while not self.at("}"):
-            elems.add(self._parse_set_element())
-            if not self.eat(","):
-                break
-        self.expect("}")
-        return frozenset(elems)
+        return frozenset(self._parse_list(self._parse_set_element, "}"))
 
     def _parse_set_element(self):
         tok = self.peek()
@@ -379,21 +358,18 @@ class Parser:
                 return "0"
             self.err(f"expected a sign (-, 0, +), found {self._show(tok)}", tok)
         atom = self._parse_atom_token()
-        if atom not in self.lattice.atoms:
-            self.err(f"unknown atom {atom!r} (not in the powerset universe)", tok)
+        self._check_powerset_atom(atom, tok)
         return atom
 
     def _parse_interval_endpoint(self):
         tok = self.peek()
         if self.eat("inf"):
             return POS_INF
-        if self.at("-"):
-            self.advance()
-            if self.eat("inf"):
-                return NEG_INF
-            return -self.expect_kind("int").value
-        if tok.kind == "int":
-            return self.advance().value
+        if self.at("-") and self.peek(1).value == "inf":
+            self.pos += 2
+            return NEG_INF
+        if tok.kind == "int" or self.at("-"):
+            return self._parse_signed_int()
         self.err(f"expected an interval endpoint, found {self._show(tok)}", tok)
 
     def _parse_interval_literal(self):
@@ -410,11 +386,7 @@ class Parser:
         """A lattice term in query/assert position (FnApp legality checked later)."""
         tok = self.peek()
         if tok.kind == "yvar":
-            name = self.advance().value
-            bound = self._lookup_y(name)
-            if bound is None:
-                self.err(f"unbound lattice variable {name}", tok)
-            return ast.YVar(bound)
+            return ast.YVar(self._bound_yvar())
         if self.at("["):
             # one bracketed term is a description; a comma makes it an interval
             nxt, nxt2 = self.peek(1), self.peek(2)
@@ -433,13 +405,8 @@ class Parser:
             return ast.LitConst(self._parse_lconst())
         if tok.kind == "ident":
             name = self.advance().value
-            paren = self.expect("(")
-            args = []
-            while not self.at(")"):
-                args.append(self._parse_value())
-                if not self.eat(","):
-                    break
-            self.expect(")")
+            self.expect("(")
+            args = self._parse_list(self._parse_value, ")")
             if not self.registry.has(name, len(args)):
                 self.err(f"unknown function symbol {name}/{len(args)}", tok)
             return ast.FnApp(name, tuple(args))
@@ -488,10 +455,11 @@ class Parser:
         bind_tok = self.peek()
         is_y = bind_tok.kind == "yvar"
         name = self.advance().value if is_y else self.expect_kind("ident").value
-        var = self._bind(name, is_y, bind_tok)
+        outer = self.scope.get(name)
+        var = self._bind(name, bind_tok)
         self.expect(".")
         body = self._parse_quantified(clause) if top else self._parse_or(clause)
-        self._unbind(is_y)
+        self.scope[name] = outer
         if clause:
             return ast.ForallY(var, body) if is_y else ast.ForallX(var, body)
         return ast.ExistsY(var, body) if is_y else ast.ExistsX(var, body)
@@ -540,10 +508,7 @@ class Parser:
             self.advance()
             return ast.TrueClause()
         if tok.kind == "yvar":
-            name = self.advance().value
-            bound = self._lookup_y(name)
-            if bound is None:
-                self.err(f"unbound lattice variable {name}", tok)
+            bound = self._bound_yvar()
             if clause:
                 self.err("a lattice-variable application is only allowed in preconditions",
                          tok)
@@ -558,12 +523,7 @@ class Parser:
     def _parse_rel_atom(self, clause: bool, neg: bool, tok: Token):
         pred = self.expect_kind("ident").value
         self.expect("(")
-        args = []
-        while not (self.at(";") or self.at(")")):
-            args.append(self._parse_term())
-            if not self.eat(","):
-                break
-        self.expect(";")
+        args = self._parse_list(self._parse_term, ";", ")")
         value = self._parse_value()
         self.expect(")")
         self._note_arity(pred, len(args), tok)
@@ -598,7 +558,6 @@ _LVL_QUANT = 0
 _LVL_IMP = 1
 _LVL_OR = 2
 _LVL_AND = 3
-_LVL_ATOM = 4
 
 
 def _term_text(t) -> str:
@@ -617,55 +576,40 @@ def _value_text(lattice: Lattice, v) -> str:
     raise TypeError(f"not a lattice term: {v!r}")
 
 
-def _atom_text(lattice, pred, args, value) -> str:
-    return f"{pred}({','.join(_term_text(t) for t in args)};{_value_text(lattice, value)})"
+def _atom_text(lattice, node) -> str:
+    args = ",".join(_term_text(t) for t in node.args)
+    return f"{node.pred}({args};{_value_text(lattice, node.value)})"
 
 
-def _wrap(text: str, level: int, minimum: int) -> str:
-    return f"({text})" if level < minimum else text
-
-
-def pre_text(lattice: Lattice, p, minimum: int = 0) -> str:
-    if isinstance(p, ast.Query):
-        return _atom_text(lattice, p.pred, p.args, p.value)
-    if isinstance(p, ast.NegQuery):
-        return "!" + _atom_text(lattice, p.pred, p.args, p.value)
-    if isinstance(p, ast.Apply):
-        return f"{p.yvar}({_term_text(p.term)})"
-    if isinstance(p, ast.PreAnd):
-        s = " & ".join(pre_text(lattice, q, _LVL_AND + 1) for q in p.parts)
-        return _wrap(s, _LVL_AND, minimum)
-    if isinstance(p, ast.PreOr):
-        s = " | ".join(pre_text(lattice, q, _LVL_OR + 1) for q in p.parts)
-        return _wrap(s, _LVL_OR, minimum)
-    if isinstance(p, ast.ExistsX):
-        s = f"exists {p.var}. {pre_text(lattice, p.body, _LVL_QUANT)}"
-        return _wrap(s, _LVL_QUANT, minimum)
-    if isinstance(p, ast.ExistsY):
-        s = f"exists {p.yvar}. {pre_text(lattice, p.body, _LVL_QUANT)}"
-        return _wrap(s, _LVL_QUANT, minimum)
-    raise TypeError(f"not a precondition: {p!r}")
-
-
-def clause_text(lattice: Lattice, cl, minimum: int = 0) -> str:
-    if isinstance(cl, ast.Assert):
-        return _atom_text(lattice, cl.pred, cl.args, cl.value)
-    if isinstance(cl, ast.TrueClause):
+def formula_text(lattice: Lattice, node, minimum: int = 0) -> str:
+    """Text of a clause or a precondition, parenthesized when its operator
+    binds more weakly than ``minimum``."""
+    if isinstance(node, (ast.Query, ast.Assert)):
+        return _atom_text(lattice, node)
+    if isinstance(node, ast.NegQuery):
+        return "!" + _atom_text(lattice, node)
+    if isinstance(node, ast.Apply):
+        return f"{node.yvar}({_term_text(node.term)})"
+    if isinstance(node, ast.TrueClause):
         return "1"
-    if isinstance(cl, ast.ClauseAnd):
-        s = " & ".join(clause_text(lattice, c, _LVL_AND + 1) for c in cl.parts)
-        return _wrap(s, _LVL_AND, minimum)
-    if isinstance(cl, ast.Imply):
-        s = (f"{pre_text(lattice, cl.pre, _LVL_OR)}"
-             f" => {clause_text(lattice, cl.body, _LVL_IMP)}")
-        return _wrap(s, _LVL_IMP, minimum)
-    if isinstance(cl, ast.ForallX):
-        s = f"forall {cl.var}. {clause_text(lattice, cl.body, _LVL_QUANT)}"
-        return _wrap(s, _LVL_QUANT, minimum)
-    if isinstance(cl, ast.ForallY):
-        s = f"forall {cl.yvar}. {clause_text(lattice, cl.body, _LVL_QUANT)}"
-        return _wrap(s, _LVL_QUANT, minimum)
-    raise TypeError(f"not a clause: {cl!r}")
+    if isinstance(node, (ast.PreAnd, ast.ClauseAnd)):
+        level = _LVL_AND
+        text = " & ".join(formula_text(lattice, q, _LVL_AND + 1) for q in node.parts)
+    elif isinstance(node, ast.PreOr):
+        level = _LVL_OR
+        text = " | ".join(formula_text(lattice, q, _LVL_OR + 1) for q in node.parts)
+    elif isinstance(node, ast.Imply):
+        level = _LVL_IMP
+        text = (f"{formula_text(lattice, node.pre, _LVL_OR)}"
+                f" => {formula_text(lattice, node.body, _LVL_IMP)}")
+    elif isinstance(node, (ast.ForallX, ast.ForallY, ast.ExistsX, ast.ExistsY)):
+        level = _LVL_QUANT
+        word = "forall" if isinstance(node, (ast.ForallX, ast.ForallY)) else "exists"
+        var = node.var if isinstance(node, (ast.ForallX, ast.ExistsX)) else node.yvar
+        text = f"{word} {var}. {formula_text(lattice, node.body, _LVL_QUANT)}"
+    else:
+        raise TypeError(f"not a clause or precondition: {node!r}")
+    return f"({text})" if level < minimum else text
 
 
 def lattice_decl_text(lattice: Lattice) -> str:
@@ -689,5 +633,5 @@ def pretty(program: ast.Program) -> str:
         atoms = ",".join(render_atom(a) for a in f.atoms)
         lines.append(f"fact {f.pred}({atoms}) = {program.lattice.render(f.value)}")
     for cl in program.strata:
-        lines.append("clause " + clause_text(program.lattice, cl))
+        lines.append("clause " + formula_text(program.lattice, cl))
     return "\n".join(lines) + "\n"

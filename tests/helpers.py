@@ -2,19 +2,22 @@
 solve runs, and fixtures.
 
 Everything here recomputes expected values from first principles (set
-denotations, exhaustive enumeration, representative integers) so the tests
-stay independent of the code paths they check; the solve audit records what
-the engine does from outside it.
+denotations, exhaustive enumeration, representative integers, bounded
+concrete execution of program graphs) so the tests stay independent of the
+code paths they check; the solve audit records what the engine does from
+outside it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
 from latlog import ast
+from latlog.analysis import Assign, BinOp, BoolTest, IntLit, Operand, ProgramGraph
 from latlog.lattices import IntervalValue, sign_of
 from latlog.parser import parse_clauses
 from latlog.solver import ConsumerStore, ResultStore, solve
@@ -283,3 +286,71 @@ def conjuncts(pre) -> list:
 
 def all_tuples(universe, arity):
     return [tuple(t) for t in product(universe, repeat=arity)]
+
+
+# --- bounded concrete execution ------------------------------------------------
+
+_CMP = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
+
+_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
+def _eval_operand(o: Operand, store: dict) -> int:
+    return o.value if isinstance(o, IntLit) else store[o.name]
+
+
+def concrete_reachable(graph: ProgramGraph, initial_store: dict,
+                       max_steps: int = 1000, max_configs: int = 200_000) -> set:
+    """(state, variable, value) triples reachable within the step bound."""
+    start = (graph.initial, tuple(sorted(initial_store.items())))
+    frontier = [start]
+    visited = {start}
+    reached = {(graph.initial, v, n) for v, n in initial_store.items()}
+    for _ in range(max_steps):
+        if not frontier or len(visited) > max_configs:
+            break
+        nxt = []
+        for state, items in frontier:
+            store = dict(items)
+            for edge in graph.edges:
+                if edge.src != state:
+                    continue
+                action = edge.action
+                if isinstance(action, Assign):
+                    rhs = action.rhs
+                    if isinstance(rhs, BinOp):
+                        value = _ARITH[rhs.op](_eval_operand(rhs.left, store),
+                                               _eval_operand(rhs.right, store))
+                    else:
+                        value = _eval_operand(rhs, store)
+                    new_store = dict(store)
+                    new_store[action.target] = value
+                elif isinstance(action, BoolTest):
+                    if not _CMP[action.op](_eval_operand(action.left, store),
+                                           _eval_operand(action.right, store)):
+                        continue
+                    new_store = store
+                else:
+                    new_store = store
+                config = (edge.dst, tuple(sorted(new_store.items())))
+                if config not in visited:
+                    visited.add(config)
+                    nxt.append(config)
+                    reached.update((edge.dst, v, n) for v, n in new_store.items())
+        frontier = nxt
+    return reached
+
+
+def initial_stores(graph: ProgramGraph, values: Iterable[int]) -> list[dict]:
+    """All assignments of the given start values to the graph's variables."""
+    stores = [dict()]
+    for v in graph.variables:
+        stores = [{**s, v: n} for s in stores for n in values]
+    return stores

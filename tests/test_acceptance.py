@@ -12,8 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from latlog import ast, oracle
-from latlog.analysis import (concrete_reachable, gen_interval_clauses,
-                             gen_sign_clauses, initial_stores,
+from latlog.analysis import (gen_interval_clauses, gen_sign_clauses,
                              parse_program_graph)
 from latlog.ast import reorder_preconditions, validate
 from latlog.errors import StratificationError
@@ -121,9 +120,9 @@ def test_criterion_4_interval_analysis():
             g = parse_program_graph(helpers.sample(name))
             a_leaves = helpers.run_pipeline(
                 gen_interval_clauses(g))[1].leaves().get("A", {})
-            for store in initial_stores(g, (-2, 0, 1, 5)):
-                for state, var, value in concrete_reachable(g, store,
-                                                            max_steps=1000):
+            for store in helpers.initial_stores(g, (-2, 0, 1, 5)):
+                for state, var, value in helpers.concrete_reachable(
+                        g, store, max_steps=1000):
                     iv = a_leaves.get((state, var))
                     assert iv is not None and iv.contains(value), \
                         (name, state, var, value)

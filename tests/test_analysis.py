@@ -6,9 +6,8 @@ import pytest
 
 from latlog import ast, oracle
 from latlog.analysis import (Assign, BinOp, BoolTest, Edge, IntLit, Skip,
-                             VarRef, concrete_reachable, gen_interval_clauses,
-                             gen_sign_clauses, initial_stores, int_literals,
-                             analysis_program, parse_program_graph)
+                             VarRef, gen_interval_clauses, gen_sign_clauses,
+                             int_literals, analysis_program, parse_program_graph)
 from latlog.errors import ParseError, ValidationError
 from latlog.parser import parse_clauses, pretty
 from latlog.solver import solve
@@ -183,8 +182,8 @@ def test_interval_analysis_sound_against_execution(name):
     g = graph(name)
     program, result = helpers.run_pipeline(gen_interval_clauses(g))
     leaves = result.leaves().get("A", {})
-    for store in initial_stores(g, START_VALUES):
-        for state, var, value in concrete_reachable(g, store, max_steps=1000):
+    for store in helpers.initial_stores(g, START_VALUES):
+        for state, var, value in helpers.concrete_reachable(g, store, max_steps=1000):
             iv = leaves.get((state, var))
             assert iv is not None, (name, state, var)
             assert iv.contains(value), (name, state, var, value, iv)

@@ -9,7 +9,7 @@ from latlog.ast import (Apply, Assert, ClauseAnd, Const, FnApp,
                         check_well_formed, compute_ranks,
                         reorder_preconditions, validate)
 from latlog.errors import ParseError, StratificationError, ValidationError
-from latlog.lattices import powerset_lattice, standard_registry
+from latlog.lattices import interval_lattice, powerset_lattice, standard_registry
 from latlog.parser import parse_clauses, parse_fact, pretty
 from latlog.randgen import random_program
 
@@ -85,10 +85,15 @@ POWERSET = "lattice powerset {a,b}\n"
      "a negated query cannot be asserted", 5, 8),
     (POWERSET + "clause\tR(a;[a]) |\tS(a;[a])",
      "disjunction is only allowed in preconditions", 2, 17),
+    (POWERSET + "rel fact/1",
+     "'fact' is reserved and cannot name a predicate", 2, 5),
+    (POWERSET + "rel E/1\nrel E/2",
+     "arity mismatch for E: 2 vs declared 1", 3, 5),
 ], ids=["exists-in-clause", "forall-in-precondition", "disjunction-asserted",
         "negation-asserted", "application-asserted", "one-as-precondition",
         "implication-in-precondition", "function-term-in-query", "bad-character",
-        "and-at-end", "after-comment-and-blank-lines", "after-tab"])
+        "and-at-end", "after-comment-and-blank-lines", "after-tab",
+        "reserved-rel-name", "rel-arity-mismatch"])
 def test_parse_error_message_and_position(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_clauses(text)
@@ -162,6 +167,33 @@ def test_parse_sign_set_literals():
     p = parse_clauses("lattice signs\nfact R(q) = {-,0}\nfact S(q) = {+}")
     assert p.facts[0].value == frozenset(("-", "0"))
     assert p.facts[1].value == frozenset("+")
+
+
+def _interval_const(lo, hi):
+    return LitConst(interval_lattice(0, 2).make_interval(lo, hi))
+
+
+@pytest.mark.parametrize("text, field, want", [
+    ("lattice powerset {a,}", "universe", ("a",)),
+    (POWERSET + "fact R(a,) = {a}", "facts", (ast.Fact("R", ("a",), frozenset("a")),)),
+    (POWERSET + "fact R(a) = {a,}", "facts", (ast.Fact("R", ("a",), frozenset("a")),)),
+    (POWERSET + "clause R(a,;[a])", "strata", (Assert("R", (Const("a"),), Repr(Const("a"))),)),
+    ("lattice interval zmin=0 zmax=2\nclause R(a;f_add([1,1],[0,0],))", "strata",
+     (Assert("R", (Const("a"),),
+             FnApp("f_add", (_interval_const(1, 1), _interval_const(0, 0)))),)),
+    (POWERSET + "fact R() = {a}", "facts", (ast.Fact("R", (), frozenset("a")),)),
+    (POWERSET + "fact R(a) = {}", "facts", (ast.Fact("R", ("a",), frozenset()),)),
+    (POWERSET + "clause R(;[a])", "strata", (Assert("R", (), Repr(Const("a"))),)),
+], ids=["powerset-atoms", "fact-atoms", "set-literal", "relation-args", "function-args",
+        "fact-atoms-empty", "set-literal-empty", "relation-args-empty"])
+def test_parse_comma_lists_accept_one_trailing_comma(text, field, want):
+    assert getattr(parse_clauses(text), field) == want
+
+
+def test_parse_universe_and_lattice_binders_of_one_name_stay_apart():
+    p = parse_clauses(POWERSET + "clause forall y. forall 'y. R(y;'y)")
+    assert p.strata == (
+        ForallX("y", ForallY("'y", Assert("R", (Var("y"),), YVar("'y")))),)
 
 
 def test_parse_comma_separates_strata():
@@ -370,6 +402,12 @@ def test_negative_query_of_same_stratum_rejected():
         "lattice powerset {a}\n"
         "clause forall x. forall 'Y. !R(x;'Y) => R(x;'Y)"))
     with pytest.raises(StratificationError):
+        compute_ranks(program)
+
+
+def test_ranks_reject_an_ill_formed_program():
+    program = powerset_program([Assert("R", (Var("x"),), Repr(Var("x")))])
+    with pytest.raises(ValidationError, match="free variable 'x'"):
         compute_ranks(program)
 
 
