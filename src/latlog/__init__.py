@@ -19,9 +19,8 @@ from .errors import (LatlogError, LatticeError, MonotonicityError,
 from .lattices import (EMPTY_INTERVAL, FULL_INTERVAL, FunctionRegistry,
                        IntervalValue, Lattice, interval, interval_arithmetic,
                        interval_join, interval_lattice, interval_leq,
-                       interval_meet, interval_inf, interval_sup,
-                       powerset_lattice, sign_lattice, sign_transfer,
-                       standard_registry)
+                       interval_meet, powerset_lattice, sign_lattice,
+                       sign_transfer, standard_registry)
 from .parser import parse_clauses, parse_fact, pretty
 from .solver import SolveResult, solve
 from .randgen import random_program
@@ -38,9 +37,8 @@ __all__ = [
     "StratificationError", "UnsupportedInstanceError", "ValidationError",
     "EMPTY_INTERVAL", "FULL_INTERVAL", "FunctionRegistry", "IntervalValue",
     "Lattice", "interval", "interval_arithmetic", "interval_join",
-    "interval_lattice", "interval_leq", "interval_meet", "interval_inf",
-    "interval_sup", "powerset_lattice", "sign_lattice", "sign_transfer",
-    "standard_registry",
+    "interval_lattice", "interval_leq", "interval_meet", "powerset_lattice",
+    "sign_lattice", "sign_transfer", "standard_registry",
     "parse_clauses", "parse_fact", "pretty",
     "SolveResult", "solve",
     "random_program",

@@ -360,7 +360,7 @@ class _WFChecker:
             self.check_value(p.value, xs, ys, path, assertion=False)
             if isinstance(p, NegQuery) and self.program.lattice.complement is None:
                 self.fail(path, f"negative query on {p.pred} over lattice "
-                                f"{self.program.lattice.name!r} without complement")
+                                f"{self.program.lattice.kind!r} without complement")
         elif isinstance(p, Apply):
             if p.yvar not in ys:
                 self.fail(path, f"free lattice variable {p.yvar!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import analysis, oracle
@@ -21,7 +21,7 @@ from .errors import LatlogError, ValidationError
 from .lattices import render_atom
 from .parser import parse_clauses, parse_fact, pretty
 from .randgen import random_program
-from .solver import SolveResult, solve
+from .solver import solve
 
 
 @dataclass
@@ -38,35 +38,34 @@ def _prepare(program: Program) -> Program:
     return reorder_preconditions(validate(program))
 
 
-def _solve_program(program: Program, fact_texts=()) -> SolveResult:
-    overrides = []
+def _with_facts(program: Program, fact_texts) -> Program:
+    """The program with each ``--fact`` added in place of the file's facts of
+    the same predicate and tuple; validation then checks it as a file fact."""
+    if not fact_texts:
+        return program
+    overrides = {}
     for fact_text in fact_texts:
         fact = parse_fact("fact " + fact_text, program)
-        rank = program.ranks.get(fact.pred)
-        if rank != 0:
-            reason = (f"undeclared predicate {fact.pred}" if rank is None
-                      else f"{fact.pred} is asserted by a clause")
-            raise ValidationError(f"fact {fact.pred}: {reason}; facts may only "
-                                  "populate base relations")
-        unknown = [a for a in fact.atoms if a not in set(program.universe)]
-        if unknown:
-            raise ValidationError(f"fact override uses unknown atoms {unknown!r}")
-        overrides.append(fact)
-    return solve(program, overrides)
+        if fact.pred not in program.arities:
+            raise ValidationError(f"fact {fact.pred}: undeclared predicate {fact.pred}; "
+                                  "facts may only populate base relations")
+        overrides[(fact.pred, fact.atoms)] = fact
+    kept = tuple(f for f in program.facts if (f.pred, f.atoms) not in overrides)
+    return replace(program, facts=kept + tuple(overrides.values()))
 
 
-def _run_program(program: Program, start: float, fact_texts=()) -> RunReport:
+def _run_program(program: Program, start: float) -> RunReport:
     """Validate, reorder and solve a program; time the run from ``start``.
     Rebinding ``program`` frees the unreordered clauses before the solve."""
     program = _prepare(program)
-    result = _solve_program(program, fact_texts)
+    result = solve(program)
     return RunReport(lines=result.dump_lines(), counters=result.stats.as_dict(),
                      elapsed=time.perf_counter() - start)
 
 
 def run_solve(text: str, fact_texts=()) -> RunReport:
     start = time.perf_counter()
-    return _run_program(parse_clauses(text), start, fact_texts)
+    return _run_program(_with_facts(parse_clauses(text), fact_texts), start)
 
 
 def run_check(text: str) -> RunReport:
@@ -109,7 +108,7 @@ def leaf_diff(program: Program, got: dict, want: dict) -> list[str]:
 
 def run_compare(program: Program) -> RunReport:
     start = time.perf_counter()
-    result = _solve_program(program)
+    result = solve(program)
     reference = oracle.naive_fixpoint(program)
     diffs = leaf_diff(program, result.leaves(), reference.leaves())
     elapsed = time.perf_counter() - start
@@ -131,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--fact", action="append", default=[],
                          metavar="'R(a,b) = value'",
-                         help="override or add a base fact (repeatable)")
+                         help="replace or add a base fact, checked like a file fact (repeatable)")
     p_solve.add_argument("--stats", action="store_true")
 
     p_check = sub.add_parser("check", help="validate a clause file only")

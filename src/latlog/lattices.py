@@ -72,19 +72,9 @@ def interval(lo, hi) -> IntervalValue:
     return IntervalValue(_norm_endpoint(lo), _norm_endpoint(hi))
 
 
-def interval_inf(i: IntervalValue):
-    """Lower endpoint; +inf for the empty interval."""
-    return i.lo
-
-
-def interval_sup(i: IntervalValue):
-    """Upper endpoint; -inf for the empty interval."""
-    return i.hi
-
-
 def interval_leq(i1: IntervalValue, i2: IntervalValue) -> bool:
     """Containment ordering: i1 is inside i2."""
-    return interval_inf(i2) <= interval_inf(i1) and interval_sup(i1) <= interval_sup(i2)
+    return i2.lo <= i1.lo and i1.hi <= i2.hi
 
 
 def interval_join(i1: IntervalValue, i2: IntervalValue) -> IntervalValue:
@@ -141,7 +131,6 @@ class Lattice:
     be shared freely across threads.
     """
 
-    name: str
     kind: str
     bottom: Any
     top: Any
@@ -157,11 +146,6 @@ class Lattice:
     atoms: Optional[tuple] = None       # carrier of set-based lattices
     zvalues: Optional[range] = None     # integer grid zmin..zmax of the interval lattice
     make_interval: Optional[Callable[[Any, Any], IntervalValue]] = None
-
-    def nonbottom_elements(self) -> list:
-        if self.enumerate_elements is None:
-            raise LatticeError(f"lattice {self.name!r} is not enumerable")
-        return [v for v in self.enumerate_elements() if v != self.bottom]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +164,7 @@ def _set_render(carrier_order: dict) -> Callable[[frozenset], str]:
     return render
 
 
-def _build_set_lattice(name: str, kind: str, carrier: tuple,
+def _build_set_lattice(kind: str, carrier: tuple,
                        represent: Callable[[Atom], frozenset]) -> Lattice:
     top = frozenset(carrier)
     order = {a: i for i, a in enumerate(carrier)}
@@ -199,7 +183,6 @@ def _build_set_lattice(name: str, kind: str, carrier: tuple,
         return frozenset(a for a in carrier if rng.random() < 0.5)
 
     return Lattice(
-        name=name,
         kind=kind,
         bottom=frozenset(),
         top=top,
@@ -228,7 +211,7 @@ def powerset_lattice(universe) -> Lattice:
         return frozenset((a,))
 
     carrier_set = set(carrier)
-    return _build_set_lattice("powerset", "powerset", carrier, represent)
+    return _build_set_lattice("powerset", carrier, represent)
 
 
 def sign_of(n: int) -> str:
@@ -247,7 +230,7 @@ def sign_lattice() -> Lattice:
             return frozenset((sign_of(a),))
         return frozenset(SIGNS)
 
-    return _build_set_lattice("signs", "signs", SIGNS, represent)
+    return _build_set_lattice("signs", SIGNS, represent)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +293,6 @@ def interval_lattice(zmin: int, zmax: int) -> Lattice:
         return f"[{lo},{hi}]"
 
     return Lattice(
-        name="interval",
         kind="interval",
         bottom=EMPTY_INTERVAL,
         top=FULL_INTERVAL,
@@ -412,9 +394,6 @@ class FunctionRegistry:
         except KeyError:
             raise RegistryError(f"unknown function {name}/{arity}") from None
 
-    def apply(self, name: str, args: tuple):
-        return self.function(name, len(args))(*args)
-
     def names(self) -> list[tuple[str, int]]:
         return sorted(self._fns)
 
@@ -465,7 +444,7 @@ class FunctionRegistry:
         lat = self.lattice
         if lat.sample_element is None:
             raise RegistryError(
-                f"cannot validate {name}/{arity}: lattice {lat.name!r} has no "
+                f"cannot validate {name}/{arity}: lattice {lat.kind!r} has no "
                 "element sampler and is too large to enumerate")
         rng = random.Random(f"monotone:{name}/{arity}")
         extremes = [lat.bottom, lat.top]

@@ -18,7 +18,6 @@ from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY,
                   FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
                   PreOr, Program, Query, Repr, TrueClause, Var, YVar)
 from .errors import OracleSizeError, UnsupportedInstanceError
-from .solver import _merge_facts
 
 
 class Interpretation:
@@ -117,8 +116,8 @@ def _sigma_value(program: Program, env: dict, v):
     if isinstance(v, LitConst):
         return v.value
     if isinstance(v, FnApp):
-        return program.registry.apply(
-            v.name, tuple(_sigma_value(program, env, a) for a in v.args))
+        return program.registry.function(v.name, len(v.args))(
+            *[_sigma_value(program, env, a) for a in v.args])
     raise TypeError(f"not a lattice term: {v!r}")
 
 
@@ -126,9 +125,9 @@ def _nonbottom_elements(program: Program) -> list:
     lattice = program.lattice
     if lattice.enumerate_elements is None:
         raise UnsupportedInstanceError(
-            f"lattice {lattice.name!r} is not enumerable; quantification over "
+            f"lattice {lattice.kind!r} is not enumerable; quantification over "
             "lattice variables needs an element enumeration")
-    return lattice.nonbottom_elements()
+    return [v for v in lattice.enumerate_elements() if v != lattice.bottom]
 
 
 def satisfies_pre(program: Program, interp: Interpretation, env: dict, pre) -> bool:
@@ -140,7 +139,7 @@ def satisfies_pre(program: Program, interp: Interpretation, env: dict, pre) -> b
     if isinstance(pre, NegQuery):
         if lattice.complement is None:
             raise UnsupportedInstanceError(
-                f"negative query over lattice {lattice.name!r} without complement")
+                f"negative query over lattice {lattice.kind!r} without complement")
         have = interp.get(pre.pred, _sigma_args(env, pre.args))
         return lattice.leq(_sigma_value(program, env, pre.value),
                            lattice.complement(have))
@@ -182,16 +181,16 @@ def satisfies_clause(program: Program, interp: Interpretation, env: dict, cl) ->
     raise TypeError(f"not a clause: {cl!r}")
 
 
-def facts_interpretation(program: Program, fact_overrides=None) -> Interpretation:
+def facts_interpretation(program: Program) -> Interpretation:
     interp = Interpretation(program.lattice, program.arities)
-    for f in _merge_facts(program.facts, fact_overrides):
+    for f in program.facts:
         interp.join_in(f.pred, f.atoms, f.value)
     return interp
 
 
-def is_model(program: Program, interp: Interpretation, fact_overrides=None) -> bool:
+def is_model(program: Program, interp: Interpretation) -> bool:
     """Satisfies every stratum and lies above the base facts."""
-    base = facts_interpretation(program, fact_overrides)
+    base = facts_interpretation(program)
     for pred in program.arities:
         if not base.pred_leq(interp, pred):
             return False
@@ -239,10 +238,10 @@ def _collect_assertions(program: Program, interp: Interpretation, env: dict,
         raise TypeError(f"not a clause: {cl!r}")
 
 
-def naive_fixpoint(program: Program, fact_overrides=None) -> Interpretation:
+def naive_fixpoint(program: Program) -> Interpretation:
     """Stratum-wise Kleene iteration to the least model above the facts."""
     _guard_instance(program)
-    interp = facts_interpretation(program, fact_overrides)
+    interp = facts_interpretation(program)
     for cl in program.strata:
         changed = True
         while changed:
@@ -258,25 +257,27 @@ def naive_fixpoint(program: Program, fact_overrides=None) -> Interpretation:
 # --- model enumeration --------------------------------------------------------
 
 _MAX_MODEL_SPACE = 200_000
+_MAX_MODEL_UNIVERSE = 3
+_MAX_MODEL_ELEMENTS = 8
+_MAX_MODEL_PREDS = 2
+_MAX_MODEL_ARITY = 2
 
 
-def enumerate_models(program: Program, fact_overrides=None, *, max_universe: int = 3,
-                     max_elements: int = 8, max_preds: int = 2,
-                     max_arity: int = 2) -> list[Interpretation]:
+def enumerate_models(program: Program) -> list[Interpretation]:
     """All interpretations above the facts satisfying every stratum.
 
     Only meant for tiny instances; anything beyond the guards raises
     :class:`OracleSizeError`.
     """
     lattice = program.lattice
-    if len(program.universe) > max_universe:
-        raise OracleSizeError(f"universe larger than {max_universe} atoms")
-    if lattice.element_count is None or lattice.element_count > max_elements:
-        raise OracleSizeError(f"lattice larger than {max_elements} elements")
-    if len(program.arities) > max_preds:
-        raise OracleSizeError(f"more than {max_preds} predicates")
-    if any(k > max_arity for k in program.arities.values()):
-        raise OracleSizeError(f"predicate arity exceeds {max_arity}")
+    if len(program.universe) > _MAX_MODEL_UNIVERSE:
+        raise OracleSizeError(f"universe larger than {_MAX_MODEL_UNIVERSE} atoms")
+    if lattice.element_count is None or lattice.element_count > _MAX_MODEL_ELEMENTS:
+        raise OracleSizeError(f"lattice larger than {_MAX_MODEL_ELEMENTS} elements")
+    if len(program.arities) > _MAX_MODEL_PREDS:
+        raise OracleSizeError(f"more than {_MAX_MODEL_PREDS} predicates")
+    if any(k > _MAX_MODEL_ARITY for k in program.arities.values()):
+        raise OracleSizeError(f"predicate arity exceeds {_MAX_MODEL_ARITY}")
 
     elements = list(lattice.enumerate_elements())
     domains = {
@@ -296,7 +297,7 @@ def enumerate_models(program: Program, fact_overrides=None, *, max_universe: int
         interp = Interpretation(lattice, program.arities)
         for (pred, atoms), v in zip(slots, values):
             interp.set(pred, atoms, v)
-        if is_model(program, interp, fact_overrides):
+        if is_model(program, interp):
             models.append(interp)
     return models
 

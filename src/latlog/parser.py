@@ -388,14 +388,11 @@ class Parser:
         if tok.kind == "yvar":
             return ast.YVar(self._bound_yvar())
         if self.at("["):
-            # one bracketed term is a description; a comma makes it an interval
-            nxt, nxt2 = self.peek(1), self.peek(2)
-            is_literal = (
-                nxt.kind == "punct" and nxt.value == "-"
-                or (nxt.kind == "ident" and nxt.value == "inf")
-                or (nxt.kind == "int" and nxt2.kind == "punct" and nxt2.value == ",")
-            )
-            if is_literal:
+            # an interval literal starts with inf, -inf, or a signed integer
+            # and a comma; any other bracketed term is a description
+            i = 2 if self.peek(1).value == "-" else 1
+            first = self.peek(i)
+            if first.value == "inf" or (first.kind == "int" and self.peek(i + 1).value == ","):
                 return ast.LitConst(self._parse_interval_literal())
             self.advance()
             term = self._parse_term()

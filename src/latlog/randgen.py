@@ -15,6 +15,8 @@ from .errors import ValidationError
 from .lattices import powerset_lattice, standard_registry
 
 _ATOMS = ("a", "b", "c")
+_MAX_JOINT_MODEL_SPACE = 512  # model space of all of a program's predicates
+_MAX_ATTEMPTS = 50
 
 
 def _chain(node_type, first, *rest):
@@ -25,10 +27,9 @@ def _chain(node_type, first, *rest):
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, set_fragment: bool, max_model_space: int):
+    def __init__(self, rng: random.Random, set_fragment: bool):
         self.rng = rng
         self.set_fragment = set_fragment
-        self.max_model_space = max_model_space
         self.universe = _ATOMS[:rng.randint(1, 3)]
         self.lattice = powerset_lattice(self.universe)
         self.fresh = 0
@@ -84,9 +85,9 @@ class _Gen:
             cost = 1
             for a in existing + (k,):
                 cost *= size ** (len(self.universe) ** a)
-                if cost > self.max_model_space:
+                if cost > _MAX_JOINT_MODEL_SPACE:
                     break
-            if cost <= self.max_model_space:
+            if cost <= _MAX_JOINT_MODEL_SPACE:
                 return k
         return 0
 
@@ -195,12 +196,11 @@ class _Gen:
         return tuples
 
 
-def random_program(seed: int, *, set_fragment: bool = False,
-                   max_model_space: int = 512, max_attempts: int = 50) -> ast.Program:
+def random_program(seed: int, *, set_fragment: bool = False) -> ast.Program:
     """Deterministically generate one validated program for the given seed."""
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(f"latlog:{seed}:{attempt}")
-        gen = _Gen(rng, set_fragment, max_model_space)
+        gen = _Gen(rng, set_fragment)
         program = gen.build()
         try:
             ast.validate(program)

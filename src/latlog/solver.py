@@ -234,6 +234,9 @@ class _Compiler:
         self.atoms = range(len(self.universe))
         self.size = 0
         self.lattice_slots: set = set()
+        # id(parts) -> (parts, the names free in each parts[i:]); holding
+        # parts keeps its id from being reused while the compiler lives
+        self.suffix_names: dict = {}
 
     def slot(self, lattice: bool = False) -> int:
         s = self.size
@@ -284,7 +287,7 @@ class _Compiler:
             return conjunction
         if isinstance(cl, Imply):
             body = cl.body
-            return self.pre(cl.pre, scope, bound, (body,),
+            return self.pre(cl.pre, scope, bound, ((body,), 0, None),
                             lambda b: self.clause(body, scope, b) or (lambda env: None))
         if isinstance(cl, (ForallX, ForallY)):
             y = isinstance(cl, ForallY)
@@ -327,11 +330,12 @@ class _Compiler:
             return lambda env: fn(*[a(env) for a in args])
         raise SolverInvariantError(f"cannot evaluate lattice term {v!r}")
 
-    def pre(self, p, scope: dict, bound: frozenset, rest: tuple,
+    def pre(self, p, scope: dict, bound: frozenset, rest: Optional[tuple],
             kc: Callable[[frozenset], Step]) -> Step:
         """Step checking a precondition; each match runs ``kc(bound')``, the
         continuation compiled for the variables bound after the match.
-        ``rest`` holds the nodes after p, whose variables the continuation reads."""
+        ``rest`` is ``(parts, i, outer)``, the nodes after p whose variables
+        the continuation reads: ``parts[i:]``, then those of ``outer``."""
         if isinstance(p, Query):
             return self.query(p, scope, bound, kc)
         if isinstance(p, NegQuery):
@@ -339,10 +343,7 @@ class _Compiler:
         if isinstance(p, Apply):
             return self.apply(p, scope, bound, kc)
         if isinstance(p, PreAnd):
-            tail = p.parts[1:]
-            later = tail[0] if len(tail) == 1 else PreAnd(tail)
-            return self.pre(p.parts[0], scope, bound, tail + rest,
-                            lambda b: self.pre(later, scope, b, rest, kc))
+            return self.conjunction(p.parts, 0, scope, bound, rest, kc)
         memo = self.slot()
         if isinstance(p, PreOr):
             kc = self.memo(memo, scope, rest, kc)
@@ -362,11 +363,34 @@ class _Compiler:
                 branch(env)
         return memoized
 
-    def memo(self, memo: int, scope: dict, rest: tuple, kc):
+    def conjunction(self, parts: tuple, i: int, scope: dict, bound: frozenset,
+                    rest: Optional[tuple], kc) -> Step:
+        """Step checking ``parts[i:]`` in order."""
+        if i == len(parts) - 1:
+            return self.pre(parts[i], scope, bound, rest, kc)
+        return self.pre(parts[i], scope, bound, (parts, i + 1, rest),
+                        lambda b: self.conjunction(parts, i + 1, scope, b, rest, kc))
+
+    def reads(self, rest: Optional[tuple]) -> frozenset:
+        """Names free in the nodes of ``rest``; each parts tuple's suffixes
+        are computed once, on first use."""
+        names = frozenset()
+        while rest is not None:
+            parts, i, rest = rest
+            entry = self.suffix_names.get(id(parts))
+            if entry is None:
+                suffixes = [frozenset()]
+                for node in reversed(parts):
+                    suffixes.append(suffixes[-1] | ast.free_names(node))
+                entry = self.suffix_names[id(parts)] = (parts, suffixes[::-1])
+            names |= entry[1][i]
+        return names
+
+    def memo(self, memo: int, scope: dict, rest: Optional[tuple], kc):
         """``kc`` behind a filter that passes each binding of the variables of
         ``rest``, with the lower bounds of its lattice variables, once per entry."""
         compiled: dict = {}
-        needed = sorted(frozenset().union(*map(ast.free_names, rest)))
+        needed = sorted(self.reads(rest))
 
         def memo_kc(bound):
             if bound not in compiled:
@@ -560,9 +584,6 @@ class SolveResult:
     table: AtomTable
     stats: SolveStats
 
-    def value(self, pred: str, atoms: tuple):
-        return self.store.current(pred, self.table.ids(atoms))
-
     def leaves(self) -> dict:
         """{pred: {atom tuple: value}} with bottom leaves absent."""
         return {
@@ -593,25 +614,16 @@ class SolveResult:
         return lines
 
 
-def solve(program: Program, fact_overrides=None) -> SolveResult:
+def solve(program: Program) -> SolveResult:
     """Compute the least model of a validated program above its facts."""
     if program.ranks is None:
         ast.validate(program)
     stats = SolveStats()
     engine = _Engine(program, stats)
     try:
-        engine.run(_merge_facts(program.facts, fact_overrides))
+        engine.run(program.facts)
     finally:
         # consumers and their continuations refer to each other; drop them
         engine.infl.clear()
         engine.pending.clear()
     return SolveResult(program, engine.store, engine.table, stats)
-
-
-def _merge_facts(facts, overrides) -> tuple:
-    if not overrides:
-        return tuple(facts)
-    merged = {(f.pred, f.atoms): f for f in facts}
-    for f in overrides:
-        merged[(f.pred, f.atoms)] = f
-    return tuple(merged.values())

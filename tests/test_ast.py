@@ -8,6 +8,7 @@ from latlog.ast import (Apply, Assert, ClauseAnd, Const, FnApp,
                         PreOr, Query, Repr, TrueClause, Var, YVar,
                         check_well_formed, compute_ranks,
                         reorder_preconditions, validate)
+from latlog.cli import run_solve
 from latlog.errors import ParseError, StratificationError, ValidationError
 from latlog.lattices import interval_lattice, powerset_lattice, standard_registry
 from latlog.parser import parse_clauses, parse_fact, pretty
@@ -163,6 +164,24 @@ def test_parse_interval_literals_and_descriptions():
     assert flat[3].value == Repr(Const(1))
 
 
+@pytest.mark.parametrize("lattice, dump", [
+    ("powerset {-1,a}", "R(-1) = {-1}"),
+    ("interval zmin=-2 zmax=2", "R(-1) = [-1,-1]"),
+])
+def test_parse_description_of_a_negative_atom(lattice, dump):
+    assert run_solve(f"lattice {lattice}\nclause R(-1;[-1])").lines == [dump]
+
+
+def test_parse_signed_first_endpoint_and_comma_make_an_interval_literal():
+    lat = interval_lattice(-2, 2)
+    p = parse_clauses("lattice interval zmin=-2 zmax=2\n"
+                      "clause R(a;[-2,2]) & R(b;[-inf,0]) & R(c;[-1])")
+    assert [c.value for c in p.strata[0].parts] == [
+        LitConst(lat.make_interval(-2, 2)),
+        LitConst(lat.make_interval(float("-inf"), 0)),
+        Repr(Const(-1))]
+
+
 def test_parse_sign_set_literals():
     p = parse_clauses("lattice signs\nfact R(q) = {-,0}\nfact S(q) = {+}")
     assert p.facts[0].value == frozenset(("-", "0"))
@@ -282,6 +301,14 @@ def test_roundtrip_renamed_binder_captures_no_constant():
     assert p1.strata[0].parts[1].body.args[0] == Const("x_2")
     p2 = parse_clauses(pretty(p1))
     assert helpers.program_fingerprint(p1) == helpers.program_fingerprint(p2)
+
+
+def test_roundtrip_description_of_a_negative_atom():
+    lat = powerset_lattice((-1, "a"))
+    clause = Assert("R", (Const(-1),), Repr(Const(-1)))
+    program = ast.Program(lattice=lat, registry=standard_registry(lat),
+                          strata=(clause,), arities={"R": 1}, universe=(-1, "a"))
+    assert parse_clauses(pretty(program)).strata == (clause,)
 
 
 def test_roundtrip_interval_program():

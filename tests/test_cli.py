@@ -73,6 +73,21 @@ def test_solve_fact_override_must_name_a_base_relation(fact, reason, capsys):
         f"error: fact {fact[0]}: {reason}; facts may only populate base relations"]
 
 
+def test_solve_fact_override_is_checked_like_a_file_fact(capsys):
+    code, out, err = run(capsys, "solve", spath("facts_only.lat"),
+                         "--fact", "R(z,a) = {a}")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: fact R: unknown atom 'z'"]
+
+
+def test_solve_fact_override_keeps_the_join_of_other_repeated_facts(tmp_path, capsys):
+    path = tmp_path / "repeated.lat"
+    path.write_text("lattice powerset {a,b,c}\nrel R/2\n"
+                    "fact R(a,b) = {a}\nfact R(a,b) = {b}\n")
+    code, out, _ = run(capsys, "solve", str(path), "--fact", "R(b,c) = {a}")
+    assert (code, out.splitlines()) == (0, ["R(a,b) = {a,b}", "R(b,c) = {a}"])
+
+
 def test_solve_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "no_such_file.lat")
     assert code == 2

@@ -13,9 +13,9 @@ from latlog.cli import run_analyze
 from latlog.errors import LatticeError, MonotonicityError, RegistryError
 from latlog.lattices import (EMPTY_INTERVAL, FULL_INTERVAL, NEG_INF, POS_INF,
                              FunctionRegistry, IntervalValue, interval,
-                             interval_arithmetic, interval_inf, interval_join,
+                             interval_arithmetic, interval_join,
                              interval_lattice, interval_leq, interval_meet,
-                             interval_sup, powerset_lattice, SIGNS, sign_lattice,
+                             powerset_lattice, SIGNS, sign_lattice,
                              sign_transfer, standard_registry, EXHAUSTIVE_LIMIT,
                              _xmul)
 from latlog.parser import parse_clauses
@@ -38,20 +38,20 @@ def all_intervals(lat):
 
 
 def test_inf_of_empty_is_plus_infinity():
-    assert interval_inf(EMPTY_INTERVAL) == POS_INF
+    assert EMPTY_INTERVAL.lo == POS_INF
 
 
 def test_sup_of_empty_is_minus_infinity():
-    assert interval_sup(EMPTY_INTERVAL) == NEG_INF
+    assert EMPTY_INTERVAL.hi == NEG_INF
 
 
 def test_inf_sup_of_bounded_interval():
-    assert interval_inf(interval(1, 2)) == 1
-    assert interval_sup(interval(1, 2)) == 2
+    assert interval(1, 2).lo == 1
+    assert interval(1, 2).hi == 2
 
 
 def test_inf_of_left_unbounded():
-    assert interval_inf(interval(NEG_INF, 5)) == NEG_INF
+    assert interval(NEG_INF, 5).lo == NEG_INF
 
 
 # --- ordering -------------------------------------------------------------------
@@ -291,7 +291,7 @@ def test_register_monotone_function():
     lat = powerset_lattice(("a", "b"))
     reg = FunctionRegistry(lat)
     reg.register("u_join", 2, frozenset.union)
-    assert reg.apply("u_join", (frozenset("a"), frozenset("b"))) == \
+    assert reg.function("u_join", 2)(frozenset("a"), frozenset("b")) == \
         frozenset(("a", "b"))
 
 
@@ -299,7 +299,7 @@ def test_register_constant_function():
     lat = powerset_lattice(("a",))
     reg = FunctionRegistry(lat)
     reg.register("all", 0, lambda: lat.top)
-    assert reg.apply("all", ()) == lat.top
+    assert reg.function("all", 0)() == lat.top
 
 
 def test_reject_anti_monotone_function():
@@ -421,7 +421,7 @@ def test_reject_duplicate_registration():
 def test_unknown_function_application():
     reg = FunctionRegistry(powerset_lattice(("a",)))
     with pytest.raises(RegistryError):
-        reg.apply("nope", (frozenset(),))
+        reg.function("nope", 1)
 
 
 def test_sign_transfer_tables_match_brute_force():
