@@ -45,7 +45,7 @@ def _with_facts(program: Program, fact_texts) -> Program:
         return program
     overrides = {}
     for fact_text in fact_texts:
-        fact = parse_fact("fact " + fact_text, program)
+        fact = parse_fact(fact_text, program)
         if fact.pred not in program.arities:
             raise ValidationError(f"fact {fact.pred}: undeclared predicate {fact.pred}; "
                                   "facts may only populate base relations")

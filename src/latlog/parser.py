@@ -151,7 +151,7 @@ class Parser:
                 self._parse_rel_decl()
             elif self.at("fun"):
                 self._parse_fun_decl()
-            elif self.at("fact"):
+            elif self.eat("fact"):
                 self._parse_fact()
             elif self.at("clause"):
                 self._parse_clause_item()
@@ -241,7 +241,7 @@ class Parser:
         self.declared_funs.append((name, arity))
 
     def _parse_fact(self):
-        self.expect("fact")
+        """``P(a1, ..., an) = l``, the text after the ``fact`` keyword."""
         tok = self.peek()
         pred = self.expect_kind("ident").value
         self.expect("(")
@@ -537,7 +537,8 @@ def parse_clauses(text: str, extra_functions=None) -> ast.Program:
 
 
 def parse_fact(text: str, program: ast.Program) -> ast.Fact:
-    """Parse one fact written in clause-file syntax against an existing program."""
+    """Parse one fact against an existing program, written as in a clause
+    file but without the ``fact`` keyword: ``P(a1, ..., an) = l``."""
     parser = Parser(text)
     parser.lattice = program.lattice
     parser.registry = program.registry

@@ -8,7 +8,7 @@ disjunction or existential memo and an evaluator per lattice term; a clause
 conjunction becomes a flat tuple of steps.  Running joins assertion
 candidates into per-predicate prefix trees over atom ids and queues each
 strict growth with the consumers registered under a matching prefix so far;
-one loop delivers the queue, newest first, so deliveries never nest, and
+one loop delivers the queue, oldest first, so deliveries never nest, and
 stops delivering a leaf once a later growth has replaced it.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
@@ -21,6 +21,7 @@ are independent, and a finished result is safe to share.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -536,20 +537,20 @@ class _Engine:
         self.stats = stats
         self.store = ResultStore(self.lattice, program.arities, program.ranks, stats)
         self.infl = ConsumerStore()
-        self.pending: list = []
+        self.pending: deque = deque()
 
     def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
         """Queue a growth with the consumers registered for it so far."""
         self.pending.append((pred, self.infl.matching(pred, ids), ids, leaf))
 
     def _drain(self) -> None:
-        """Deliver queued growths, newest first, until none is left.  A leaf
+        """Deliver queued growths, oldest first, until none is left.  A leaf
         that is no longer the stored one is delivered no further: the growth
         that replaced it queued the larger leaf for a superset of the same
         consumers, and matching is monotone in the value."""
         pending, tree = self.pending, self.store.tree
         while pending:
-            pred, consumers, ids, leaf = pending.pop()
+            pred, consumers, ids, leaf = pending.popleft()
             get = tree(pred).get
             for consumer in consumers:
                 if get(ids) is not leaf:

@@ -269,10 +269,10 @@ def test_pretty_prints_chains_as_written(text):
 
 def test_parse_fact_override_text():
     program = validate(parse_clauses(helpers.sample("facts_only.lat")))
-    fact = parse_fact("fact R(a,b) = {a}", program)
+    fact = parse_fact("R(a,b) = {a}", program)
     assert fact == ast.Fact("R", ("a", "b"), frozenset("a"))
     with pytest.raises(ParseError, match="arity mismatch"):
-        parse_fact("fact R(a) = {a}", program)
+        parse_fact("R(a) = {a}", program)
 
 
 # --- pretty-printing round trips --------------------------------------------------

@@ -80,6 +80,12 @@ def test_solve_fact_override_is_checked_like_a_file_fact(capsys):
     assert err.splitlines() == ["error: fact R: unknown atom 'z'"]
 
 
+def test_solve_fact_override_parse_error_reports_its_own_column(capsys):
+    code, out, err = run(capsys, "solve", spath("eq_neq.lat"), "--fact", "E(a,b) = {a}")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: 1:1: arity mismatch for E: 2 vs declared 1"]
+
+
 def test_solve_fact_override_keeps_the_join_of_other_repeated_facts(tmp_path, capsys):
     path = tmp_path / "repeated.lat"
     path.write_text("lattice powerset {a,b,c}\nrel R/2\n"
