@@ -10,8 +10,7 @@ sign and interval analyses generated from program graphs.
 from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY, Fact,
                   FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
                   PreOr, Program, Query, Repr, TrueClause, Var, YVar,
-                  check_well_formed, compute_ranks, reorder_preconditions,
-                  validate)
+                  compute_ranks, reorder_preconditions, validate)
 from .errors import (LatlogError, LatticeError, MonotonicityError,
                      OracleSizeError, ParseError, RegistryError,
                      SolverInvariantError, StratificationError,
@@ -31,7 +30,7 @@ __all__ = [
     "Apply", "Assert", "ClauseAnd", "Const", "ExistsX", "ExistsY", "Fact",
     "FnApp", "ForallX", "ForallY", "Imply", "LitConst", "NegQuery", "PreAnd",
     "PreOr", "Program", "Query", "Repr", "TrueClause", "Var", "YVar",
-    "check_well_formed", "compute_ranks", "reorder_preconditions", "validate",
+    "compute_ranks", "reorder_preconditions", "validate",
     "LatlogError", "LatticeError", "MonotonicityError", "OracleSizeError",
     "ParseError", "RegistryError", "SolverInvariantError",
     "StratificationError", "UnsupportedInstanceError", "ValidationError",

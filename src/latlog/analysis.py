@@ -23,17 +23,7 @@ from .parser import _RESERVED, pretty
 _RESERVED_GRAPH = {"state", "initial", "var", "skip", "test"}
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-
-
-Operand = Union[IntLit, VarRef]
+Operand = Union[int, str]  # an integer literal or a variable name
 
 
 @dataclass(frozen=True)
@@ -89,10 +79,10 @@ _EDGE_RE = re.compile(r"^\s*(?P<src>\w+)\s*->\s*(?P<dst>\w+)\s*:\s*(?P<act>.*)$"
 
 def _operand(text: str, variables, lineno: int) -> Operand:
     if re.fullmatch(r"-?\d+", text):
-        return IntLit(int(text))
+        return int(text)
     if text not in variables:
         raise ParseError(f"unknown variable {text!r}", lineno, 1)
-    return VarRef(text)
+    return text
 
 
 def parse_program_graph(text: str) -> ProgramGraph:
@@ -175,7 +165,7 @@ def int_literals(graph: ProgramGraph) -> set[int]:
         if not isinstance(a, Assign):
             continue
         ops = (a.rhs.left, a.rhs.right) if isinstance(a.rhs, BinOp) else (a.rhs,)
-        out.update(o.value for o in ops if isinstance(o, IntLit))
+        out.update(o for o in ops if isinstance(o, int))
     return out
 
 
@@ -227,17 +217,17 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
     def assign(edge: Edge, target: str, rhs) -> ast.Clause:
         if not isinstance(rhs, BinOp):
             y = ast.YVar(fresh("'i"))
-            if isinstance(rhs, VarRef):
-                return rule(edge, [(rhs.name, y)], target, y)
+            if isinstance(rhs, str):
+                return rule(edge, [(rhs, y)], target, y)
             return rule(edge, [(target, y)], target,
-                        ast.LitConst(lattice.represent(rhs.value)))
+                        ast.LitConst(lattice.represent(rhs)))
         reads, terms = [], []
         for base, o in (("'il", rhs.left), ("'ir", rhs.right)):
-            if isinstance(o, VarRef):
-                reads.append((o.name, ast.YVar(fresh(base))))
+            if isinstance(o, str):
+                reads.append((o, ast.YVar(fresh(base))))
                 terms.append(reads[-1][1])
             else:
-                terms.append(ast.LitConst(lattice.represent(o.value)))
+                terms.append(ast.LitConst(lattice.represent(o)))
         value = ast.FnApp(prefix + _OP_NAME[rhs.op], tuple(terms))
         funs.add(value.name)
         return rule(edge, reads or [(target, ast.YVar(fresh("'ig")))], target, value)

@@ -409,8 +409,10 @@ class _WFChecker:
 
 
 def _checked_uses(program: Program) -> list:
-    """The walk behind :func:`check_well_formed`; returns, per stratum, the
-    predicates it asserts, queries and negatively queries."""
+    """Check closedness, occurrence discipline, arities and negation use,
+    raising one :class:`ValidationError` that lists every violation with its
+    clause path; returns, per stratum, the predicates it asserts, queries and
+    negatively queries."""
     if not program.universe:
         raise ValidationError("empty universe: no atoms declared or mentioned")
     checker = _WFChecker(program)
@@ -432,22 +434,12 @@ def _checked_uses(program: Program) -> list:
     return checker.uses
 
 
-def check_well_formed(program: Program) -> Program:
-    """Validate closedness, occurrence discipline, arities, and negation use.
-
-    Raises :class:`ValidationError` listing every violation with its clause
-    path; returns the program unchanged when valid.
-    """
-    _checked_uses(program)
-    return program
-
-
 # --- stratification ---------------------------------------------------------
 
 
 def compute_ranks(program: Program) -> dict:
-    """Check the program as :func:`check_well_formed` does, then assign each
-    predicate its stratum and validate the query side conditions.
+    """Check the program's well-formedness (:func:`_checked_uses`), then
+    assign each predicate its stratum and validate the query side conditions.
 
     An ill-formed program raises that :class:`ValidationError`.  A predicate
     asserted in stratum i gets rank i; predicates never asserted are base

@@ -2,9 +2,9 @@
 
 Dumps go to stdout (one ``R(a,...) = value`` line per non-bottom leaf, in
 deterministic order); errors and ``--stats`` output go to stderr.
-Exit codes: 0 success, 1 validation or comparison failure or input that
+Exit codes: 0 success, 1 validation or comparison failure, input that
 nests too deeply (deeply parenthesized text, or a precondition conjunction
-of a few hundred parts), 2 usage or I/O.
+of a few hundred parts) or running out of memory, 2 usage or I/O.
 """
 
 from __future__ import annotations
@@ -196,6 +196,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nests too deeply (Python recursion limit "
               f"{sys.getrecursionlimit()} exceeded)", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     _emit(report, getattr(args, "stats", False))
     return 0 if report.ok else 1

@@ -192,13 +192,14 @@ _COVERED_KINDS = {
 
 def run_case(case: Case) -> bool:
     from latlog import oracle
+    import reference_semantics as semantics
 
     interp = oracle.Interpretation(PROGRAM.lattice, PROGRAM.arities, case.leaves)
     if case.kind == "pre":
         return oracle.satisfies_pre(PROGRAM, interp, dict(case.env), case.node)
     if case.kind == "clause":
-        return oracle.satisfies_clause(PROGRAM, interp, dict(case.env), case.node)
-    return all(oracle.satisfies_clause(PROGRAM, interp, dict(case.env), cl)
+        return semantics.satisfies_clause(PROGRAM, interp, dict(case.env), case.node)
+    return all(semantics.satisfies_clause(PROGRAM, interp, dict(case.env), cl)
                for cl in case.node)
 
 

@@ -17,7 +17,7 @@ from itertools import product
 from pathlib import Path
 
 from latlog import ast
-from latlog.analysis import Assign, BinOp, BoolTest, IntLit, Operand, ProgramGraph
+from latlog.analysis import Assign, BinOp, BoolTest, Operand, ProgramGraph
 from latlog.lattices import IntervalValue, sign_of
 from latlog.parser import parse_clauses
 from latlog.solver import ConsumerStore, ResultStore, solve
@@ -303,7 +303,7 @@ _ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a 
 
 
 def _eval_operand(o: Operand, store: dict) -> int:
-    return o.value if isinstance(o, IntLit) else store[o.name]
+    return o if isinstance(o, int) else store[o]
 
 
 def concrete_reachable(graph: ProgramGraph, initial_store: dict,

@@ -24,6 +24,7 @@ from latlog.solver import SolveStats, _Engine, solve
 
 import cases_semantics
 import helpers
+import reference_semantics as semantics
 
 
 @contextmanager
@@ -46,24 +47,24 @@ def test_criterion_1_moore_family_suite():
         for seed in range(100):
             program = random_program(seed)
             result = solve_program(program)
-            got = oracle.from_leaves(program, result.leaves())
+            got = semantics.from_leaves(program, result.leaves())
             # (a) the solver output satisfies every clause above the facts
-            assert oracle.is_model(program, got), f"seed {seed}: not a model"
+            assert semantics.is_model(program, got), f"seed {seed}: not a model"
             # (b) it equals the naive fixpoint exactly
             assert got == oracle.naive_fixpoint(program), f"seed {seed}: != naive"
             # (c) sampled model subsets are glb-closed and the output is least
-            models = oracle.enumerate_models(program)
+            models = semantics.enumerate_models(program)
             assert got in models, f"seed {seed}: output not enumerated"
-            assert oracle.glb_interpretations(program, models) == got, \
+            assert semantics.glb_interpretations(program, models) == got, \
                 f"seed {seed}: output is not the glb of all models"
             rng = random.Random(seed)
             for _ in range(10):
                 subset = rng.sample(models, rng.randint(1, len(models)))
-                glb = oracle.glb_interpretations(program, subset)
-                assert oracle.is_model(program, glb), \
+                glb = semantics.glb_interpretations(program, subset)
+                assert semantics.is_model(program, glb), \
                     f"seed {seed}: glb of a model subset is not a model"
             for m in models:
-                assert oracle.lex_leq(program, got, m), \
+                assert semantics.lex_leq(program, got, m), \
                     f"seed {seed}: output not below an enumerated model"
         elapsed = time.perf_counter() - start
         print(f"  (100 instances in {elapsed:.1f}s)")
@@ -93,8 +94,7 @@ def test_criterion_3_equality_inequality_regression():
             "E": {(a,): frozenset(a) for a in "abc"},
             "N": {(a,): frozenset(set("abc") - {a}) for a in "abc"},
         }
-        program = ast.check_well_formed(parse_clauses(
-            helpers.sample("nonstratified.lat")))
+        program = parse_clauses(helpers.sample("nonstratified.lat"))
         with pytest.raises(StratificationError):
             ast.compute_ranks(program)
 
@@ -113,7 +113,7 @@ def test_criterion_4_interval_analysis():
         reference = oracle.naive_fixpoint(program)
         assert reference.get("A", ("q1", "x")) == mk(0, inf)
         assert reference.get("A", ("q3", "x")) == mk(0, inf)
-        assert oracle.from_leaves(program, result.leaves()) == reference
+        assert semantics.from_leaves(program, result.leaves()) == reference
 
         for name in ("loop.graph", "countdown.graph", "sums.graph",
                      "products.graph", "branch.graph"):
@@ -152,7 +152,7 @@ def test_criterion_6_set_based_correspondence():
         for seed in range(50):
             program = random_program(seed, set_fragment=True)
             result = solve_program(program)
-            diffs = oracle.correspondence_diff(program, result.leaves())
+            diffs = semantics.correspondence_diff(program, result.leaves())
             assert diffs == [], f"seed {seed}: {diffs[:3]}"
 
 

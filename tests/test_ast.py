@@ -6,8 +6,7 @@ from latlog import ast
 from latlog.ast import (Apply, Assert, ClauseAnd, Const, FnApp,
                         ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
                         PreOr, Query, Repr, TrueClause, Var, YVar,
-                        check_well_formed, compute_ranks,
-                        reorder_preconditions, validate)
+                        compute_ranks, reorder_preconditions, validate)
 from latlog.cli import run_solve
 from latlog.errors import ParseError, StratificationError, ValidationError
 from latlog.lattices import interval_lattice, powerset_lattice, standard_registry
@@ -328,7 +327,7 @@ def test_roundtrip_interval_program():
 def test_free_variable_rejected():
     program = powerset_program([Assert("E", (Var("x"),), Repr(Var("x")))])
     with pytest.raises(ValidationError, match="free variable"):
-        check_well_formed(program)
+        validate(program)
 
 
 def test_validation_paths_index_the_parts():
@@ -338,7 +337,7 @@ def test_validation_paths_index_the_parts():
     pre = PreOr((ok_q, PreAnd((ok_q, bad_q))))
     program = powerset_program([ClauseAnd((ok, ok, Imply(pre, ok)))])
     with pytest.raises(ValidationError) as err:
-        check_well_formed(program)
+        validate(program)
     assert str(err.value) == "stratum 1/and.3/pre/or.2/and.2: free variable 'x'"
 
 
@@ -348,7 +347,7 @@ def test_fnapp_in_query_rejected_programmatically():
         [ForallX("x", ForallY("'Y", Imply(pre, Assert("S", (Var("x"),), YVar("'Y")))))])
     program.registry.register("u_join", 2, frozenset.union)
     with pytest.raises(ValidationError, match="only allowed in assertions"):
-        check_well_formed(program)
+        validate(program)
 
 
 def test_negation_requires_complement():
@@ -367,7 +366,7 @@ def test_bottom_constant_in_query_rejected():
 def test_unknown_atom_in_programmatic_ast():
     program = powerset_program([Assert("E", (Const("z"),), LitConst(frozenset("a")))])
     with pytest.raises(ValidationError, match="unknown atom"):
-        check_well_formed(program)
+        validate(program)
 
 
 def test_fact_for_asserted_predicate_rejected():
@@ -375,14 +374,14 @@ def test_fact_for_asserted_predicate_rejected():
         [Assert("E", (Const("a"),), LitConst(frozenset("a")))],
         facts=[ast.Fact("E", ("a",), frozenset("b"))])
     with pytest.raises(ValidationError, match="base relations"):
-        check_well_formed(program)
+        validate(program)
 
 
 def test_shadowing_rejected_programmatically():
     program = powerset_program(
         [ForallX("x", ForallX("x", Assert("E", (Var("x"),), Repr(Var("x")))))])
     with pytest.raises(ValidationError, match="shadowed"):
-        check_well_formed(program)
+        validate(program)
 
 
 def test_empty_universe_rejected():
@@ -400,34 +399,34 @@ def test_eq_neq_sample_accepted():
 
 
 def test_ranks_eq_neq():
-    program = check_well_formed(parse_clauses(helpers.sample("eq_neq.lat")))
+    program = parse_clauses(helpers.sample("eq_neq.lat"))
     assert compute_ranks(program) == {"E": 1, "N": 2}
 
 
 def test_negative_cycle_rejected():
-    program = check_well_formed(parse_clauses(helpers.sample("nonstratified.lat")))
+    program = parse_clauses(helpers.sample("nonstratified.lat"))
     with pytest.raises(StratificationError):
         compute_ranks(program)
 
 
 def test_positive_self_recursion_allowed():
-    program = check_well_formed(parse_clauses(
+    program = parse_clauses(
         "lattice powerset {a}\n"
-        "clause forall x. forall 'Y. R(x;'Y) => R(x;'Y)"))
+        "clause forall x. forall 'Y. R(x;'Y) => R(x;'Y)")
     assert compute_ranks(program) == {"R": 1}
 
 
 def test_assertion_in_two_strata_rejected():
-    program = check_well_formed(parse_clauses(
-        "lattice powerset {a}\nclause R(a;[a]), R(a;top)"))
+    program = parse_clauses(
+        "lattice powerset {a}\nclause R(a;[a]), R(a;top)")
     with pytest.raises(StratificationError, match="asserted in strata"):
         compute_ranks(program)
 
 
 def test_negative_query_of_same_stratum_rejected():
-    program = check_well_formed(parse_clauses(
+    program = parse_clauses(
         "lattice powerset {a}\n"
-        "clause forall x. forall 'Y. !R(x;'Y) => R(x;'Y)"))
+        "clause forall x. forall 'Y. !R(x;'Y) => R(x;'Y)")
     with pytest.raises(StratificationError):
         compute_ranks(program)
 

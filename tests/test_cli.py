@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from latlog import parser
+from latlog import cli, parser
 from latlog.ast import validate, reorder_preconditions
 from latlog.cli import leaf_diff, main, run_analyze, run_compare
 from latlog.parser import parse_clauses
@@ -261,6 +261,14 @@ def test_solve_too_deep_input_is_one_error_line(tmp_path, capsys, default_recurs
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: input nests too deeply (")
+
+
+def test_solve_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(text, fact_texts=()):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_solve", exhausted)
+    assert run(capsys, "solve", spath("eq_neq.lat")) == (1, "", "error: out of memory\n")
 
 
 def test_solve_long_chain_at_default_recursion_limit(tmp_path, capsys,

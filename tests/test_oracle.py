@@ -15,6 +15,7 @@ from latlog.solver import solve
 
 import helpers
 import cases_semantics
+import reference_semantics as semantics
 
 
 # --- the hand-written conformance table -------------------------------------------
@@ -59,7 +60,7 @@ def test_satisfies_negquery_via_complement():
 
 def test_satisfies_unit_clause():
     program, interp = ctx2()
-    assert oracle.satisfies_clause(program, interp, {}, ast.TrueClause())
+    assert semantics.satisfies_clause(program, interp, {}, ast.TrueClause())
 
 
 def test_existential_lattice_quantifier_needs_enumeration():
@@ -83,7 +84,7 @@ def test_naive_fixpoint_eq_neq():
         "E": {("a",): frozenset("a"), ("b",): frozenset("b")},
         "N": {("a",): frozenset("b"), ("b",): frozenset("a")},
     }
-    assert oracle.is_model(program, got)
+    assert semantics.is_model(program, got)
 
 
 def test_naive_fixpoint_facts_only():
@@ -114,7 +115,7 @@ def test_naive_fixpoint_guard_on_large_universe():
 def test_models_contain_fixpoint_and_top():
     for seed in range(12):
         program = random_program(seed)
-        models = oracle.enumerate_models(program)
+        models = semantics.enumerate_models(program)
         fix = oracle.naive_fixpoint(program)
         assert fix in models, f"seed {seed}"
         top = oracle.Interpretation(program.lattice, program.arities)
@@ -127,7 +128,7 @@ def test_models_contain_fixpoint_and_top():
 def test_models_of_single_constant_assertion():
     program = validate(parse_clauses(
         "lattice powerset {a,b}\nrel R/1\nclause R(a;{a})"))
-    models = oracle.enumerate_models(program)
+    models = semantics.enumerate_models(program)
     elements = list(program.lattice.enumerate_elements())
     expected = 0
     for va in elements:
@@ -142,7 +143,7 @@ def test_enumeration_guard():
     program = validate(parse_clauses(
         "lattice powerset {a,b,c}\nrel R/2\nrel S/2\nclause R(a,a;{a}) & S(a,a;{a})"))
     with pytest.raises(OracleSizeError):
-        oracle.enumerate_models(program)
+        semantics.enumerate_models(program)
 
 
 # --- staged glb -------------------------------------------------------------------------
@@ -151,8 +152,8 @@ def test_enumeration_guard():
 def test_glb_single_stratum_is_pointwise_meet():
     program = validate(parse_clauses(
         "lattice powerset {a,b}\nrel R/1\nclause R(a;{a})"))
-    models = oracle.enumerate_models(program)
-    glb = oracle.glb_interpretations(program, models)
+    models = semantics.enumerate_models(program)
+    glb = semantics.glb_interpretations(program, models)
     for atoms in helpers.all_tuples(program.universe, 1):
         meet = program.lattice.top
         for m in models:
@@ -163,7 +164,7 @@ def test_glb_single_stratum_is_pointwise_meet():
 def test_glb_of_singleton_is_identity():
     program = random_program(3)
     fix = oracle.naive_fixpoint(program)
-    assert oracle.glb_interpretations(program, [fix]) == fix
+    assert semantics.glb_interpretations(program, [fix]) == fix
 
 
 def test_staged_glb_differs_from_pointwise_meet():
@@ -177,24 +178,24 @@ def test_staged_glb_differs_from_pointwise_meet():
         "Q": {("a",): frozenset("a")}, "P": {("a",): frozenset("b")}})
     m2 = oracle.Interpretation(program.lattice, program.arities, {
         "Q": {("a",): frozenset(("a", "b"))}})
-    assert oracle.is_model(program, m1) and oracle.is_model(program, m2)
+    assert semantics.is_model(program, m1) and semantics.is_model(program, m2)
     pointwise = oracle.Interpretation(program.lattice, program.arities, {
         "Q": {("a",): frozenset("a")}})
-    assert not oracle.is_model(program, pointwise)
-    staged = oracle.glb_interpretations(program, [m1, m2])
+    assert not semantics.is_model(program, pointwise)
+    staged = semantics.glb_interpretations(program, [m1, m2])
     assert staged == m1
-    assert oracle.is_model(program, staged)
+    assert semantics.is_model(program, staged)
 
 
 def test_glb_over_sampled_model_subsets_is_model():
     rng = random.Random(7)
     for seed in range(10):
         program = random_program(seed)
-        models = oracle.enumerate_models(program)
+        models = semantics.enumerate_models(program)
         for _ in range(5):
             subset = rng.sample(models, rng.randint(1, len(models)))
-            glb = oracle.glb_interpretations(program, subset)
-            assert oracle.is_model(program, glb), f"seed {seed}"
+            glb = semantics.glb_interpretations(program, subset)
+            assert semantics.is_model(program, glb), f"seed {seed}"
 
 
 # --- lexicographic order ------------------------------------------------------------------
@@ -203,37 +204,37 @@ def test_glb_over_sampled_model_subsets_is_model():
 def test_lex_reflexive_and_antisymmetric():
     for seed in range(8):
         program = random_program(seed)
-        models = oracle.enumerate_models(program)
+        models = semantics.enumerate_models(program)
         sampled = models[:: max(1, len(models) // 12)]
         for m in sampled:
-            assert oracle.lex_leq(program, m, m)
+            assert semantics.lex_leq(program, m, m)
         for m1 in sampled:
             for m2 in sampled:
-                if oracle.lex_leq(program, m1, m2) and \
-                        oracle.lex_leq(program, m2, m1):
+                if semantics.lex_leq(program, m1, m2) and \
+                        semantics.lex_leq(program, m2, m1):
                     assert m1 == m2
 
 
 def test_lex_transitive_at_desk_scale():
     program = random_program(1)
-    models = oracle.enumerate_models(program)
+    models = semantics.enumerate_models(program)
     sampled = models[:: max(1, len(models) // 8)]
     for m1 in sampled:
         for m2 in sampled:
             for m3 in sampled:
-                if oracle.lex_leq(program, m1, m2) and \
-                        oracle.lex_leq(program, m2, m3):
-                    assert oracle.lex_leq(program, m1, m3)
+                if semantics.lex_leq(program, m1, m2) and \
+                        semantics.lex_leq(program, m2, m3):
+                    assert semantics.lex_leq(program, m1, m3)
 
 
 def test_lex_single_stratum_without_base_is_pointwise():
     program = validate(parse_clauses(
         "lattice powerset {a,b}\nrel R/1\nclause R(a;{a})"))
-    models = oracle.enumerate_models(program)
+    models = semantics.enumerate_models(program)
     sampled = models[:: max(1, len(models) // 10)]
     for m1 in sampled:
         for m2 in sampled:
-            assert oracle.lex_leq(program, m1, m2) == m1.pred_leq(m2, "R")
+            assert semantics.lex_leq(program, m1, m2) == m1.pred_leq(m2, "R")
 
 
 def test_lex_base_difference_uses_stage_zero():
@@ -243,17 +244,17 @@ def test_lex_base_difference_uses_stage_zero():
     small = oracle.Interpretation(program.lattice, program.arities, {})
     big = oracle.Interpretation(program.lattice, program.arities, {
         "B": {("a",): frozenset("a")}, "P": {("a",): frozenset("a")}})
-    assert oracle.lex_leq(program, small, big)
-    assert not oracle.lex_leq(program, big, small)
+    assert semantics.lex_leq(program, small, big)
+    assert not semantics.lex_leq(program, big, small)
 
 
 def test_solver_output_is_lex_least():
     for seed in range(15):
         program = random_program(seed)
         result = solve(reorder_preconditions(program))
-        got = oracle.from_leaves(program, result.leaves())
-        for m in oracle.enumerate_models(program):
-            assert oracle.lex_leq(program, got, m), f"seed {seed}"
+        got = semantics.from_leaves(program, result.leaves())
+        for m in semantics.enumerate_models(program):
+            assert semantics.lex_leq(program, got, m), f"seed {seed}"
 
 
 # --- set-based correspondence ----------------------------------------------------------
@@ -261,8 +262,8 @@ def test_solver_output_is_lex_least():
 
 def test_datalog_translation_of_eq_neq():
     program = validate(parse_clauses(helpers.sample("eq_neq.lat")))
-    strata, facts = oracle.to_datalog(program)
-    rel = oracle.datalog_fixpoint(strata, facts, program.universe)
+    strata, facts = semantics.to_datalog(program)
+    rel = semantics.datalog_fixpoint(strata, facts, program.universe)
     assert rel["E"] == {("a", "a"), ("b", "b")}
     assert rel["N"] == {("a", "b"), ("b", "a")}
 
@@ -271,10 +272,10 @@ def test_datalog_matches_solver_on_fragment():
     for seed in range(25):
         program = random_program(seed, set_fragment=True)
         result = solve(reorder_preconditions(program))
-        assert oracle.correspondence_diff(program, result.leaves()) == [], \
+        assert semantics.correspondence_diff(program, result.leaves()) == [], \
             f"seed {seed}"
         fix = oracle.naive_fixpoint(program)
-        assert oracle.correspondence_diff(program, fix.leaves()) == [], \
+        assert semantics.correspondence_diff(program, fix.leaves()) == [], \
             f"seed {seed} (naive)"
 
 
@@ -283,7 +284,7 @@ def test_datalog_translation_rejects_applications():
         "lattice powerset {a}\n"
         "clause forall x. forall 'Y. R(x;'Y) & 'Y(x) => S(x;'Y)"))
     with pytest.raises(UnsupportedInstanceError):
-        oracle.to_datalog(program)
+        semantics.to_datalog(program)
 
 
 # --- reordering neutrality ---------------------------------------------------------------
@@ -293,5 +294,5 @@ def test_reordering_preserves_least_model():
     for seed in range(40):
         program = random_program(seed)
         result = solve(reorder_preconditions(program))
-        assert oracle.from_leaves(program, result.leaves()) == \
+        assert semantics.from_leaves(program, result.leaves()) == \
             oracle.naive_fixpoint(program), f"seed {seed}"

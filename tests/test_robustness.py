@@ -1,0 +1,107 @@
+"""Mutated inputs end in an exit code, never in a traceback.
+
+Each test mutates the tokens of known-good inputs with a fixed seed and a
+fixed count, runs the command line on every mutant, and checks the contract
+of ``latlog.cli``: the run returns 0, 1 or 2, and a nonzero return prints
+exactly one ``error:`` line on stderr.  An exception escaping ``main`` fails
+the test with the input that raised it.
+"""
+
+import io
+import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from latlog.cli import main
+from latlog.parser import pretty
+from latlog.randgen import random_program
+
+import helpers
+
+_CLAUSE_VOCAB = (
+    "inf", "-inf", "-", "99999999999999999999", "-99999999999999999999", "0", "1",
+    "lattice", "powerset", "signs", "interval", "zmin", "zmax", "rel", "fun",
+    "fact", "clause", "forall", "exists", "top", "bot",
+    "(", ")", "[", "]", "{", "}", ",", ";", ".", "=", "=>", "&", "|", "!", "/",
+    "a", "x", "'Y", "R", "é", "#",
+)
+_GRAPH_VOCAB = (
+    "initial", "state", "var", "skip", "test", "->", ":", ":=", "+", "-", "*",
+    "<", "<=", "==", "!=", "=", "q0", "q9", "x", "y", "0", "-3", "7", "1x",
+    "--1", "0x1f", "1_000", "é", "\n",
+)
+
+
+def _mutate(rng: random.Random, tokens: list, vocab: tuple) -> list:
+    """One to three deletions, duplications, swaps, replacements, garblings
+    or truncations; a replacement draws from the vocabulary or from the
+    input's own tokens, and a garbling glues a sign or a character on."""
+    tokens = list(tokens)
+    vocab = vocab + tuple(tokens)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randrange(len(tokens))
+        op = rng.choice(("delete", "duplicate", "swap", "replace", "garble", "truncate"))
+        if op == "delete" and len(tokens) > 1:
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif op == "swap":
+            j = rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == "replace":
+            tokens[i] = rng.choice(vocab)
+        elif op == "garble":
+            tokens[i] = rng.choice(("-" + tokens[i], tokens[i] + rng.choice("x_é")))
+        else:
+            del tokens[i + 1:]
+    return tokens
+
+
+def _without_comments(text: str) -> str:
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def _check_exit(argv: list, text: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        pytest.fail(f"{argv} raised {exc!r} on:\n{text}")
+    assert code in (0, 1, 2), f"{argv} returned {code} on:\n{text}"
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), \
+            f"{argv} printed {lines!r} on:\n{text}"
+
+
+def test_mutated_clause_files_end_in_an_exit_code(tmp_path):
+    sources = [helpers.sample(p.name) for p in sorted(helpers.SAMPLES.glob("*.lat"))]
+    sources += [pretty(random_program(seed, set_fragment=fragment))
+                for seed in range(10) for fragment in (False, True)]
+    token_lists = [re.findall(r"'?\w+|=>|:=|->|\S", _without_comments(text))
+                   for text in sources]
+    rng = random.Random(20260)
+    path = tmp_path / "mutant.lat"
+    for _ in range(400):
+        text = " ".join(_mutate(rng, rng.choice(token_lists), _CLAUSE_VOCAB))
+        path.write_text(text)
+        for command in ("check", "solve", "compare"):
+            _check_exit([command, str(path)], text)
+
+
+def test_mutated_graphs_end_in_an_exit_code(tmp_path):
+    word_lists = [re.findall(r"\S+|\n", _without_comments(helpers.sample(p.name)))
+                  for p in sorted(helpers.SAMPLES.glob("*.graph"))]
+    rng = random.Random(20261)
+    path = tmp_path / "mutant.graph"
+    for _ in range(800):
+        text = " ".join(_mutate(rng, rng.choice(word_lists), _GRAPH_VOCAB))
+        path.write_text(text)
+        argv = ["analyze", str(path), "--analysis", rng.choice(("signs", "intervals")),
+                "--zmin", str(rng.randint(-4, 4)), "--zmax", str(rng.randint(-4, 4))]
+        if rng.random() < 0.25:
+            argv.append("--emit-clauses")
+        _check_exit(argv, text)

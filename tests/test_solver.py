@@ -19,6 +19,7 @@ from latlog.solver import (AtomTable, ConsumerStore, PrefixTree, ResultStore,
 import latlog.oracle as oracle
 
 import helpers
+import reference_semantics as semantics
 
 LAT2 = powerset_lattice(("a", "b"))
 A, B, AB, BOT = frozenset("a"), frozenset("b"), frozenset("ab"), frozenset()
@@ -442,7 +443,7 @@ def test_solve_late_binding_application():
             "clause forall x. forall 'Y. 'Y(x) & B(x;'Y) => S(x;'Y)")
     program, result = helpers.run_pipeline(text)
     reference = oracle.naive_fixpoint(program)
-    assert oracle.from_leaves(program, result.leaves()) == reference
+    assert semantics.from_leaves(program, result.leaves()) == reference
     assert result.leaves()["S"] == {("a",): frozenset("a"),
                                     ("b",): frozenset(("a", "b"))}
 
@@ -470,7 +471,7 @@ def test_zero_arity_predicate_end_to_end():
     program, result = helpers.run_pipeline(text)
     assert result.leaves()["Flag"] == {(): frozenset("b")}
     assert "Flag() = {b}" in result.dump_lines()
-    assert oracle.from_leaves(program, result.leaves()) == \
+    assert semantics.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
     from latlog.parser import parse_fact
     assert parse_fact("Flag() = {b}", program) == \
@@ -515,7 +516,7 @@ def test_solve_labeled_transitive_closure():
         text, {("u_join", 2): frozenset.union})))
     with helpers.audit() as seen:
         result = solve(program)
-    assert oracle.from_leaves(program, result.leaves()) == \
+    assert semantics.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
     paths = result.leaves()["Path"]
     assert paths[("a", "d")] == frozenset(("a", "b", "c", "d"))
@@ -651,7 +652,7 @@ def test_solver_matches_naive_on_random_programs():
         program = random_program(seed)
         with helpers.audit() as seen:
             result = solve(reorder_preconditions(program))
-        assert oracle.from_leaves(program, result.leaves()) == \
+        assert semantics.from_leaves(program, result.leaves()) == \
             oracle.naive_fixpoint(program), f"seed {seed}"
         assert helpers.stratum_isolation_holds(seen, result), f"seed {seed}"
         assert helpers.propagation_bound_holds(seen), f"seed {seed}"
@@ -675,7 +676,7 @@ def test_solver_needs_no_reordering_of_applications():
         if reorder_preconditions(program).strata == program.strata:
             continue
         moved += 1
-        assert oracle.from_leaves(program, solve(program).leaves()) == \
+        assert semantics.from_leaves(program, solve(program).leaves()) == \
             oracle.naive_fixpoint(program), f"seed {seed}"
     assert moved >= 100
 
@@ -746,7 +747,7 @@ def test_application_fails_when_a_later_query_narrows_below_it(clause):
     text = ("lattice powerset {c,d}\nrel P/0\nrel Q/0\nrel R/0\n"
             "fact Q() = {c,d}\nfact R() = {d}\nclause " + clause)
     program, result = helpers.run_pipeline(text)
-    assert oracle.from_leaves(program, result.leaves()) == \
+    assert semantics.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
     assert result.leaves()["P"] == {}
     assert cli.run_compare(program).lines == ["identical"]
@@ -817,7 +818,7 @@ def test_solver_matches_naive_on_drawn_random_programs(seed):
     program = random_program(seed)
     with helpers.audit() as seen:
         result = solve(reorder_preconditions(program))
-    assert oracle.from_leaves(program, result.leaves()) == \
+    assert semantics.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
     assert helpers.stratum_isolation_holds(seen, result)
     assert helpers.propagation_bound_holds(seen)
