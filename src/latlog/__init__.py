@@ -7,10 +7,10 @@ for it, and cross-check against slow reference semantics.  Ships
 sign and interval analyses generated from program graphs.
 """
 
-from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY, Fact,
-                  FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
-                  PreOr, Program, Query, Repr, TrueClause, Var, YVar,
-                  compute_ranks, reorder_preconditions, validate)
+from .ast import (And, Apply, Assert, Const, Exists, Fact, FnApp, Forall,
+                  Imply, LitConst, NegQuery, PreOr, Program, Query, Repr,
+                  TrueClause, Var, YVar, compute_ranks, reorder_preconditions,
+                  validate)
 from .errors import (LatlogError, LatticeError, MonotonicityError,
                      OracleSizeError, ParseError, RegistryError,
                      SolverInvariantError, StratificationError,
@@ -27,9 +27,9 @@ from .randgen import random_program
 __version__ = "0.1.0"
 
 __all__ = [
-    "Apply", "Assert", "ClauseAnd", "Const", "ExistsX", "ExistsY", "Fact",
-    "FnApp", "ForallX", "ForallY", "Imply", "LitConst", "NegQuery", "PreAnd",
-    "PreOr", "Program", "Query", "Repr", "TrueClause", "Var", "YVar",
+    "And", "Apply", "Assert", "Const", "Exists", "Fact", "FnApp", "Forall",
+    "Imply", "LitConst", "NegQuery", "PreOr", "Program", "Query", "Repr",
+    "TrueClause", "Var", "YVar",
     "compute_ranks", "reorder_preconditions", "validate",
     "LatlogError", "LatticeError", "MonotonicityError", "OracleSizeError",
     "ParseError", "RegistryError", "SolverInvariantError",

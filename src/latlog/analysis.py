@@ -208,10 +208,10 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
     def rule(edge: Edge, reads: list, var, value) -> ast.Clause:
         """``forall Y.. A(src,r;Y) & .. => A(dst,var;value)`` per (r, Y) read."""
         pre = [ast.Query("A", at(edge.src, r), y) for r, y in reads]
-        cl = ast.Imply(pre[0] if len(pre) == 1 else ast.PreAnd(tuple(pre)),
+        cl = ast.Imply(pre[0] if len(pre) == 1 else ast.And(tuple(pre)),
                        ast.Assert("A", at(edge.dst, var), value))
         for _, y in reversed(reads):
-            cl = ast.ForallY(y.name, cl)
+            cl = ast.Forall(y.name, cl)
         return cl
 
     def assign(edge: Edge, target: str, rhs) -> ast.Clause:
@@ -244,8 +244,8 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
                     rules.append(rule(edge, [(v, y)], v, y))
         else:
             x, y = ast.Var(fresh("v")), ast.YVar(fresh("'i"))
-            rules.append(ast.ForallX(x.name, rule(edge, [(x, y)], x, y)))
-    strata = (rules[0] if len(rules) == 1 else ast.ClauseAnd(tuple(rules)),)
+            rules.append(ast.Forall(x.name, rule(edge, [(x, y)], x, y)))
+    strata = (rules[0] if len(rules) == 1 else ast.And(tuple(rules)),)
     return ast.Program(lattice=lattice, registry=standard_registry(lattice),
                        strata=strata, arities={"A": 2},
                        universe=ast.universe_of(strata, ()),

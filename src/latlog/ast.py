@@ -5,6 +5,12 @@ not contain function terms, and negative queries are only admitted over
 lattices with a complement.  Stratification assigns each predicate the unique
 stratum asserting it (never-asserted predicates are base relations of rank 0
 populated from the fact list).
+
+One node serves each quantifier and conjunction: :class:`Forall` and
+:class:`Exists` bind universe and lattice variables alike, and an
+:class:`And` is a clause or a precondition by its position.  A bound
+variable's sort is read from its name (:func:`is_lattice_var`): lattice
+variables carry a leading apostrophe.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ class Const:
 
 
 Term = Union[Var, Const]
+
+
+def is_lattice_var(name: str) -> bool:
+    """Whether a bound variable ranges over the lattice rather than the universe."""
+    return name.startswith("'")
 
 
 # --- lattice terms ----------------------------------------------------------
@@ -94,8 +105,18 @@ class Apply:
 
 
 @dataclass(frozen=True)
-class PreAnd:
-    """Conjunction of two or more preconditions, checked left to right."""
+class And:
+    """Conjunction of two or more clauses, or of two or more preconditions:
+    its position says which.
+
+    A chain ``a & b & c`` is one node with three parts; a parenthesized
+    conjunction stays one part unless it comes first, as left nesting reads.
+    The same holds for :class:`PreOr`.
+
+    Parts are built as ``tuple([...])``: ``tuple()`` of an iterator of unknown
+    length allocates ten slots and shrinks them, and CPython then keeps every
+    shrunk pair on its tuple free list, which a long run's peak memory counts.
+    """
 
     parts: tuple
 
@@ -108,18 +129,12 @@ class PreOr:
 
 
 @dataclass(frozen=True)
-class ExistsX:
+class Exists:
     var: str
     body: "Pre"
 
 
-@dataclass(frozen=True)
-class ExistsY:
-    yvar: str
-    body: "Pre"
-
-
-Pre = Union[Query, NegQuery, Apply, PreAnd, PreOr, ExistsX, ExistsY]
+Pre = Union[Query, NegQuery, Apply, And, PreOr, Exists]
 
 
 # --- clauses ----------------------------------------------------------------
@@ -138,40 +153,18 @@ class TrueClause:
 
 
 @dataclass(frozen=True)
-class ClauseAnd:
-    """Conjunction of two or more clauses.
-
-    A chain ``a & b & c`` is one node with three parts; a parenthesized
-    conjunction stays one part unless it comes first, as left nesting reads.
-    The same holds for :class:`PreAnd` and :class:`PreOr`.
-
-    Parts are built as ``tuple([...])``: ``tuple()`` of an iterator of unknown
-    length allocates ten slots and shrinks them, and CPython then keeps every
-    shrunk pair on its tuple free list, which a long run's peak memory counts.
-    """
-
-    parts: tuple
-
-
-@dataclass(frozen=True)
 class Imply:
     pre: Pre
     body: "Clause"
 
 
 @dataclass(frozen=True)
-class ForallX:
+class Forall:
     var: str
     body: "Clause"
 
 
-@dataclass(frozen=True)
-class ForallY:
-    yvar: str
-    body: "Clause"
-
-
-Clause = Union[Assert, TrueClause, ClauseAnd, Imply, ForallX, ForallY]
+Clause = Union[Assert, TrueClause, And, Imply, Forall]
 
 
 @dataclass(frozen=True)
@@ -209,70 +202,31 @@ class Program:
 # --- free variables ---------------------------------------------------------
 
 
-def _term_xvars(t: Term) -> frozenset:
-    return frozenset((t.name,)) if isinstance(t, Var) else frozenset()
+# Nothing in the package calls the three collectors below; the benchmark
+# reads their cache sizes.
+
+
+def _split(names: frozenset) -> tuple:
+    xs = frozenset([n for n in names if not is_lattice_var(n)])
+    return xs, names - xs
 
 
 @lru_cache(maxsize=None)
 def lattice_term_vars(v: LatticeTerm) -> tuple:
     """(X-variable names, Y-variable names) free in a lattice term."""
-    if isinstance(v, YVar):
-        return frozenset(), frozenset((v.name,))
-    if isinstance(v, Repr):
-        return _term_xvars(v.term), frozenset()
-    if isinstance(v, FnApp):
-        xs, ys = frozenset(), frozenset()
-        for a in v.args:
-            ax, ay = lattice_term_vars(a)
-            xs, ys = xs | ax, ys | ay
-        return xs, ys
-    return frozenset(), frozenset()
+    return _split(free_names(v))
 
 
 @lru_cache(maxsize=None)
 def pre_vars(p: Pre) -> tuple:
     """(X, Y) variable names free in a precondition."""
-    if isinstance(p, (Query, NegQuery)):
-        xs = frozenset().union(*[_term_xvars(t) for t in p.args]) if p.args else frozenset()
-        vx, vy = lattice_term_vars(p.value)
-        return xs | vx, vy
-    if isinstance(p, Apply):
-        return _term_xvars(p.term), frozenset((p.yvar,))
-    if isinstance(p, (PreAnd, PreOr)):
-        xs, ys = zip(*map(pre_vars, p.parts))
-        return frozenset().union(*xs), frozenset().union(*ys)
-    if isinstance(p, ExistsX):
-        xs, ys = pre_vars(p.body)
-        return xs - {p.var}, ys
-    if isinstance(p, ExistsY):
-        xs, ys = pre_vars(p.body)
-        return xs, ys - {p.yvar}
-    raise TypeError(f"not a precondition: {p!r}")
+    return _split(free_names(p))
 
 
 @lru_cache(maxsize=None)
 def clause_vars(cl: Clause) -> tuple:
     """(X, Y) variable names free in a clause."""
-    if isinstance(cl, Assert):
-        xs = frozenset().union(*[_term_xvars(t) for t in cl.args]) if cl.args else frozenset()
-        vx, vy = lattice_term_vars(cl.value)
-        return xs | vx, vy
-    if isinstance(cl, TrueClause):
-        return frozenset(), frozenset()
-    if isinstance(cl, ClauseAnd):
-        xs, ys = zip(*map(clause_vars, cl.parts))
-        return frozenset().union(*xs), frozenset().union(*ys)
-    if isinstance(cl, Imply):
-        px, py = pre_vars(cl.pre)
-        bx, by = clause_vars(cl.body)
-        return px | bx, py | by
-    if isinstance(cl, ForallX):
-        xs, ys = clause_vars(cl.body)
-        return xs - {cl.var}, ys
-    if isinstance(cl, ForallY):
-        xs, ys = clause_vars(cl.body)
-        return xs, ys - {cl.yvar}
-    raise TypeError(f"not a clause: {cl!r}")
+    return _split(free_names(cl))
 
 
 def free_names(node) -> frozenset:
@@ -288,14 +242,12 @@ def free_names(node) -> frozenset:
         return free_names(node.value).union(t.name for t in node.args if isinstance(t, Var))
     if isinstance(node, Apply):
         return free_names(node.term) | {node.yvar}
-    if isinstance(node, (PreAnd, PreOr, ClauseAnd)):
+    if isinstance(node, (And, PreOr)):
         return frozenset().union(*[free_names(q) for q in node.parts])
     if isinstance(node, Imply):
         return free_names(node.pre) | free_names(node.body)
-    if isinstance(node, (ForallX, ExistsX)):
+    if isinstance(node, (Forall, Exists)):
         return free_names(node.body) - {node.var}
-    if isinstance(node, (ForallY, ExistsY)):
-        return free_names(node.body) - {node.yvar}
     return frozenset()
 
 
@@ -350,6 +302,12 @@ class _WFChecker:
         elif want != len(args):
             self.fail(path, f"arity mismatch for {pred}: {len(args)} vs declared {want}")
 
+    def bind(self, var: str, xs: set, ys: set, path: str) -> tuple:
+        """The universe and lattice variables in scope under a binder of ``var``."""
+        if var in xs or var in ys:
+            self.fail(path, f"shadowed variable {var!r}")
+        return (xs, ys | {var}) if is_lattice_var(var) else (xs | {var}, ys)
+
     def check_pre(self, p: Pre, xs: set, ys: set, path: str):
         if isinstance(p, (Query, NegQuery)):
             _, queried, negated = self.uses[-1]
@@ -365,18 +323,12 @@ class _WFChecker:
             if p.yvar not in ys:
                 self.fail(path, f"free lattice variable {p.yvar!r}")
             self.check_term(p.term, xs, path)
-        elif isinstance(p, (PreAnd, PreOr)):
-            op = "and" if isinstance(p, PreAnd) else "or"
+        elif isinstance(p, (And, PreOr)):
+            op = "and" if isinstance(p, And) else "or"
             for i, q in enumerate(p.parts, 1):
                 self.check_pre(q, xs, ys, f"{path}/{op}.{i}")
-        elif isinstance(p, ExistsX):
-            if p.var in xs or p.var in ys:
-                self.fail(path, f"shadowed variable {p.var!r}")
-            self.check_pre(p.body, xs | {p.var}, ys, path + f"/exists {p.var}")
-        elif isinstance(p, ExistsY):
-            if p.yvar in ys or p.yvar in xs:
-                self.fail(path, f"shadowed variable {p.yvar!r}")
-            self.check_pre(p.body, xs, ys | {p.yvar}, path + f"/exists {p.yvar}")
+        elif isinstance(p, Exists):
+            self.check_pre(p.body, *self.bind(p.var, xs, ys, path), path + f"/exists {p.var}")
         else:
             self.fail(path, f"not a precondition: {p!r}")
 
@@ -390,20 +342,15 @@ class _WFChecker:
             self.check_value(cl.value, xs, ys, path, assertion=True)
         elif isinstance(cl, TrueClause):
             pass
-        elif isinstance(cl, ClauseAnd):
+        elif isinstance(cl, And):
             for i, c in enumerate(cl.parts, 1):
                 self.check_clause(c, xs, ys, f"{path}/and.{i}")
         elif isinstance(cl, Imply):
             self.check_pre(cl.pre, xs, ys, path + "/pre")
             self.check_clause(cl.body, xs, ys, path + "/body")
-        elif isinstance(cl, ForallX):
-            if cl.var in xs or cl.var in ys:
-                self.fail(path, f"shadowed variable {cl.var!r}")
-            self.check_clause(cl.body, xs | {cl.var}, ys, path + f"/forall {cl.var}")
-        elif isinstance(cl, ForallY):
-            if cl.yvar in ys or cl.yvar in xs:
-                self.fail(path, f"shadowed variable {cl.yvar!r}")
-            self.check_clause(cl.body, xs, ys | {cl.yvar}, path + f"/forall {cl.yvar}")
+        elif isinstance(cl, Forall):
+            self.check_clause(cl.body, *self.bind(cl.var, xs, ys, path),
+                              path + f"/forall {cl.var}")
         else:
             self.fail(path, f"not a clause: {cl!r}")
 
@@ -489,12 +436,12 @@ def _defines(p: Pre):
     return None
 
 
-def _and_items(p: PreAnd) -> list:
+def _and_items(p: And) -> list:
     """Parts of a conjunction, each reordered inside, with nested
     conjunctions spliced in: the spine the applications move along."""
     items: list = []
     for q in p.parts:
-        if isinstance(q, PreAnd):
+        if isinstance(q, And):
             items += _and_items(q)
         else:
             items.append(_reorder_pre(q))
@@ -502,7 +449,7 @@ def _and_items(p: PreAnd) -> list:
 
 
 def _reorder_pre(p: Pre) -> Pre:
-    if isinstance(p, PreAnd):
+    if isinstance(p, And):
         items = _and_items(p)
         definers = {d for it in items if (d := _defines(it)) is not None}
         out: list = []
@@ -517,25 +464,21 @@ def _reorder_pre(p: Pre) -> Pre:
             if d is not None and d not in seen:
                 seen.add(d)
                 out.extend(waiting.pop(d, ()))
-        return PreAnd(tuple(out))
+        return And(tuple(out))
     if isinstance(p, PreOr):
         return PreOr(tuple([_reorder_pre(q) for q in p.parts]))
-    if isinstance(p, ExistsX):
-        return ExistsX(p.var, _reorder_pre(p.body))
-    if isinstance(p, ExistsY):
-        return ExistsY(p.yvar, _reorder_pre(p.body))
+    if isinstance(p, Exists):
+        return Exists(p.var, _reorder_pre(p.body))
     return p
 
 
 def _reorder_clause(cl: Clause) -> Clause:
-    if isinstance(cl, ClauseAnd):
-        return ClauseAnd(tuple([_reorder_clause(c) for c in cl.parts]))
+    if isinstance(cl, And):
+        return And(tuple([_reorder_clause(c) for c in cl.parts]))
     if isinstance(cl, Imply):
         return Imply(_reorder_pre(cl.pre), _reorder_clause(cl.body))
-    if isinstance(cl, ForallX):
-        return ForallX(cl.var, _reorder_clause(cl.body))
-    if isinstance(cl, ForallY):
-        return ForallY(cl.yvar, _reorder_clause(cl.body))
+    if isinstance(cl, Forall):
+        return Forall(cl.var, _reorder_clause(cl.body))
     return cl
 
 
@@ -570,10 +513,10 @@ def _pre_atoms(p, atoms: set) -> None:
         _value_atoms(p.value, atoms)
     elif isinstance(p, Apply):
         _term_atoms((p.term,), atoms)
-    elif isinstance(p, (PreAnd, PreOr)):
+    elif isinstance(p, (And, PreOr)):
         for q in p.parts:
             _pre_atoms(q, atoms)
-    elif isinstance(p, (ExistsX, ExistsY)):
+    elif isinstance(p, Exists):
         _pre_atoms(p.body, atoms)
 
 
@@ -581,13 +524,13 @@ def _clause_atoms(cl, atoms: set) -> None:
     if isinstance(cl, Assert):
         _term_atoms(cl.args, atoms)
         _value_atoms(cl.value, atoms)
-    elif isinstance(cl, ClauseAnd):
+    elif isinstance(cl, And):
         for c in cl.parts:
             _clause_atoms(c, atoms)
     elif isinstance(cl, Imply):
         _pre_atoms(cl.pre, atoms)
         _clause_atoms(cl.body, atoms)
-    elif isinstance(cl, (ForallX, ForallY)):
+    elif isinstance(cl, Forall):
         _clause_atoms(cl.body, atoms)
 
 

@@ -10,11 +10,11 @@ evaluator) live in ``tests/reference_semantics.py``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY,
-                  FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
-                  PreOr, Program, Query, Repr, TrueClause, YVar)
+from .ast import (And, Apply, Assert, Const, Exists, FnApp, Forall, Imply,
+                  LitConst, NegQuery, PreOr, Program, Query, Repr, TrueClause,
+                  YVar, is_lattice_var)
 from .errors import OracleSizeError, UnsupportedInstanceError
 
 
@@ -50,22 +50,8 @@ class Interpretation:
     def leaves(self) -> dict:
         return {pred: dict(m) for pred, m in self._data.items()}
 
-    def support(self, pred: str) -> Iterable[tuple]:
-        return self._data[pred].keys()
-
-    def pred_equal(self, other: "Interpretation", pred: str) -> bool:
-        return self._data[pred] == other._data[pred]
-
-    def pred_leq(self, other: "Interpretation", pred: str) -> bool:
-        keys = set(self._data[pred]) | set(other._data[pred])
-        return all(self.lattice.leq(self.get(pred, k), other.get(pred, k)) for k in keys)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Interpretation) and self._data == other._data
-
-    def __hash__(self):
-        return hash(tuple(sorted(
-            (pred, tuple(sorted(m.items()))) for pred, m in self._data.items())))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Interpretation({self._data!r})"
@@ -112,7 +98,11 @@ def _sigma_value(program: Program, env: dict, v):
     raise TypeError(f"not a lattice term: {v!r}")
 
 
-def _nonbottom_elements(program: Program) -> list:
+def _domain(program: Program, var: str):
+    """What a bound variable ranges over: the universe, or the lattice's
+    non-bottom elements."""
+    if not is_lattice_var(var):
+        return program.universe
     lattice = program.lattice
     if lattice.enumerate_elements is None:
         raise UnsupportedInstanceError(
@@ -136,16 +126,13 @@ def satisfies_pre(program: Program, interp: Interpretation, env: dict, pre) -> b
                            lattice.complement(have))
     if isinstance(pre, Apply):
         return lattice.leq(lattice.represent(_sigma_term(env, pre.term)), env[pre.yvar])
-    if isinstance(pre, PreAnd):
+    if isinstance(pre, And):
         return all(satisfies_pre(program, interp, env, q) for q in pre.parts)
     if isinstance(pre, PreOr):
         return any(satisfies_pre(program, interp, env, q) for q in pre.parts)
-    if isinstance(pre, ExistsX):
+    if isinstance(pre, Exists):
         return any(satisfies_pre(program, interp, {**env, pre.var: a}, pre.body)
-                   for a in program.universe)
-    if isinstance(pre, ExistsY):
-        return any(satisfies_pre(program, interp, {**env, pre.yvar: l}, pre.body)
-                   for l in _nonbottom_elements(program))
+                   for a in _domain(program, pre.var))
     raise TypeError(f"not a precondition: {pre!r}")
 
 
@@ -181,18 +168,15 @@ def _collect_assertions(program: Program, interp: Interpretation, env: dict,
                     _sigma_value(program, env, cl.value)))
     elif isinstance(cl, TrueClause):
         pass
-    elif isinstance(cl, ClauseAnd):
+    elif isinstance(cl, And):
         for c in cl.parts:
             _collect_assertions(program, interp, env, c, out)
     elif isinstance(cl, Imply):
         if satisfies_pre(program, interp, env, cl.pre):
             _collect_assertions(program, interp, env, cl.body, out)
-    elif isinstance(cl, ForallX):
-        for a in program.universe:
+    elif isinstance(cl, Forall):
+        for a in _domain(program, cl.var):
             _collect_assertions(program, interp, {**env, cl.var: a}, cl.body, out)
-    elif isinstance(cl, ForallY):
-        for l in _nonbottom_elements(program):
-            _collect_assertions(program, interp, {**env, cl.yvar: l}, cl.body, out)
     else:
         raise TypeError(f"not a clause: {cl!r}")
 

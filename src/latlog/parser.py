@@ -457,9 +457,7 @@ class Parser:
         self.expect(".")
         body = self._parse_quantified(clause) if top else self._parse_or(clause)
         self.scope[name] = outer
-        if clause:
-            return ast.ForallY(var, body) if is_y else ast.ForallX(var, body)
-        return ast.ExistsY(var, body) if is_y else ast.ExistsX(var, body)
+        return (ast.Forall if clause else ast.Exists)(var, body)
 
     # A chain ``a op b op c`` is one node; a first operand that is a
     # parenthesized chain of the same operator contributes its parts.
@@ -480,11 +478,10 @@ class Parser:
         node = self._parse_unit(clause)
         if not self.at("&"):
             return node
-        node_type = ast.ClauseAnd if clause else ast.PreAnd
-        parts = list(node.parts) if isinstance(node, node_type) else [node]
+        parts = list(node.parts) if isinstance(node, ast.And) else [node]
         while self.eat("&"):
             parts.append(self._parse_unit(clause))
-        return node_type(tuple(parts))
+        return ast.And(tuple(parts))
 
     def _parse_unit(self, clause: bool):
         tok = self.peek()
@@ -590,7 +587,7 @@ def formula_text(lattice: Lattice, node, minimum: int = 0) -> str:
         return f"{node.yvar}({_term_text(node.term)})"
     if isinstance(node, ast.TrueClause):
         return "1"
-    if isinstance(node, (ast.PreAnd, ast.ClauseAnd)):
+    if isinstance(node, ast.And):
         level = _LVL_AND
         text = " & ".join(formula_text(lattice, q, _LVL_AND + 1) for q in node.parts)
     elif isinstance(node, ast.PreOr):
@@ -600,11 +597,10 @@ def formula_text(lattice: Lattice, node, minimum: int = 0) -> str:
         level = _LVL_IMP
         text = (f"{formula_text(lattice, node.pre, _LVL_OR)}"
                 f" => {formula_text(lattice, node.body, _LVL_IMP)}")
-    elif isinstance(node, (ast.ForallX, ast.ForallY, ast.ExistsX, ast.ExistsY)):
+    elif isinstance(node, (ast.Forall, ast.Exists)):
         level = _LVL_QUANT
-        word = "forall" if isinstance(node, (ast.ForallX, ast.ForallY)) else "exists"
-        var = node.var if isinstance(node, (ast.ForallX, ast.ExistsX)) else node.yvar
-        text = f"{word} {var}. {formula_text(lattice, node.body, _LVL_QUANT)}"
+        word = "forall" if isinstance(node, ast.Forall) else "exists"
+        text = f"{word} {node.var}. {formula_text(lattice, node.body, _LVL_QUANT)}"
     else:
         raise TypeError(f"not a clause or precondition: {node!r}")
     return f"({text})" if level < minimum else text

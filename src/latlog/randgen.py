@@ -123,26 +123,24 @@ class _Gen:
 
     def _gen_stratum(self, asserted, i):
         parts = [self._gen_quantified(pred, i) for pred in asserted]
-        return _chain(ast.ClauseAnd, *parts) if len(parts) > 1 else parts[0]
+        return _chain(ast.And, *parts) if len(parts) > 1 else parts[0]
 
     def _gen_quantified(self, pred, i):
         xs = [self._fresh_x() for _ in range(self.rng.randint(0, 2))]
         ys = [self._fresh_y() for _ in range(self.rng.choice((0, 0, 1)))]
         body = self._gen_body(pred, i, xs, ys)
-        for y in reversed(ys):
-            body = ast.ForallY(y, body)
-        for x in reversed(xs):
-            body = ast.ForallX(x, body)
+        for var in reversed(xs + ys):
+            body = ast.Forall(var, body)
         return body
 
     def _gen_body(self, pred, i, xs, ys):
         roll = self.rng.random()
         head = ast.Assert(pred, self._args(pred, xs), self._value(xs, ys))
         if roll < 0.15:
-            head = ast.ClauseAnd(
+            head = ast.And(
                 (head, ast.Assert(pred, self._args(pred, xs), self._value(xs, ys))))
         elif roll < 0.2:
-            head = ast.ClauseAnd((head, ast.TrueClause()))
+            head = ast.And((head, ast.TrueClause()))
         if self.rng.random() < 0.8:
             return ast.Imply(self._gen_pre(i, xs, ys, depth=2), head)
         return head
@@ -170,14 +168,14 @@ class _Gen:
         if kind == "apply":
             return ast.Apply(rng.choice(ys), self._term(xs))
         if kind in ("and", "or"):
-            return _chain(ast.PreAnd if kind == "and" else ast.PreOr,
+            return _chain(ast.And if kind == "and" else ast.PreOr,
                           self._gen_pre(i, xs, ys, depth - 1),
                           self._gen_pre(i, xs, ys, depth - 1))
         if kind == "existsx":
             x = self._fresh_x()
-            return ast.ExistsX(x, self._gen_pre(i, xs + [x], ys, depth - 1))
+            return ast.Exists(x, self._gen_pre(i, xs + [x], ys, depth - 1))
         y = self._fresh_y()
-        return ast.ExistsY(y, self._gen_pre(i, xs, ys + [y], depth - 1))
+        return ast.Exists(y, self._gen_pre(i, xs, ys + [y], depth - 1))
 
     def _gen_facts(self, base):
         for pred in base:

@@ -30,9 +30,9 @@ from typing import Any, Callable, Iterator, Optional
 from . import ast
 from .errors import SolverInvariantError, ValidationError
 from .lattices import Lattice, render_atom
-from .ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY,
-                  FnApp, ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
-                  PreOr, Program, Query, Repr, TrueClause, Var, YVar)
+from .ast import (And, Apply, Assert, Const, Exists, FnApp, Forall, Imply,
+                  LitConst, NegQuery, PreOr, Program, Query, Repr, TrueClause,
+                  Var, YVar, is_lattice_var)
 
 
 # --- stores -------------------------------------------------------------------
@@ -234,7 +234,6 @@ class _Compiler:
         self.engine, self.lattice, self.universe = engine, engine.lattice, engine.program.universe
         self.atoms = range(len(self.universe))
         self.size = 0
-        self.lattice_slots: set = set()
         # id(parts) -> (parts, the names free in each parts[i:]); holding
         # parts keeps its id from being reused while the compiler lives
         self.suffix_names: dict = {}
@@ -242,8 +241,6 @@ class _Compiler:
     def slot(self, lattice: bool = False) -> int:
         s = self.size
         self.size += 2 if lattice else 1
-        if lattice:
-            self.lattice_slots.add(s)
         return s
 
     @staticmethod
@@ -277,7 +274,7 @@ class _Compiler:
             return self.assertion(cl, scope, bound)
         if isinstance(cl, TrueClause):
             return None
-        if isinstance(cl, ClauseAnd):
+        if isinstance(cl, And):
             steps = tuple(filter(None, (self.clause(c, scope, bound) for c in cl.parts)))
             if len(steps) < 2:
                 return steps[0] if steps else None
@@ -290,9 +287,8 @@ class _Compiler:
             body = cl.body
             return self.pre(cl.pre, scope, bound, ((body,), 0, None),
                             lambda b: self.clause(body, scope, b) or (lambda env: None))
-        if isinstance(cl, (ForallX, ForallY)):
-            y = isinstance(cl, ForallY)
-            scope = {**scope, cl.yvar if y else cl.var: self.slot(y)}
+        if isinstance(cl, Forall):
+            scope = {**scope, cl.var: self.slot(is_lattice_var(cl.var))}
             return self.clause(cl.body, scope, bound)
         raise SolverInvariantError(f"cannot execute {cl!r}")
 
@@ -343,18 +339,16 @@ class _Compiler:
             return self.negquery(p, scope, bound, kc)
         if isinstance(p, Apply):
             return self.apply(p, scope, bound, kc)
-        if isinstance(p, PreAnd):
+        if isinstance(p, And):
             return self.conjunction(p.parts, 0, scope, bound, rest, kc)
         memo = self.slot()
         if isinstance(p, PreOr):
             kc = self.memo(memo, scope, rest, kc)
             branches = tuple([self.pre(q, scope, bound, rest, kc) for q in p.parts])
-        elif isinstance(p, (ExistsX, ExistsY)):
-            y = isinstance(p, ExistsY)
-            name = p.yvar if y else p.var
-            inner = {**scope, name: self.slot(y)}
+        elif isinstance(p, Exists):
+            inner = {**scope, p.var: self.slot(is_lattice_var(p.var))}
             branches = (self.pre(p.body, inner, bound, rest, self.memo(
-                memo, scope, rest, lambda b: kc(b - {name}))),)
+                memo, scope, rest, lambda b: kc(b - {p.var}))),)
         else:
             raise SolverInvariantError(f"cannot check {p!r}")
 
@@ -398,7 +392,7 @@ class _Compiler:
                 parts = []
                 for name in needed:
                     s = self.lookup(scope, name)
-                    width = 2 if s in self.lattice_slots else 1
+                    width = 2 if is_lattice_var(name) else 1
                     parts += [(s + j if name in bound else None, None) for j in range(width)]
                 key, k = _reader(parts), kc(bound)
 
@@ -560,7 +554,7 @@ class _Engine:
     def run_stratum(self, cl) -> None:
         """Compile each top-level conjunct once, run it on a fresh environment
         and deliver its growths; queries of sealed predicates register no consumers."""
-        for conjunct in cl.parts if isinstance(cl, ClauseAnd) else (cl,):
+        for conjunct in cl.parts if isinstance(cl, And) else (cl,):
             compiler = _Compiler(self)
             step = compiler.clause(conjunct, {}, frozenset())
             if step is not None:

@@ -101,10 +101,10 @@ CASES = [
          ast.Apply("'Y", CA), False, env={"'Y": B}),
     # conjunction / disjunction
     Case("and_both", "direct", "pre",
-         ast.PreAnd((q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA)))), True,
+         ast.And((q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA)))), True,
          leaves={"R": {("a",): A}, "S": {("a",): AB}}),
     Case("and_one_fails", "direct", "pre",
-         ast.PreAnd((q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA)))), False,
+         ast.And((q("R", CA, v=ast.Repr(CA)), q("S", CA, v=ast.Repr(CA)))), False,
          leaves={"R": {("a",): A}}),
     Case("or_right", "direct", "pre",
          ast.PreOr((q("R", CB, v=ast.Repr(CB)), q("S", CA, v=ast.Repr(CA)))), True,
@@ -114,17 +114,17 @@ CASES = [
          leaves={}),
     # existential over the universe
     Case("exists_atom_witness", "direct", "pre",
-         ast.ExistsX("x", q("R", X, v=ast.Repr(X))), True,
+         ast.Exists("x", q("R", X, v=ast.Repr(X))), True,
          leaves={"R": {("b",): B}}),
     Case("exists_atom_no_witness", "direct", "pre",
-         ast.ExistsX("x", q("R", X, v=ast.Repr(X))), False,
+         ast.Exists("x", q("R", X, v=ast.Repr(X))), False,
          leaves={"R": {("a",): B}}),
     # existential over non-bottom lattice values
     Case("exists_latvar_nonempty_leaf", "direct", "pre",
-         ast.ExistsY("'Y", q("R", CA, v=ast.YVar("'Y"))), True,
+         ast.Exists("'Y", q("R", CA, v=ast.YVar("'Y"))), True,
          leaves={"R": {("a",): A}}),
     Case("exists_latvar_empty_leaf", "direct", "pre",
-         ast.ExistsY("'Y", q("R", CA, v=ast.YVar("'Y"))), False,
+         ast.Exists("'Y", q("R", CA, v=ast.YVar("'Y"))), False,
          leaves={}),
     # assertions
     Case("assert_constant_holds", "direct", "clause",
@@ -143,10 +143,10 @@ CASES = [
     Case("unit_always_true", "direct", "clause", ast.TrueClause(), True),
     # clause conjunction
     Case("clause_and_both", "direct", "clause",
-         ast.ClauseAnd((asrt("R", CA, v=ast.LitConst(A)), ast.TrueClause())), True,
+         ast.And((asrt("R", CA, v=ast.LitConst(A)), ast.TrueClause())), True,
          leaves={"R": {("a",): A}}),
     Case("clause_and_one_fails", "direct", "clause",
-         ast.ClauseAnd((asrt("R", CA, v=ast.LitConst(A)),
+         ast.And((asrt("R", CA, v=ast.LitConst(A)),
                         asrt("S", CA, v=ast.LitConst(B)))), False,
          leaves={"R": {("a",): A}}),
     # implication
@@ -158,17 +158,17 @@ CASES = [
          False, leaves={"R": {("a",): A}}),
     # universal over the universe
     Case("forall_atom_all_described", "direct", "clause",
-         ast.ForallX("x", asrt("R", X, v=ast.Repr(X))), True,
+         ast.Forall("x", asrt("R", X, v=ast.Repr(X))), True,
          leaves={"R": {("a",): A, ("b",): B}}),
     Case("forall_atom_one_missing", "direct", "clause",
-         ast.ForallX("x", asrt("R", X, v=ast.Repr(X))), False,
+         ast.Forall("x", asrt("R", X, v=ast.Repr(X))), False,
          leaves={"R": {("a",): A}}),
     # universal over non-bottom lattice values (forces the full carrier)
     Case("forall_latvar_needs_top", "direct", "clause",
-         ast.ForallY("'Y", asrt("R", CA, v=ast.YVar("'Y"))), True,
+         ast.Forall("'Y", asrt("R", CA, v=ast.YVar("'Y"))), True,
          leaves={"R": {("a",): AB}}),
     Case("forall_latvar_below_top", "direct", "clause",
-         ast.ForallY("'Y", asrt("R", CA, v=ast.YVar("'Y"))), False,
+         ast.Forall("'Y", asrt("R", CA, v=ast.YVar("'Y"))), False,
          leaves={"R": {("a",): A}}),
     # clause sequences: satisfied iff every stratum is
     Case("sequence_all_strata", "direct", "sequence",
@@ -183,10 +183,10 @@ CASES = [
 
 _COVERED_KINDS = {
     "query": ast.Query, "negquery": ast.NegQuery, "apply": ast.Apply,
-    "and": ast.PreAnd, "or": ast.PreOr, "existsx": ast.ExistsX,
-    "existsy": ast.ExistsY, "assert": ast.Assert, "one": ast.TrueClause,
-    "clause_and": ast.ClauseAnd, "imply": ast.Imply, "forallx": ast.ForallX,
-    "forally": ast.ForallY,
+    "and": ast.And, "or": ast.PreOr, "existsx": ast.Exists,
+    "existsy": ast.Exists, "assert": ast.Assert, "one": ast.TrueClause,
+    "clause_and": ast.And, "imply": ast.Imply, "forallx": ast.Forall,
+    "forally": ast.Forall,
 }
 
 
@@ -203,19 +203,33 @@ def run_case(case: Case) -> bool:
                for cl in case.node)
 
 
+def construct_kind(node, clause: bool) -> str:
+    """The ``_COVERED_KINDS`` key of a formula; ``clause`` is its position.
+
+    One class serves both binder sorts and both conjunction positions, so the
+    bound name's sort and the position pick the kind.
+    """
+    if isinstance(node, ast.And):
+        return "clause_and" if clause else "and"
+    if isinstance(node, (ast.Exists, ast.Forall)):
+        sort = "y" if ast.is_lattice_var(node.var) else "x"
+        return type(node).__name__.lower() + sort
+    return next(k for k, cls in _COVERED_KINDS.items() if cls is type(node))
+
+
 def covered_constructs() -> set:
-    """Construct types exercised anywhere in the table (sequences included)."""
+    """Construct kinds exercised anywhere in the table (sequences included)."""
     seen = set()
 
-    def note(node):
-        seen.add(type(node))
-        for attr in ("left", "right", "body", "pre", "value"):
+    def note(node, clause):
+        seen.add(construct_kind(node, clause))
+        for attr in ("body", "pre"):
             child = getattr(node, attr, None)
-            if child is not None and child.__class__.__module__ == ast.__name__:
-                note(child)
+            if child is not None:
+                note(child, clause and attr != "pre")
 
     for case in CASES:
         nodes = case.node if case.kind == "sequence" else (case.node,)
         for n in nodes:
-            note(n)
+            note(n, case.kind != "pre")
     return seen

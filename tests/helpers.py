@@ -141,17 +141,17 @@ def independent_rank_check(program: ast.Program, ranks: dict) -> bool:
             pos.append(p.pred)
         elif isinstance(p, ast.NegQuery):
             neg.append(p.pred)
-        elif isinstance(p, (ast.PreAnd, ast.PreOr)):
+        elif isinstance(p, (ast.And, ast.PreOr)):
             for q in p.parts:
                 atoms_of_pre(q, pos, neg)
-        elif isinstance(p, (ast.ExistsX, ast.ExistsY)):
+        elif isinstance(p, ast.Exists):
             atoms_of_pre(p.body, pos, neg)
 
     def walk(cl, i):
         if isinstance(cl, ast.Assert):
             if ranks.get(cl.pred) != i:
                 return False
-        elif isinstance(cl, ast.ClauseAnd):
+        elif isinstance(cl, ast.And):
             return all(walk(c, i) for c in cl.parts)
         elif isinstance(cl, ast.Imply):
             pos, neg = [], []
@@ -161,7 +161,7 @@ def independent_rank_check(program: ast.Program, ranks: dict) -> bool:
             if any(ranks.get(p, 0) >= i for p in neg):
                 return False
             return walk(cl.body, i)
-        elif isinstance(cl, (ast.ForallX, ast.ForallY)):
+        elif isinstance(cl, ast.Forall):
             return walk(cl.body, i)
         return True
 
@@ -274,7 +274,7 @@ def conjuncts(pre) -> list:
     out = []
 
     def flatten(p):
-        if isinstance(p, ast.PreAnd):
+        if isinstance(p, ast.And):
             for q in p.parts:
                 flatten(q)
         else:

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any
+from typing import Any, Iterable
 
-from latlog.ast import (Apply, Assert, ClauseAnd, Const, ExistsX, ExistsY,
-                        ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
-                        PreOr, Program, Query, Repr, TrueClause, Var, YVar)
+from latlog.ast import (And, Apply, Assert, Const, Exists, Forall, Imply,
+                        LitConst, NegQuery, PreOr, Program, Query, Repr,
+                        TrueClause, Var, YVar)
 from latlog.errors import OracleSizeError, UnsupportedInstanceError
-from latlog.oracle import (Interpretation, _nonbottom_elements, _sigma_args,
-                           _sigma_term, _sigma_value, facts_interpretation,
-                           satisfies_pre)
+from latlog.oracle import (Interpretation, _domain, _sigma_args, _sigma_term,
+                           _sigma_value, facts_interpretation, satisfies_pre)
 
 
 # --- satisfaction -------------------------------------------------------------
@@ -29,6 +28,19 @@ from latlog.oracle import (Interpretation, _nonbottom_elements, _sigma_args,
 
 def from_leaves(program: Program, leaves: dict) -> Interpretation:
     return Interpretation(program.lattice, program.arities, leaves)
+
+
+def support(interp: Interpretation, pred: str) -> Iterable[tuple]:
+    return interp._data[pred].keys()
+
+
+def pred_equal(a: Interpretation, b: Interpretation, pred: str) -> bool:
+    return a._data[pred] == b._data[pred]
+
+
+def pred_leq(a: Interpretation, b: Interpretation, pred: str) -> bool:
+    keys = set(a._data[pred]) | set(b._data[pred])
+    return all(a.lattice.leq(a.get(pred, k), b.get(pred, k)) for k in keys)
 
 
 def satisfies_clause(program: Program, interp: Interpretation, env: dict, cl) -> bool:
@@ -39,18 +51,15 @@ def satisfies_clause(program: Program, interp: Interpretation, env: dict, cl) ->
         return lattice.leq(_sigma_value(program, env, cl.value), have)
     if isinstance(cl, TrueClause):
         return True
-    if isinstance(cl, ClauseAnd):
+    if isinstance(cl, And):
         return all(satisfies_clause(program, interp, env, c) for c in cl.parts)
     if isinstance(cl, Imply):
         if not satisfies_pre(program, interp, env, cl.pre):
             return True
         return satisfies_clause(program, interp, env, cl.body)
-    if isinstance(cl, ForallX):
+    if isinstance(cl, Forall):
         return all(satisfies_clause(program, interp, {**env, cl.var: a}, cl.body)
-                   for a in program.universe)
-    if isinstance(cl, ForallY):
-        return all(satisfies_clause(program, interp, {**env, cl.yvar: l}, cl.body)
-                   for l in _nonbottom_elements(program))
+                   for a in _domain(program, cl.var))
     raise TypeError(f"not a clause: {cl!r}")
 
 
@@ -58,7 +67,7 @@ def is_model(program: Program, interp: Interpretation) -> bool:
     """Satisfies every stratum and lies above the base facts."""
     base = facts_interpretation(program)
     for pred in program.arities:
-        if not base.pred_leq(interp, pred):
+        if not pred_leq(base, interp, pred):
             return False
     return all(satisfies_clause(program, interp, {}, cl) for cl in program.strata)
 
@@ -144,7 +153,7 @@ def glb_interpretations(program: Program, models: list) -> Interpretation:
 
 
 def _pred_agrees(m: Interpretation, out: Interpretation, pred: str) -> bool:
-    keys = set(m.support(pred)) | set(out.support(pred))
+    keys = set(support(m, pred)) | set(support(out, pred))
     return all(m.get(pred, k) == out.get(pred, k) for k in keys)
 
 
@@ -164,11 +173,11 @@ def lex_leq(program: Program, a: Interpretation, b: Interpretation) -> bool:
     for j in range(0, s + 1):
         below = [p for r, ps in by_rank.items() if r < j for p in ps]
         at = by_rank.get(j, [])
-        if not all(a.pred_equal(b, p) for p in below):
+        if not all(pred_equal(a, b, p) for p in below):
             continue
-        if not all(a.pred_leq(b, p) for p in at):
+        if not all(pred_leq(a, b, p) for p in at):
             continue
-        if j == s or any(not a.pred_equal(b, p) for p in at):
+        if j == s or any(not pred_equal(a, b, p) for p in at):
             return True
     return False
 
@@ -246,14 +255,12 @@ def _translate_pre(pre):
     if isinstance(pre, Apply):
         raise UnsupportedInstanceError(
             "lattice-variable applications are outside the set-based fragment")
-    if isinstance(pre, PreAnd):
+    if isinstance(pre, And):
         return DAnd(tuple(map(_translate_pre, pre.parts)))
     if isinstance(pre, PreOr):
         return DOr(tuple(map(_translate_pre, pre.parts)))
-    if isinstance(pre, ExistsX):
+    if isinstance(pre, Exists):
         return DExists(pre.var, _translate_pre(pre.body))
-    if isinstance(pre, ExistsY):
-        return DExists(pre.yvar, _translate_pre(pre.body))
     raise TypeError(f"not a precondition: {pre!r}")
 
 
@@ -269,14 +276,12 @@ def _translate_clause(cl):
         raise UnsupportedInstanceError("function terms have no set-based counterpart")
     if isinstance(cl, TrueClause):
         return DCAnd(())
-    if isinstance(cl, ClauseAnd):
+    if isinstance(cl, And):
         return DCAnd(tuple(map(_translate_clause, cl.parts)))
     if isinstance(cl, Imply):
         return DImply(_translate_pre(cl.pre), _translate_clause(cl.body))
-    if isinstance(cl, ForallX):
+    if isinstance(cl, Forall):
         return DForall(cl.var, _translate_clause(cl.body))
-    if isinstance(cl, ForallY):
-        return DForall(cl.yvar, _translate_clause(cl.body))
     raise TypeError(f"not a clause: {cl!r}")
 
 

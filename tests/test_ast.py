@@ -3,10 +3,9 @@
 import pytest
 
 from latlog import ast
-from latlog.ast import (Apply, Assert, ClauseAnd, Const, FnApp,
-                        ForallX, ForallY, Imply, LitConst, NegQuery, PreAnd,
-                        PreOr, Query, Repr, TrueClause, Var, YVar,
-                        compute_ranks, reorder_preconditions, validate)
+from latlog.ast import (And, Apply, Assert, Const, FnApp, Forall, Imply,
+                        LitConst, NegQuery, PreOr, Query, Repr, TrueClause, Var,
+                        YVar, compute_ranks, reorder_preconditions, validate)
 from latlog.cli import run_solve
 from latlog.errors import ParseError, StratificationError, ValidationError
 from latlog.lattices import interval_lattice, powerset_lattice, standard_registry
@@ -33,7 +32,7 @@ def powerset_program(strata, facts=(), atoms=("a", "b"), arities=None):
 
 def test_parse_described_assert():
     p = parse_clauses("lattice powerset {a,b}\nclause forall x. E(x;[x])")
-    assert p.strata == (ForallX("x", Assert("E", (Var("x"),), Repr(Var("x")))),)
+    assert p.strata == (Forall("x", Assert("E", (Var("x"),), Repr(Var("x")))),)
 
 
 def test_parse_unit_clause():
@@ -46,7 +45,7 @@ def test_parse_negative_query_implication():
         "lattice powerset {a,b}\n"
         "clause forall x. forall 'Y. !E(x;'Y) => N(x;'Y)")
     assert p.strata == (
-        ForallX("x", ForallY("'Y", Imply(
+        Forall("x", Forall("'Y", Imply(
             NegQuery("E", (Var("x"),), YVar("'Y")),
             Assert("N", (Var("x"),), YVar("'Y"))))),)
 
@@ -149,7 +148,7 @@ def test_parse_interval_literals_and_descriptions():
     flat = []
 
     def walk(cl):
-        if isinstance(cl, ClauseAnd):
+        if isinstance(cl, And):
             for c in cl.parts:
                 walk(c)
         else:
@@ -211,7 +210,7 @@ def test_parse_comma_lists_accept_one_trailing_comma(text, field, want):
 def test_parse_universe_and_lattice_binders_of_one_name_stay_apart():
     p = parse_clauses(POWERSET + "clause forall y. forall 'y. R(y;'y)")
     assert p.strata == (
-        ForallX("y", ForallY("'y", Assert("R", (Var("y"),), YVar("'y")))),)
+        Forall("y", Forall("'y", Assert("R", (Var("y"),), YVar("'y")))),)
 
 
 def test_parse_comma_separates_strata():
@@ -235,9 +234,9 @@ def test_parse_binder_names_skip_user_written_suffixes():
                       f"{rule} & {rule} & {rule} & {rule} & (forall 'Y. R(x_3;'Y))")
     outer = p.strata[0]
     conj = outer.body.body
-    assert [outer.var, outer.body.yvar] == ["x_3", "'Y"]
+    assert [outer.var, outer.body.var] == ["x_3", "'Y"]
     assert [c.var for c in conj.parts[:4]] == ["x", "x_2", "x_4", "x_5"]
-    assert conj.parts[4].yvar == "'Y_2"
+    assert conj.parts[4].var == "'Y_2"
     # each clause item names its binders afresh
     p = parse_clauses(f"lattice powerset {{a}}\nclause {rule} & {rule}, {rule}")
     assert [c.var for c in p.strata[0].parts] + [p.strata[1].var] == ["x", "x_2", "x"]
@@ -245,15 +244,15 @@ def test_parse_binder_names_skip_user_written_suffixes():
 
 def test_parse_chains_into_one_node():
     r, s, t = (f"{n}(a;[a])" for n in "RST")
-    want = ClauseAnd(tuple(Assert(n, (Const("a"),), Repr(Const("a"))) for n in "RST"))
+    want = And(tuple(Assert(n, (Const("a"),), Repr(Const("a"))) for n in "RST"))
     for text in (f"{r} & {s} & {t}", f"({r} & {s}) & {t}", f"(({r} & {s})) & {t}"):
         assert parse_clauses(f"lattice powerset {{a}}\nclause {text}").strata == (want,)
     nested = parse_clauses(f"lattice powerset {{a}}\nclause {r} & ({s} & {t})").strata[0]
-    assert nested == ClauseAnd((want.parts[0], ClauseAnd(want.parts[1:])))
+    assert nested == And((want.parts[0], And(want.parts[1:])))
     pre = parse_clauses(
         f"lattice powerset {{a}}\nclause {r} | {s} & {t} | ({r} | {s}) => {t}").strata[0].pre
     q = {n: Query(n, (Const("a"),), Repr(Const("a"))) for n in "RST"}
-    assert pre == PreOr((q["R"], PreAnd((q["S"], q["T"])), PreOr((q["R"], q["S"]))))
+    assert pre == PreOr((q["R"], And((q["S"], q["T"])), PreOr((q["R"], q["S"]))))
 
 
 @pytest.mark.parametrize("text", [
@@ -334,8 +333,8 @@ def test_validation_paths_index_the_parts():
     ok = Assert("E", (Const("a"),), Repr(Const("a")))
     ok_q = Query("R", (Const("a"),), Repr(Const("a")))
     bad_q = Query("R", (Var("x"),), LitConst(frozenset("a")))
-    pre = PreOr((ok_q, PreAnd((ok_q, bad_q))))
-    program = powerset_program([ClauseAnd((ok, ok, Imply(pre, ok)))])
+    pre = PreOr((ok_q, And((ok_q, bad_q))))
+    program = powerset_program([And((ok, ok, Imply(pre, ok)))])
     with pytest.raises(ValidationError) as err:
         validate(program)
     assert str(err.value) == "stratum 1/and.3/pre/or.2/and.2: free variable 'x'"
@@ -344,7 +343,7 @@ def test_validation_paths_index_the_parts():
 def test_fnapp_in_query_rejected_programmatically():
     pre = Query("R", (Var("x"),), FnApp("u_join", (YVar("'Y"), YVar("'Y"))))
     program = powerset_program(
-        [ForallX("x", ForallY("'Y", Imply(pre, Assert("S", (Var("x"),), YVar("'Y")))))])
+        [Forall("x", Forall("'Y", Imply(pre, Assert("S", (Var("x"),), YVar("'Y")))))])
     program.registry.register("u_join", 2, frozenset.union)
     with pytest.raises(ValidationError, match="only allowed in assertions"):
         validate(program)
@@ -377,11 +376,24 @@ def test_fact_for_asserted_predicate_rejected():
         validate(program)
 
 
+def _rejected_programmatically(clause, match):
+    with pytest.raises(ValidationError, match=match):
+        validate(powerset_program([clause]))
+
+
 def test_shadowing_rejected_programmatically():
-    program = powerset_program(
-        [ForallX("x", ForallX("x", Assert("E", (Var("x"),), Repr(Var("x")))))])
-    with pytest.raises(ValidationError, match="shadowed"):
-        validate(program)
+    _rejected_programmatically(
+        Forall("x", Forall("x", Assert("E", (Var("x"),), Repr(Var("x"))))), "shadowed")
+
+
+def test_binder_without_apostrophe_binds_a_universe_variable():
+    _rejected_programmatically(Forall("Y", Assert("R", (), YVar("Y"))),
+                               "free lattice variable 'Y'")
+
+
+def test_binder_with_apostrophe_binds_a_lattice_variable():
+    top = LitConst(frozenset("ab"))
+    _rejected_programmatically(Forall("'y", Assert("R", (Var("'y"),), top)), "free variable")
 
 
 def test_empty_universe_rejected():
@@ -393,6 +405,31 @@ def test_empty_universe_rejected():
 def test_eq_neq_sample_accepted():
     program = validate(parse_clauses(helpers.sample("eq_neq.lat")))
     assert program.ranks == {"E": 1, "N": 2}
+
+
+# --- free variables ----------------------------------------------------------------
+
+
+def test_pre_vars_of_a_query():
+    q = Query("R", (Var("x"), Const("a")), YVar("'Y"))
+    assert ast.pre_vars(q) == (frozenset({"x"}), frozenset({"'Y"}))
+
+
+def test_pre_vars_drop_the_bound_lattice_variable():
+    pre = ast.Exists("'Y", And((Query("R", (Var("x"),), YVar("'Y")),
+                                Apply("'Z", Var("y")))))
+    assert ast.pre_vars(pre) == (frozenset({"x", "y"}), frozenset({"'Z"}))
+
+
+def test_clause_vars_drop_the_bound_universe_variable():
+    cl = Forall("x", Imply(Query("R", (Var("x"),), YVar("'Y")),
+                           Assert("S", (Var("x"), Var("z")), Repr(Var("w")))))
+    assert ast.clause_vars(cl) == (frozenset({"z", "w"}), frozenset({"'Y"}))
+
+
+def test_lattice_term_vars_of_a_function_application():
+    v = FnApp("u_join", (YVar("'Y"), FnApp("u_join", (Repr(Var("x")), LitConst(frozenset())))))
+    assert ast.lattice_term_vars(v) == (frozenset({"x"}), frozenset({"'Y"}))
 
 
 # --- stratification ----------------------------------------------------------------
@@ -449,37 +486,37 @@ def test_ranks_verified_independently(seed):
 def _spine_program(pre):
     body = Imply(pre, Assert("S", (Var("x"),), YVar("'Y")))
     return powerset_program(
-        [ForallX("x", ForallY("'Y", body)),
+        [Forall("x", Forall("'Y", body)),
          ],
         arities={"R": 1, "S": 1, "T": 1})
 
 
 def test_reorder_moves_application_after_definition():
-    pre = PreAnd((Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y"))))
+    pre = And((Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y"))))
     program = validate(_spine_program(pre))
     out = reorder_preconditions(program).strata[0].body.body.pre
-    assert out == PreAnd((Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x"))))
+    assert out == And((Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x"))))
 
 
 def test_reorder_keeps_ordered_spine():
-    pre = PreAnd((Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x"))))
+    pre = And((Query("R", (Var("x"),), YVar("'Y")), Apply("'Y", Var("x"))))
     program = validate(_spine_program(pre))
     assert reorder_preconditions(program).strata[0].body.body.pre == pre
 
 
 def test_reorder_leaves_undefined_application_alone():
-    pre = PreAnd((Apply("'Y", Var("x")),
+    pre = And((Apply("'Y", Var("x")),
                   Query("T", (Var("x"),), Repr(Var("x")))))
     program = validate(_spine_program(pre))
     assert reorder_preconditions(program).strata[0].body.body.pre == pre
 
 
 def test_reorder_recurses_into_disjuncts():
-    inner = PreAnd((Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y"))))
+    inner = And((Apply("'Y", Var("x")), Query("R", (Var("x"),), YVar("'Y"))))
     pre = PreOr((inner, Query("T", (Var("x"),), Repr(Var("x")))))
     program = validate(_spine_program(pre))
     out = reorder_preconditions(program).strata[0].body.body.pre
-    assert out.parts[0] == PreAnd((Query("R", (Var("x"),), YVar("'Y")),
+    assert out.parts[0] == And((Query("R", (Var("x"),), YVar("'Y")),
                                    Apply("'Y", Var("x"))))
     assert out.parts[1] == pre.parts[1]
 
@@ -490,13 +527,13 @@ def test_reorder_preserves_conjunct_multisets(seed):
     reordered = reorder_preconditions(program)
 
     def spines(cl, out):
-        if isinstance(cl, ClauseAnd):
+        if isinstance(cl, And):
             for c in cl.parts:
                 spines(c, out)
         elif isinstance(cl, Imply):
             out.append(sorted(map(repr, helpers.conjuncts(cl.pre))))
             spines(cl.body, out)
-        elif isinstance(cl, (ForallX, ForallY)):
+        elif isinstance(cl, Forall):
             spines(cl.body, out)
 
     before, after = [], []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latlog import ast, cli
-from latlog.ast import (Apply, Assert, Const, ForallX, Imply, LitConst, PreOr,
+from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
                         Query, Repr, TrueClause, Var, YVar,
                         reorder_preconditions, validate)
 from latlog.errors import SolverInvariantError
@@ -37,19 +37,19 @@ def compiled(engine, bindings, build):
     bound, record)`` returns the step; ``record`` is the continuation that
     appends the bindings it sees, {name: atom or value}, to the returned list."""
     compiler = _Compiler(engine)
-    scope = {n: compiler.slot(n.startswith("'")) for n in bindings}
+    scope = {n: compiler.slot(ast.is_lattice_var(n)) for n in bindings}
     seen = []
 
     def record(after):
         def k(env):
-            seen.append({n: env[s] if n.startswith("'") else engine.table.atoms((env[s],))[0]
+            seen.append({n: env[s] if ast.is_lattice_var(n) else engine.table.atoms((env[s],))[0]
                          for n, s in scope.items() if n in after})
         return k
     bound = frozenset(n for n, v in bindings.items() if v is not None)
     step = build(compiler, scope, bound, record)
     env = [None] * compiler.size
     for n, v in bindings.items():
-        if v is not None and n.startswith("'"):
+        if v is not None and ast.is_lattice_var(n):
             env[scope[n]], env[scope[n] + 1] = v, engine.lattice.bottom
         elif v is not None:
             env[scope[n]] = engine.table.id(v)
@@ -58,7 +58,7 @@ def compiled(engine, bindings, build):
 
 def check(engine, pre, bindings, needed=()):
     """Bindings seen by each continuation call of one run of a precondition."""
-    rest = (tuple(YVar(n) if n.startswith("'") else Var(n) for n in needed), 0, None)
+    rest = (tuple(YVar(n) if ast.is_lattice_var(n) else Var(n) for n in needed), 0, None)
     step, env, seen = compiled(engine, bindings, lambda c, scope, bound, k:
                                c.pre(pre, scope, bound, rest, k))
     step(env)
@@ -353,7 +353,7 @@ def test_execute_unit_is_noop():
 
 def test_execute_forall_described_atoms():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    engine.run_stratum(ForallX("x", Assert("R", (Var("x"),), Repr(Var("x")))))
+    engine.run_stratum(Forall("x", Assert("R", (Var("x"),), Repr(Var("x")))))
     leaves = {engine.table.atoms(ids): v for ids, v in engine.store.sub("R")}
     assert leaves == {("a",): frozenset("a"), ("b",): frozenset("b")}
 
@@ -383,7 +383,7 @@ def test_check_exists_removes_variable_and_memoizes():
     engine.store.raise_leaf("R", (0, 0), frozenset("a"))
     engine.store.raise_leaf("R", (0, 1), frozenset("a"))
     q = Query("R", (Var("x"), Var("w")), LitConst(frozenset("a")))
-    seen = check(engine, ast.ExistsX("w", q), {"x": None}, ("x",))
+    seen = check(engine, ast.Exists("w", q), {"x": None}, ("x",))
     # two witnesses for w collapse to one continuation call, w out of scope
     assert [(e["x"], "w" in e) for e in seen] == [("a", False)]
 
