@@ -1,11 +1,15 @@
-"""Least-model computation: each stratum is compiled once into closures,
-then run with difference propagation from one worklist of growths.
+"""Least-model computation: each distinct rule shape of a stratum is
+compiled once into closures, then run with difference propagation from one
+worklist of growths.
 
 Compiling fixes each variable's slot in a list environment (universe
-variables hold interned atom ids, lattice variables values), constant ids,
-the argument positions that bind or compare, the variables keying each
-disjunction or existential memo and an evaluator per lattice term; a clause
-conjunction becomes a flat tuple of steps.  Running joins assertion
+variables hold interned atom ids, lattice variables values), a slot per
+distinct constant (an atom's id or a lattice literal), the argument
+positions that bind or compare, the variables keying each disjunction or
+existential memo and an evaluator per lattice term; a clause conjunction
+becomes a flat tuple of steps.  Top-level conjuncts that differ only in
+their constants and binder names share one compiled step, and each runs it
+on an environment holding its own constants.  Running joins assertion
 candidates into per-predicate prefix trees over atom ids and queues each
 strict growth with the consumers registered under a matching prefix so far;
 one loop delivers the queue, oldest first, so deliveries never nest, and
@@ -199,12 +203,11 @@ class ConsumerStore:
 Step = Callable[[list], None]
 
 
-def _reader(parts: list) -> Callable[[list], tuple]:
-    """Tuple of ``(slot, constant)`` parts: the slot's value, or the constant
-    where the slot is None."""
-    if len(parts) > 1 and all(s is not None for s, _ in parts):
-        return itemgetter(*[s for s, _ in parts])
-    return lambda env: tuple([c if s is None else env[s] for s, c in parts])
+def _reader(slots: list) -> Callable[[list], tuple]:
+    """Tuple of the values in the slots; a None slot reads as None."""
+    if len(slots) > 1 and None not in slots:
+        return itemgetter(*slots)
+    return lambda env: tuple([None if s is None else env[s] for s in slots])
 
 
 def _enumerate(slots: list, atoms: range, step: Step) -> Step:
@@ -228,12 +231,17 @@ class _Compiler:
     per binding state its branches reach.  Every binder and memo has a slot of
     its own, a lattice variable's lower bound in the next one.  Steps write
     unbound slots freely and restore the bound slots they narrow.
+
+    Each distinct constant is read from a hole slot, which counts as bound.
+    ``holes`` maps ``(is atom, constant)`` to slots 0, 1, ... in advance;
+    constants it lacks get slots as they are met.  :meth:`env` fills them.
     """
 
-    def __init__(self, engine: "_Engine"):
+    def __init__(self, engine: "_Engine", holes: Optional[dict] = None):
         self.engine, self.lattice, self.universe = engine, engine.lattice, engine.program.universe
         self.atoms = range(len(self.universe))
-        self.size = 0
+        self.holes = {} if holes is None else holes
+        self.size = len(self.holes)
         # id(parts) -> (parts, the names free in each parts[i:]); holding
         # parts keeps its id from being reused while the compiler lives
         self.suffix_names: dict = {}
@@ -243,6 +251,19 @@ class _Compiler:
         self.size += 2 if lattice else 1
         return s
 
+    def hole(self, atom: bool, c) -> int:
+        s = self.holes.get((atom, c))
+        if s is None:
+            s = self.holes[atom, c] = self.slot()
+        return s
+
+    def env(self) -> list:
+        """A fresh environment whose hole slots hold their constants."""
+        env = [None] * self.size
+        for (atom, c), s in self.holes.items():
+            env[s] = self.engine.table.id(c) if atom else c
+        return env
+
     @staticmethod
     def lookup(scope: dict, name: str) -> int:
         try:
@@ -250,10 +271,12 @@ class _Compiler:
         except KeyError:
             raise SolverInvariantError(f"variable {name!r} is not in scope") from None
 
+    def term(self, scope: dict, t) -> int:
+        """Slot of a universe variable, or of a constant atom's hole."""
+        return self.hole(True, t.atom) if isinstance(t, Const) else self.lookup(scope, t.name)
+
     def args(self, scope: dict, args: tuple) -> list:
-        """(slot, None) per variable argument, (None, id) per constant."""
-        return [(None, self.engine.table.id(t.atom)) if isinstance(t, Const)
-                else (self.lookup(scope, t.name), None) for t in args]
+        return [self.term(scope, t) for t in args]
 
     def unbound(self, scope: dict, bound, terms) -> list:
         """Slots of the distinct unbound universe variables of the terms
@@ -312,14 +335,13 @@ class _Compiler:
         represent, universe = self.lattice.represent, self.universe
         if isinstance(v, YVar) and v.name in bound:
             return itemgetter(self.lookup(scope, v.name))
-        if isinstance(v, (YVar, LitConst)):
-            const = v.value if isinstance(v, LitConst) else self.lattice.top
-            return lambda env: const
-        if isinstance(v, Repr) and isinstance(v.term, Const):
-            atom = v.term.atom
-            return lambda env: represent(atom)
+        if isinstance(v, LitConst):
+            return itemgetter(self.hole(False, v.value))
+        if isinstance(v, YVar):
+            top = self.lattice.top
+            return lambda env: top
         if isinstance(v, Repr):
-            s = self.lookup(scope, v.term.name)
+            s = self.term(scope, v.term)
             return lambda env: represent(universe[env[s]])
         if isinstance(v, FnApp):
             fn = self.engine.program.registry.function(v.name, len(v.args))
@@ -389,12 +411,12 @@ class _Compiler:
 
         def memo_kc(bound):
             if bound not in compiled:
-                parts = []
+                slots = []
                 for name in needed:
                     s = self.lookup(scope, name)
                     width = 2 if is_lattice_var(name) else 1
-                    parts += [(s + j if name in bound else None, None) for j in range(width)]
-                key, k = _reader(parts), kc(bound)
+                    slots += [s + j if name in bound else None for j in range(width)]
+                key, k = _reader(slots), kc(bound)
 
                 def once(env):
                     seen, kv = env[memo], key(env)
@@ -409,28 +431,29 @@ class _Compiler:
         """Registers a consumer under the prefix of constant and bound
         arguments, then sweeps the tuples already stored under it."""
         e = self.engine
-        parts = self.args(scope, q.args)
+        slots = self.args(scope, q.args)
         plen = 0
-        while plen < len(parts) and (parts[plen][0] is None or q.args[plen].name in bound):
+        while plen < len(slots) and (isinstance(q.args[plen], Const)
+                                     or q.args[plen].name in bound):
             plen += 1
         binds, tests, after = [], [], set(bound)
-        for pos in range(plen, len(parts)):  # the store matched the prefix
-            s, const = parts[pos]
-            if s is not None and q.args[pos].name not in after:
-                binds.append((pos, s))
-                after.add(q.args[pos].name)
+        for pos in range(plen, len(slots)):  # the store matched the prefix
+            t = q.args[pos]
+            if isinstance(t, Var) and t.name not in after:
+                binds.append((pos, slots[pos]))
+                after.add(t.name)
             else:
-                tests.append((pos, s, const))
+                tests.append((pos, slots[pos]))
         match_value = self.matcher(q.value, scope, frozenset(after), kc)
 
         def match(env, ids, l):
             for pos, s in binds:
                 env[s] = ids[pos]
-            for pos, s, const in tests:
-                if ids[pos] != (const if s is None else env[s]):
+            for pos, s in tests:
+                if ids[pos] != env[s]:
                     return
             match_value(env, l)
-        prefix_of = _reader(parts[:plen])
+        prefix_of = _reader(slots[:plen])
         pred, stats, sub, register = q.pred, e.stats, e.store.sub, e.infl.register
         live = not e.store.sealed(pred)
 
@@ -521,6 +544,65 @@ class _Compiler:
 # --- the engine ---------------------------------------------------------------
 
 
+class _Shape:
+    """Structural key of one top-level conjunct, and its constants.
+
+    The key is nested tuples of node types, predicate and function names and
+    binder sorts.  A variable reads as its binder's depth; a free one, which
+    only unvalidated input has, reads as its name, so compiling reports it.
+    Each distinct constant, an atom (also inside a description ``[a]``) or a
+    lattice literal, is a hole numbered in the order first seen, and reads
+    as ``-1 - n``.  ``holes`` maps ``(is atom, constant)`` to n, and
+    ``values[n]`` is what its slot holds: the atom's id or the literal.
+    (Methods, not nested functions: a recursive closure is a reference cycle.)
+    """
+
+    __slots__ = ("table", "holes", "values", "depth", "key")
+
+    def __init__(self, conjunct, table: AtomTable):
+        self.table, self.holes, self.values, self.depth = table, {}, [], {}
+        self.key = self.node(conjunct)
+
+    def hole(self, atom: bool, c) -> int:
+        key = atom, c
+        n = self.holes.get(key)
+        if n is None:
+            n = self.holes[key] = len(self.values)
+            self.values.append(self.table.id(c) if atom else c)
+        return -1 - n
+
+    def term(self, t):
+        return self.depth.get(t.name, t.name) if type(t) is Var else self.hole(True, t.atom)
+
+    def value(self, v):
+        t = type(v)
+        if t is YVar:
+            return self.depth.get(v.name, v.name)
+        if t is LitConst:
+            return self.hole(False, v.value)
+        if t is Repr:
+            return t, self.term(v.term)
+        return (t, v.name, *[self.value(a) for a in v.args])
+
+    def node(self, n):
+        t = type(n)
+        if t is Assert or t is Query or t is NegQuery:
+            return t, n.pred, tuple([self.term(a) for a in n.args]), self.value(n.value)
+        if t is Imply:
+            return t, self.node(n.pre), self.node(n.body)
+        if t is And or t is PreOr:
+            return (t, *[self.node(p) for p in n.parts])
+        if t is Forall or t is Exists:
+            depth = self.depth
+            depth[n.var] = len(depth)
+            key = t, is_lattice_var(n.var), self.node(n.body)
+            del depth[n.var]
+            return key
+        if t is Apply:
+            return t, self.depth.get(n.yvar, n.yvar), self.term(n.term)
+        return t
+
+
 class _Engine:
     def __init__(self, program: Program, stats: SolveStats):
         if program.ranks is None:
@@ -552,14 +634,34 @@ class _Engine:
                 consumer(ids, leaf)
 
     def run_stratum(self, cl) -> None:
-        """Compile each top-level conjunct once, run it on a fresh environment
-        and deliver its growths; queries of sealed predicates register no consumers."""
-        for conjunct in cl.parts if isinstance(cl, And) else (cl,):
+        """Run each top-level conjunct on a fresh environment and deliver its
+        growths; queries of sealed predicates register no consumers.
+
+        Each distinct rule shape (:class:`_Shape`) is compiled once per
+        stratum, for the first conjunct of that shape; every conjunct of the
+        shape runs the shared step with its own constants in the hole slots.
+        A stratum of one conjunct is compiled without a key."""
+        if not isinstance(cl, And):
             compiler = _Compiler(self)
-            step = compiler.clause(conjunct, {}, frozenset())
-            if step is not None:
-                step([None] * compiler.size)
-                self._drain()
+            self._run(compiler.clause(cl, {}, frozenset()), compiler.env())
+            return
+        shared: dict = {}
+        for conjunct in cl.parts:
+            shape = _Shape(conjunct, self.table)
+            compiled = shared.get(shape.key)
+            if compiled is None:
+                compiler = _Compiler(self, shape.holes)
+                compiled = shared[shape.key] = (compiler.clause(conjunct, {}, frozenset()),
+                                                compiler.size)
+            step, size = compiled
+            env = shape.values
+            env += [None] * (size - len(env))
+            self._run(step, env)
+
+    def _run(self, step: Optional[Step], env: list) -> None:
+        if step is not None:
+            step(env)
+            self._drain()
 
     def run(self, facts) -> None:
         for f in facts:

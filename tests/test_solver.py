@@ -2,12 +2,13 @@
 
 import gc
 import sys
+from itertools import cycle
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latlog import ast, cli
+from latlog import ast, cli, solver
 from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
                         Query, Repr, TrueClause, Var, YVar,
                         reorder_preconditions, validate)
@@ -35,7 +36,9 @@ def compiled(engine, bindings, build):
     """Compile with the variables of ``bindings`` in scope, bound to the given
     atom or lattice value (None leaves one unbound).  ``build(compiler, scope,
     bound, record)`` returns the step; ``record`` is the continuation that
-    appends the bindings it sees, {name: atom or value}, to the returned list."""
+    appends the bindings it sees, {name: atom or value}, to the returned list.
+    The environment holds the constants in their hole slots, as a lone
+    conjunct's does in ``run_stratum``."""
     compiler = _Compiler(engine)
     scope = {n: compiler.slot(ast.is_lattice_var(n)) for n in bindings}
     seen = []
@@ -47,7 +50,7 @@ def compiled(engine, bindings, build):
         return k
     bound = frozenset(n for n, v in bindings.items() if v is not None)
     step = build(compiler, scope, bound, record)
-    env = [None] * compiler.size
+    env = compiler.env()
     for n, v in bindings.items():
         if v is not None and ast.is_lattice_var(n):
             env[scope[n]], env[scope[n] + 1] = v, engine.lattice.bottom
@@ -405,6 +408,95 @@ def test_compiling_a_chain_of_memos_is_linear(monkeypatch):
         return len(calls)
 
     assert calls_to_solve(80) <= 2.2 * calls_to_solve(40)
+
+
+# --- one compiled step per rule shape --------------------------------------------
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """One entry per step compiled from here on: each step has its own compiler."""
+    made = []
+
+    class Counting(_Compiler):
+        def __init__(self, *args):
+            made.append(None)
+            super().__init__(*args)
+    monkeypatch.setattr(solver, "_Compiler", Counting)
+    return made
+
+
+# Each stratum's conjuncts share shapes that differ in one respect; the
+# consumers registered first see their growths only by delivery.
+SHARED_SHAPES = {
+    "atom constants": (
+        "lattice powerset {a,b,c}\nrel E/2\nfact E(a,b) = {a}\nfact E(b,c) = {b,c}\n"
+        "clause (forall 'Y. R(b;'Y) => S(c;'Y)) & (forall 'Y. R(c;'Y) => S(a;'Y))"
+        " & (forall 'Y. E(a,b;'Y) => R(b;'Y)) & (forall 'Y. E(b,c;'Y) => R(c;'Y))", 2),
+    "binder names": (
+        "lattice powerset {a,b,c}\nrel E/2\nfact E(a,b) = {a}\nfact E(b,c) = {c}\n"
+        "clause (forall x. forall y. forall 'Y. T(x,y;'Y) => U(y,x;'Y))"
+        " & (forall y. forall x. forall 'W. T(y,x;'W) => U(x,y;'W))"
+        " & (forall x. forall y. forall 'Y. T(x,y;'Y) => V(x,y;'Y))"
+        " & (forall u. forall v. forall 'Y. E(u,v;'Y) => T(u,v;'Y))", 3),
+    "a repeated constant against two distinct ones": (
+        "lattice powerset {a,b}\nrel E/2\n"
+        "fact E(a,a) = {a}\nfact E(a,b) = {b}\nfact E(b,b) = {a}\n"
+        "clause (forall 'Y. T(a,a;'Y) => R(a;'Y)) & (forall 'Y. T(a,b;'Y) => R(b;'Y))"
+        " & (forall 'Y. T(b,b;'Y) => R(b;'Y))"
+        " & (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))", 3),
+    "lattice literals": (
+        "lattice powerset {a,b,c}\nrel E/1\nfact E(a) = {a,b}\nfact E(b) = {c}\n"
+        "clause (forall x. R(x;{a}) => S(x;{b,c})) & (forall x. R(x;{c}) => S(x;{a}))"
+        " & (forall x. E(x;{a,b}) => R(x;{a})) & (forall x. E(x;{c}) => R(x;{c,a}))", 2),
+    "interval literals": (
+        "lattice interval zmin=0 zmax=9\nfun f_add/2\nrel A/1\nfact A(p) = [1,2]\n"
+        "clause (forall 'i. B(q;'i) => C(q;f_add('i,[1,1])))"
+        " & (forall 'i. B(r;'i) => C(r;f_add('i,[3,3])))"
+        " & (forall 'i. A(p;'i) => B(q;f_add('i,[0,1])))"
+        " & (forall 'i. A(p;'i) => B(r;f_add('i,[2,2])))", 2),
+    "constant descriptions": (
+        "lattice powerset {a,b,c}\nrel E/2\nfact E(a,b) = {b}\nfact E(b,c) = {a}\n"
+        "clause (R(a;[a]) => S(a;[b])) & (R(b;[b]) => S(b;[c])) & (R(c;[a]) => S(c;[a]))"
+        " & (forall x. forall y. forall 'Y. E(x,y;'Y) => R(y;'Y))", 3),
+    "a constant before a variable in a query prefix": (
+        "lattice powerset {a,b,c}\nrel E/2\n"
+        "fact E(a,b) = {a}\nfact E(b,c) = {b}\nfact E(a,c) = {c}\n"
+        "clause (forall x. forall 'Y. T(a,x;'Y) => S(x;'Y))"
+        " & (forall x. forall 'Y. T(b,x;'Y) => S(x;'Y))"
+        " & (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))", 2),
+}
+
+
+@pytest.mark.parametrize("text, steps", SHARED_SHAPES.values(), ids=SHARED_SHAPES)
+def test_conjuncts_of_one_shape_share_a_step_and_match_naive(text, steps, compiles):
+    program = validate(parse_clauses(text))
+    assert cli.run_compare(program).lines == ["identical"]
+    assert len(compiles) == steps
+
+
+def ring_graph(states: int) -> str:
+    return "\n".join([
+        "initial q0", *(f"state q{i}" for i in range(1, states)), "var x", "var y",
+        *(f"q{i} -> q{i + 1} : {v} := {v} + 1" for i, v in zip(range(states - 1), cycle("xy"))),
+        f"q{states - 1} -> q0 : skip"])
+
+
+@pytest.mark.parametrize("states", [1000, 2000])
+def test_ring_analysis_compiles_four_steps(states, compiles):
+    # initial, increment, frame copy and skip: the ring's length adds none
+    report = cli.run_analyze(ring_graph(states), "intervals", 0, 5)
+    assert len(report.lines) == 2 * states
+    assert len(compiles) == 4
+
+
+@pytest.mark.parametrize("which", ["signs", "intervals"])
+@pytest.mark.parametrize("name, steps", [("branch.graph", 6), ("countdown.graph", 4),
+                                         ("loop.graph", 4), ("products.graph", 6),
+                                         ("sums.graph", 6)])
+def test_sample_analysis_compiles_one_step_per_shape(name, steps, which, compiles):
+    cli.run_analyze(helpers.sample(name), which)
+    assert len(compiles) == steps
 
 
 # --- whole solve runs ----------------------------------------------------------------
