@@ -11,9 +11,10 @@ becomes a flat tuple of steps.  Top-level conjuncts that differ only in
 their constants and binder names share one compiled step, and each runs it
 on an environment holding its own constants.  Running joins assertion
 candidates into per-predicate prefix trees over atom ids and queues each
-strict growth with the consumers registered under a matching prefix so far;
-one loop delivers the queue, oldest first, so deliveries never nest, and
-stops delivering a leaf once a later growth has replaced it.
+strict growth with the queries waiting under a matching prefix so far, each
+its compiled match and the environment it registered in.  One loop delivers
+the queue, oldest first, running each match as a sweep does, so deliveries
+never nest, and stops delivering a leaf once a later growth has replaced it.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
 it against; narrowing it by meet below that bound fails.  Leaves are never
@@ -32,7 +33,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from . import ast
-from .errors import SolverInvariantError, ValidationError
+from .errors import SolverInvariantError
 from .lattices import Lattice, render_atom
 from .ast import (And, Apply, Assert, Const, Exists, FnApp, Forall, Imply,
                   LitConst, NegQuery, PreOr, Program, Query, Repr, TrueClause,
@@ -171,7 +172,7 @@ class ResultStore:
 
 
 class ConsumerStore:
-    """Registered continuations, prefix-indexed per predicate.
+    """Waiting queries, ``(match, env)`` pairs, prefix-indexed per predicate.
 
     A growth at a tuple is delivered to every consumer whose registration
     prefix matches; consumers registered during a delivery are picked up by
@@ -181,7 +182,7 @@ class ConsumerStore:
     def __init__(self):
         self._by_pred: dict[str, dict[tuple, list]] = {}
 
-    def register(self, pred: str, prefix: tuple, consumer: Callable) -> None:
+    def register(self, pred: str, prefix: tuple, consumer: tuple) -> None:
         self._by_pred.setdefault(pred, {}).setdefault(prefix, []).append(consumer)
 
     def matching(self, pred: str, ids: tuple) -> list:
@@ -229,8 +230,10 @@ class _Compiler:
     ``scope`` maps the variables in scope to slots and ``bound`` names those
     bound at the point compiled; a disjunction compiles its continuation once
     per binding state its branches reach.  Every binder and memo has a slot of
-    its own, a lattice variable's lower bound in the next one.  Steps write
-    unbound slots freely and restore the bound slots they narrow.
+    its own, a lattice variable's lower bound in the next one.  A step writes
+    an unbound slot before reading it, restores the bound slots it narrows
+    and creates the memo sets it owns, so a match runs alike on a sweep's live
+    environment and on a waiting query's stored one.
 
     Each distinct constant is read from a hole slot, which counts as bound.
     ``holes`` maps ``(is atom, constant)`` to slots 0, 1, ... in advance;
@@ -428,8 +431,8 @@ class _Compiler:
         return memo_kc
 
     def query(self, q: Query, scope: dict, bound: frozenset, kc) -> Step:
-        """Registers a consumer under the prefix of constant and bound
-        arguments, then sweeps the tuples already stored under it."""
+        """Registers the match on a copy of the environment under the prefix
+        of constant and bound arguments, then sweeps the tuples stored under it."""
         e = self.engine
         slots = self.args(scope, q.args)
         plen = 0
@@ -459,13 +462,8 @@ class _Compiler:
 
         def query(env):
             prefix = prefix_of(env)
-            if live:
-                snapshot = env[:]
-
-                def deliver(ids, l):
-                    stats.consumer_invocations += 1
-                    match(snapshot[:], ids, l)
-                register(pred, prefix, deliver)
+            if live:  # enclosing loops rebind slots after this, so copy once
+                register(pred, prefix, (match, env[:]))
             for ids, l in sub(pred, prefix):
                 stats.sweep_invocations += 1
                 match(env, ids, l)
@@ -605,8 +603,6 @@ class _Shape:
 
 class _Engine:
     def __init__(self, program: Program, stats: SolveStats):
-        if program.ranks is None:
-            raise ValidationError("program must be validated before solving")
         self.program = program
         self.lattice = program.lattice
         self.table = AtomTable(program.universe)
@@ -620,18 +616,21 @@ class _Engine:
         self.pending.append((pred, self.infl.matching(pred, ids), ids, leaf))
 
     def _drain(self) -> None:
-        """Deliver queued growths, oldest first, until none is left.  A leaf
-        that is no longer the stored one is delivered no further: the growth
-        that replaced it queued the larger leaf for a superset of the same
-        consumers, and matching is monotone in the value."""
-        pending, tree = self.pending, self.store.tree
+        """Deliver queued growths, oldest first, until none is left, each by
+        running a consumer's match on its environment uncopied, as a sweep
+        does (see :class:`_Compiler` for the slots a step restores).  A leaf
+        no longer stored is delivered no further: the growth that replaced it
+        queued the larger leaf for a superset of the same consumers, and
+        matching is monotone in the value."""
+        pending, tree, stats = self.pending, self.store.tree, self.stats
         while pending:
             pred, consumers, ids, leaf = pending.popleft()
             get = tree(pred).get
-            for consumer in consumers:
+            for match, env in consumers:
                 if get(ids) is not leaf:
                     break
-                consumer(ids, leaf)
+                stats.consumer_invocations += 1
+                match(env, ids, leaf)
 
     def run_stratum(self, cl) -> None:
         """Run each top-level conjunct on a fresh environment and deliver its
@@ -712,7 +711,7 @@ class SolveResult:
 
 
 def solve(program: Program) -> SolveResult:
-    """Compute the least model of a validated program above its facts."""
+    """Compute the least model of a program above its facts."""
     if program.ranks is None:
         ast.validate(program)
     stats = SolveStats()

@@ -195,7 +195,7 @@ def audit():
     """Observe the engine from outside while the block runs, by wrapping
     ``ResultStore.raise_leaf`` (growths per predicate),
     ``ConsumerStore.register`` (one record per consumer, counting its
-    deliveries) and ``ResultStore.seal_up_to`` (a copy of the leaves of the
+    deliveries by wrapping the match of its ``(match, env)`` pair) and ``ResultStore.seal_up_to`` (a copy of the leaves of the
     rank being sealed).  Wrap one solve per block."""
     seen = SolveAudit()
     raise_leaf, register, seal_up_to = (
@@ -211,10 +211,12 @@ def audit():
         rec = ConsumerRecord(pred, seen.growths_per_pred.get(pred, 0))
         seen.consumers.append(rec)
 
-        def deliver(ids, leaf):
+        match, env = consumer
+
+        def counted(env, ids, leaf):
             rec.delivery_invocations += 1
-            consumer(ids, leaf)
-        register(infl, pred, prefix, deliver)
+            match(env, ids, leaf)
+        register(infl, pred, prefix, (counted, env))
 
     def snapshot_seal_up_to(store, rank):
         seen.stratum_snapshots[rank] = {

@@ -63,6 +63,12 @@ def test_parse_requires_initial():
         parse_program_graph("state q0\nvar x\nq0 -> q0 : skip")
 
 
+def test_parse_rejects_second_initial_line():
+    with pytest.raises(ParseError) as err:
+        parse_program_graph("initial q0\ninitial q1\nvar x\nq0 -> q1 : skip")
+    assert str(err.value) == "2:1: second 'initial' line"
+
+
 def test_parse_long_ring_keeps_first_occurrence_order():
     # a state line before the initial one, and every name declared twice
     n = 20_000

@@ -88,11 +88,27 @@ POWERSET = "lattice powerset {a,b}\n"
      "'fact' is reserved and cannot name a predicate", 2, 5),
     (POWERSET + "rel E/1\nrel E/2",
      "arity mismatch for E: 2 vs declared 1", 3, 5),
+    ("lattice interval zmin=3 zmax=1\nrel R/1",
+     "empty integer grid: zmin=3 > zmax=1", 1, 9),
+    ("lattice signs\nfun g/2\nrel R/1",
+     "unknown function symbol g/2", 2, 5),
+    (POWERSET + "rel R/1\nfact R(a) = x",
+     "expected a lattice constant, found 'x'", 3, 13),
+    ("lattice interval zmin=0 zmax=3\nrel R/1\nfact R(1) = {1}",
+     "set literals require a powerset or signs lattice", 3, 13),
+    ("lattice signs\nrel R/1\nfact R(1) = {a}",
+     "expected a sign (-, 0, +), found 'a'", 3, 14),
+    ("lattice interval zmin=0 zmax=3\nrel R/1\nfact R(1) = [x,1]",
+     "expected an interval endpoint, found 'x'", 3, 14),
+    (POWERSET + "rel R/1\nfact R(a) = [0,1]",
+     "interval literals require an interval lattice", 3, 13),
 ], ids=["exists-in-clause", "forall-in-precondition", "disjunction-asserted",
         "negation-asserted", "application-asserted", "one-as-precondition",
         "implication-in-precondition", "function-term-in-query", "bad-character",
         "and-at-end", "after-comment-and-blank-lines", "after-tab",
-        "reserved-rel-name", "rel-arity-mismatch"])
+        "reserved-rel-name", "rel-arity-mismatch", "empty-grid", "unknown-function",
+        "bad-lattice-constant", "set-literal-on-intervals", "bad-sign",
+        "bad-interval-endpoint", "interval-literal-on-powerset"])
 def test_parse_error_message_and_position(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_clauses(text)

@@ -8,6 +8,7 @@ import pytest
 from latlog import cli, parser
 from latlog.ast import validate, reorder_preconditions
 from latlog.cli import leaf_diff, main, run_analyze, run_compare
+from latlog.errors import ParseError
 from latlog.parser import parse_clauses
 
 import helpers
@@ -84,6 +85,13 @@ def test_solve_fact_override_parse_error_reports_its_own_column(capsys):
     code, out, err = run(capsys, "solve", spath("eq_neq.lat"), "--fact", "E(a,b) = {a}")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: 1:1: arity mismatch for E: 2 vs declared 1"]
+
+
+def test_parse_fact_rejects_trailing_input():
+    program = parse_clauses("lattice powerset {a,b}\nrel R/1")
+    with pytest.raises(ParseError) as err:
+        parser.parse_fact("R(a) = {a} x", program)
+    assert str(err.value) == "1:12: unexpected trailing input 'x'"
 
 
 def test_solve_fact_override_keeps_the_join_of_other_repeated_facts(tmp_path, capsys):
@@ -331,6 +339,21 @@ def test_compare_requires_exactly_one_source(capsys):
     assert code == 2
     code, _, err = run(capsys, "compare", spath("eq_neq.lat"), "--seed", "3")
     assert code == 2
+
+
+def test_compare_mismatch_prints_leaf_diffs_and_stats(monkeypatch, capsys):
+    naive_fixpoint = cli.oracle.naive_fixpoint
+
+    def wrong_reference(program):
+        reference = naive_fixpoint(program)
+        reference.set("N", ("a",), frozenset(("a", "b")))
+        return reference
+
+    monkeypatch.setattr(cli.oracle, "naive_fixpoint", wrong_reference)
+    code, out, err = run(capsys, "compare", spath("eq_neq.lat"), "--stats")
+    assert code == 1
+    assert out.splitlines() == ["N(a): solver={b} oracle={a,b}"]
+    assert len(err.splitlines()) == 1 and err.startswith("stats: ")
 
 
 def test_leaf_diff_detects_corruption():

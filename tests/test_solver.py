@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latlog import ast, cli, solver
+from latlog.analysis import analysis_program, parse_program_graph
 from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
                         Query, Repr, TrueClause, Var, YVar,
                         reorder_preconditions, validate)
@@ -290,14 +291,17 @@ def test_atom_table_is_deterministic():
 def test_consumer_prefix_matching_and_snapshot():
     infl = ConsumerStore()
     seen = []
-    infl.register("R", (0,), lambda atoms, v: seen.append(("p0", atoms)))
-    infl.register("R", (), lambda atoms, v: seen.append(("any", atoms)))
-    for fn in infl.matching("R", (0, 5)):
-        fn(("a", "f"), None)
+
+    def record(env, atoms, v):
+        seen.append((env[0], atoms))
+    infl.register("R", (0,), (record, ["p0"]))
+    infl.register("R", (), (record, ["any"]))
+    for match, env in infl.matching("R", (0, 5)):
+        match(env, ("a", "f"), None)
     assert seen == [("any", ("a", "f")), ("p0", ("a", "f"))]
     seen.clear()
-    for fn in infl.matching("R", (1, 5)):
-        fn(("b", "f"), None)
+    for match, env in infl.matching("R", (1, 5)):
+        match(env, ("b", "f"), None)
     assert seen == [("any", ("b", "f"))]
 
 
@@ -328,7 +332,7 @@ def test_non_growing_add_triggers_no_consumers():
     engine = _Engine(program, SolveStats())
     engine.run(program.facts)
     calls = []
-    engine.infl.register("E", (), lambda ids, v: calls.append(ids))
+    engine.infl.register("E", (), (lambda env, ids, v: calls.append(ids), []))
     ids = engine.table.ids(("a",))
     assert has(engine.store, "E", ids, frozenset("a"))
     # a compiled assertion skips non-growing candidates before broadcasting
@@ -617,6 +621,18 @@ def test_solve_labeled_transitive_closure():
     assert helpers.propagation_bound_holds(seen)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: parse_clauses(helpers.sample("signs_relational.lat")),
+    lambda: analysis_program(parse_program_graph(helpers.sample("loop.graph")), "intervals"),
+], ids=["parsed-sample", "analysis-program"])
+def test_solve_validates_an_unvalidated_program(build):
+    program = build()
+    assert program.ranks is None
+    lines = solve(program).dump_lines()
+    assert program.ranks is not None
+    assert lines == solve(validate(build())).dump_lines()
+
+
 def test_solve_dump_deterministic():
     lines1 = helpers.run_pipeline(helpers.sample("eq_neq.lat"))[1].dump_lines()
     lines2 = helpers.run_pipeline(helpers.sample("eq_neq.lat"))[1].dump_lines()
@@ -642,11 +658,13 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
     register = ConsumerStore.register
 
     def checked_register(infl, pred, prefix, consumer):
-        def deliver(ids, leaf):
+        match, env = consumer
+
+        def checked(env, ids, leaf):
             if leaf is not engine.store.current(pred, ids):
                 stale.append((pred, ids, leaf))
-            consumer(ids, leaf)
-        register(infl, pred, prefix, deliver)
+            match(env, ids, leaf)
+        register(infl, pred, prefix, (checked, env))
 
     monkeypatch.setattr(ConsumerStore, "register", checked_register)
     engine.run(program.facts)
@@ -657,7 +675,7 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
 def test_drain_delivers_oldest_first_and_skips_replaced_leaves():
     engine, _ = engine_for(RELS)
     seen = []
-    engine.infl.register("R", (), lambda ids, leaf: seen.append((ids, leaf)))
+    engine.infl.register("R", (), (lambda env, ids, leaf: seen.append((ids, leaf)), []))
     for i, l in ((0, A), (1, A), (0, B)):  # the third replaces the first leaf
         ids = (i,)
         engine._broadcast("R", ids, engine.store.raise_leaf("R", ids, l))
@@ -872,6 +890,29 @@ def test_solve_leaves_nothing_for_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_waiting_queries_keep_few_tracked_objects_per_rule():
+    # a waiting query keeps its compiled match and one environment; a
+    # closure of its own per registration made this 6.55 per rule
+    program = validate(analysis_program(parse_program_graph(ring_graph(1000)),
+                                        "intervals", 0, 5))
+    rules = sum(len(cl.parts) if isinstance(cl, ast.And) else 1 for cl in program.strata)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        before = len(gc.get_objects())
+        engine = _Engine(program, SolveStats())
+        engine.run(program.facts)
+        gc.collect()
+        live = len(gc.get_objects()) - before
+        engine.infl.clear()  # waiting queries and the engine refer to each other
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(engine.store.sub("A")) == 2000
+    assert live / rules <= 5.0, f"{live} tracked objects for {rules} rules"
 
 
 def test_solve_leaves_ast_caches_untouched():
