@@ -9,19 +9,23 @@ are universe constants.  Precedence, weakest first: quantifiers, ``=>``
 preconditions.  A bracketed single term ``[x]`` denotes the description of
 an atom; a bracketed pair ``[lo,hi]`` is an interval constant.
 
-Tokens carry their offset in the text; line and column are computed from it
-only when an error is reported.  The parser builds AST nodes in one pass.
-Whether an operand is read as a clause or as a precondition is decided when
-it starts: in clause position, a chain followed by ``=>`` at its own bracket
-depth is the precondition of an implication, and a lookahead over the tokens
-finds that ``=>``.  Faults are reported in reading order.
+A token is its lexeme, a plain string, and ``""`` ends the list.  Its first
+character gives its kind: ``'`` a lattice variable, an ASCII letter or ``_``
+an identifier, a digit (as ``\\d`` reads one: ``str.isdecimal``) an integer,
+anything else punctuation.  An integer's value is read where the parser
+needs it, and a position only when an error is reported.  The parser builds
+AST nodes in one pass.  Whether an operand is read as a clause or as a
+precondition is decided when it starts: in clause position, a chain followed
+by ``=>`` at its own bracket depth is the precondition of an implication,
+and a lookahead over the tokens finds that ``=>``.  Faults are reported in
+reading order.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Any, Optional
+from typing import Optional
 
 from . import ast
 from .errors import ParseError
@@ -34,50 +38,46 @@ _RESERVED = {
     "rel", "fun", "fact", "clause", "forall", "exists", "top", "bot", "inf",
 }
 
-# one match per token, skipping the whitespace and comments in front of it
+# one match per token, skipping the whitespace and comments in front of it;
+# ``\Z`` precedes the catch-all, so that trailing blanks are skipped, not read
 _TOKEN_RE = re.compile(r"""
     (?:\s+|//[^\n]*)*
-    (?: (?P<yvar>'[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<int>\d+)
-      | (?P<punct>=>|:=|->|[(){}\[\],;./=!&|+\-*<>])
-      | (?P<eof>\Z)
-      | (?P<bad>.) )
+    ( '[A-Za-z_][A-Za-z0-9_]*
+    | [A-Za-z_][A-Za-z0-9_]*
+    | \d+
+    | =>|:=|->|[(){}\[\],;./=!&|+\-*<>]
+    | \Z
+    | . )
 """, re.VERBOSE)
 
-
-class Token:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value: Any, offset: int):
-        self.kind = kind  # ident | yvar | int | punct | eof
-        self.value = value  # an int for kind int, None for eof
-        self.offset = offset
+# a lexeme that only the catch-all matches: one character that starts no token
+_BAD = re.compile(r"'|[^'A-Za-z_\d(){}\[\],;./=!&|+\-*<>]").fullmatch
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+def _line_col(text: str, index: int) -> tuple[int, int]:
+    """Line and column of the token at ``index``, found by matching again."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == index:
+            offset = m.start(1)
+            return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    match, pos = _TOKEN_RE.match, 0
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start, pos = m.start(kind), m.end()
-        if kind == "eof":
-            tokens.append(Token(kind, None, start))
-            return tokens
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[start]!r}", *_line_col(text, start))
-        lexeme = text[start:pos]
-        tokens.append(Token(kind, int(lexeme) if kind == "int" else lexeme, start))
+def tokenize(text: str) -> list[str]:
+    """The lexemes of ``text``, ending with ``""`` for the end of input; a
+    character that starts no token is an error, so the parser sees none."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens[-2:] == ["", ""]:
+        tokens.pop()  # after trailing blanks the end matches a second time
+    bad = [lexeme for lexeme in set(tokens) if len(lexeme) == 1 and _BAD(lexeme)]
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise ParseError(f"unexpected character {tokens[index]!r}", *_line_col(text, index))
+    return tokens
 
 
-# token values that open or close a group, and that end a clause item
+# lexemes that open or close a group, and that end a clause item
 _OPEN, _CLOSE = frozenset("([{"), frozenset(")]}")
-_ITEM_END = frozenset({"rel", "fun", "fact", "clause", None})
+_ITEM_END = frozenset({"rel", "fun", "fact", "clause", ""})
 
 
 class Parser:
@@ -99,44 +99,47 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         if ahead:
             return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def advance(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def at(self, value: str) -> bool:
+        return self.tokens[self.pos] == value
+
+    def eat(self, value: str) -> bool:
+        if self.tokens[self.pos] == value:
             self.pos += 1
-        return tok
-
-    def at(self, value) -> bool:
-        return self.tokens[self.pos].value == value
-
-    def eat(self, value) -> bool:
-        if self.at(value):
-            self.advance()
             return True
         return False
 
-    def expect(self, value) -> Token:
-        tok = self.peek()
-        if not self.at(value):
-            self.err(f"expected {value!r}, found {self._show(tok)}", tok)
+    def expect(self, value: str):
+        if not self.eat(value):
+            self.expected(repr(value))
+
+    def expect_ident(self) -> str:
+        if not self.tokens[self.pos].isidentifier():
+            self.expected("ident")
         return self.advance()
 
-    def expect_kind(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.err(f"expected {kind}, found {self._show(tok)}", tok)
-        return self.advance()
+    def expect_int(self) -> int:
+        if not self.tokens[self.pos].isdecimal():
+            self.expected("int")
+        return int(self.advance())
 
     @staticmethod
-    def _show(tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(str(tok.value))
+    def _show(tok: str) -> str:
+        return repr(str(int(tok)) if tok.isdecimal() else tok) if tok else "end of input"
 
-    def err(self, msg: str, tok: Token):
-        raise ParseError(msg, *_line_col(self.text, tok.offset))
+    def expected(self, what: str):
+        self.err(f"expected {what}, found {self._show(self.tokens[self.pos])}", self.pos)
+
+    def err(self, msg: str, index: int):
+        raise ParseError(msg, *_line_col(self.text, index))
 
     # -- file structure
 
@@ -145,8 +148,7 @@ class Parser:
         if extra_functions:
             for (name, arity), fn in extra_functions.items():
                 self.registry.register(name, arity, fn)
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.peek():
             if self.at("rel"):
                 self._parse_rel_decl()
             elif self.at("fun"):
@@ -156,7 +158,7 @@ class Parser:
             elif self.at("clause"):
                 self._parse_clause_item()
             else:
-                self.err(f"expected rel/fun/fact/clause, found {self._show(tok)}", tok)
+                self.expected("rel/fun/fact/clause")
         extra = self.lattice.atoms if self.lattice.kind == "powerset" else ()
         universe = ast.universe_of(self.strata, self.facts, extra)
         return ast.Program(
@@ -171,12 +173,12 @@ class Parser:
 
     def _parse_lattice_decl(self):
         self.expect("lattice")
-        tok = self.peek()
+        start = self.pos
         if self.eat("powerset"):
             self.expect("{")
             atoms = self._parse_list(self._parse_atom_token, "}")
             if not atoms:
-                self.err("powerset universe must not be empty", tok)
+                self.err("powerset universe must not be empty", start)
             self.lattice = powerset_lattice(atoms)
         elif self.eat("signs"):
             self.lattice = sign_lattice()
@@ -188,21 +190,21 @@ class Parser:
             self.expect("=")
             zmax = self._parse_signed_int()
             if zmin > zmax:
-                self.err(f"empty integer grid: zmin={zmin} > zmax={zmax}", tok)
+                self.err(f"empty integer grid: zmin={zmin} > zmax={zmax}", start)
             self.lattice = interval_lattice(zmin, zmax)
         else:
-            self.err("expected powerset, signs, or interval", tok)
+            self.err("expected powerset, signs, or interval", start)
         self.registry = standard_registry(self.lattice)
 
     def _parse_signed_int(self) -> int:
         sign = -1 if self.eat("-") else 1
-        return sign * self.expect_kind("int").value
+        return sign * self.expect_int()
 
     def _parse_list(self, item, *close) -> list:
         """Comma-separated ``item``s up to the first of the ``close`` tokens,
         which is then expected; one trailing comma is accepted."""
         items = []
-        while self.peek().value not in close:
+        while self.tokens[self.pos] not in close:
             items.append(item())
             if not self.eat(","):
                 break
@@ -210,43 +212,43 @@ class Parser:
         return items
 
     def _parse_atom_token(self):
-        tok = self.peek()
-        if tok.kind == "int" or self.at("-"):
+        start, tok = self.pos, self.peek()
+        if tok.isdecimal() or tok == "-":
             return self._parse_signed_int()
-        if tok.kind == "ident":
-            name = self.advance().value
+        if tok.isidentifier():
+            name = self.advance()
             if name in _RESERVED:
-                self.err(f"{name!r} is reserved and cannot name an atom", tok)
+                self.err(f"{name!r} is reserved and cannot name an atom", start)
             if not name[0].islower():
                 self.err(f"unknown atom {name!r} (atoms are lowercase identifiers "
-                         "or integers)", tok)
+                         "or integers)", start)
             return name
-        self.err(f"expected an atom, found {self._show(tok)}", tok)
+        self.expected("an atom")
 
     def _parse_rel_decl(self):
         self.expect("rel")
-        tok = self.peek()
-        name = self.expect_kind("ident").value
+        start = self.pos
+        name = self.expect_ident()
         self.expect("/")
-        self._note_arity(name, self.expect_kind("int").value, tok)
+        self._note_arity(name, self.expect_int(), start)
 
     def _parse_fun_decl(self):
         self.expect("fun")
-        tok = self.peek()
-        name = self.expect_kind("ident").value
+        start = self.pos
+        name = self.expect_ident()
         self.expect("/")
-        arity = self.expect_kind("int").value
+        arity = self.expect_int()
         if not self.registry.has(name, arity):
-            self.err(f"unknown function symbol {name}/{arity}", tok)
+            self.err(f"unknown function symbol {name}/{arity}", start)
         self.declared_funs.append((name, arity))
 
     def _parse_fact(self):
         """``P(a1, ..., an) = l``, the text after the ``fact`` keyword."""
-        tok = self.peek()
-        pred = self.expect_kind("ident").value
+        start = self.pos
+        pred = self.expect_ident()
         self.expect("(")
         atoms = self._parse_list(self._parse_atom_token, ")")
-        self._note_arity(pred, len(atoms), tok)
+        self._note_arity(pred, len(atoms), start)
         self.expect("=")
         value = self._parse_lconst()
         self.facts.append(ast.Fact(pred, tuple(atoms), value))
@@ -261,16 +263,16 @@ class Parser:
 
     # -- arity bookkeeping
 
-    def _note_arity(self, pred: str, arity: int, tok: Token):
+    def _note_arity(self, pred: str, arity: int, start: int):
         if pred in _RESERVED:
-            self.err(f"{pred!r} is reserved and cannot name a predicate", tok)
+            self.err(f"{pred!r} is reserved and cannot name a predicate", start)
         prev = self.arities.setdefault(pred, arity)
         if prev != arity:
-            self.err(f"arity mismatch for {pred}: {arity} vs declared {prev}", tok)
+            self.err(f"arity mismatch for {pred}: {arity} vs declared {prev}", start)
 
     # -- scopes
 
-    def _bind(self, surface: str, tok: Token) -> str:
+    def _bind(self, surface: str, start: int) -> str:
         """Bring a binder into scope under its internal name: the first of
         ``x, x_2, x_3, ...`` not yet used in the clause; a suffixed name also
         skips every name the file spells, so that printing it captures no
@@ -278,7 +280,7 @@ class Parser:
         previous binder of the same name stopped.  A lattice variable's
         surface name keeps its apostrophe, so the two kinds never collide."""
         if surface.lstrip("'") in _RESERVED:
-            self.err(f"{surface!r} is reserved and cannot name a variable", tok)
+            self.err(f"{surface!r} is reserved and cannot name a variable", start)
         n = self.next_suffix.get(surface, 1)
         internal = surface if n == 1 else f"{surface}_{n}"
         while internal in self.used_names or n > 1 and internal in self._spelled:
@@ -291,45 +293,44 @@ class Parser:
 
     @cached_property
     def _spelled(self) -> set:
-        """Every token value of the file, collected when a suffix is first tried."""
-        return {tok.value for tok in self.tokens}
+        """Every lexeme of the file, collected when a suffix is first tried."""
+        return set(self.tokens)
 
     def _bound_yvar(self) -> str:
         """Internal name of the lattice variable token read next."""
         tok = self.advance()
-        bound = self.scope.get(tok.value)
+        bound = self.scope.get(tok)
         if bound is None:
-            self.err(f"unbound lattice variable {tok.value}", tok)
+            self.err(f"unbound lattice variable {tok}", self.pos - 1)
         return bound
 
     # -- terms and lattice terms
 
     def _parse_term(self):
-        tok = self.peek()
-        if tok.kind == "int" or self.at("-"):
+        start, tok = self.pos, self.peek()
+        if tok.isdecimal() or tok == "-":
             atom = self._parse_signed_int()
-            self._check_powerset_atom(atom, tok)
+            self._check_powerset_atom(atom, start)
             return ast.Const(atom)
-        if tok.kind == "ident":
-            name = self.advance().value
+        if tok.isidentifier():
+            name = self.advance()
             bound = self.scope.get(name)
             if bound is not None:
                 return ast.Var(bound)
             if name in _RESERVED:
-                self.err(f"{name!r} is reserved", tok)
+                self.err(f"{name!r} is reserved", start)
             if not name[0].islower():
                 self.err(f"unbound identifier {name!r} used as a constant "
-                         "(constants are lowercase)", tok)
-            self._check_powerset_atom(name, tok)
+                         "(constants are lowercase)", start)
+            self._check_powerset_atom(name, start)
             return ast.Const(name)
-        self.err(f"expected a term, found {self._show(tok)}", tok)
+        self.expected("a term")
 
-    def _check_powerset_atom(self, atom, tok: Token):
+    def _check_powerset_atom(self, atom, start: int):
         if self.lattice.kind == "powerset" and atom not in self.lattice.atoms:
-            self.err(f"unknown atom {atom!r} (not in the powerset universe)", tok)
+            self.err(f"unknown atom {atom!r} (not in the powerset universe)", start)
 
     def _parse_lconst(self):
-        tok = self.peek()
         if self.eat("top"):
             return self.lattice.top
         if self.eat("bot"):
@@ -338,44 +339,44 @@ class Parser:
             return self._parse_set_literal()
         if self.at("["):
             return self._parse_interval_literal()
-        self.err(f"expected a lattice constant, found {self._show(tok)}", tok)
+        self.expected("a lattice constant")
 
     def _parse_set_literal(self):
-        tok = self.expect("{")
+        self.expect("{")
         if self.lattice.kind not in ("powerset", "signs"):
-            self.err("set literals require a powerset or signs lattice", tok)
+            self.err("set literals require a powerset or signs lattice", self.pos - 1)
         return frozenset(self._parse_list(self._parse_set_element, "}"))
 
     def _parse_set_element(self):
-        tok = self.peek()
+        start, tok = self.pos, self.peek()
         if self.lattice.kind == "signs":
             if self.eat("-"):
                 return "-"
             if self.eat("+"):
                 return "+"
-            if tok.kind == "int" and tok.value == 0:
+            if tok.isdecimal() and int(tok) == 0:
                 self.advance()
                 return "0"
-            self.err(f"expected a sign (-, 0, +), found {self._show(tok)}", tok)
+            self.expected("a sign (-, 0, +)")
         atom = self._parse_atom_token()
-        self._check_powerset_atom(atom, tok)
+        self._check_powerset_atom(atom, start)
         return atom
 
     def _parse_interval_endpoint(self):
         tok = self.peek()
         if self.eat("inf"):
             return POS_INF
-        if self.at("-") and self.peek(1).value == "inf":
+        if tok == "-" and self.peek(1) == "inf":
             self.pos += 2
             return NEG_INF
-        if tok.kind == "int" or self.at("-"):
+        if tok.isdecimal() or tok == "-":
             return self._parse_signed_int()
-        self.err(f"expected an interval endpoint, found {self._show(tok)}", tok)
+        self.expected("an interval endpoint")
 
     def _parse_interval_literal(self):
-        tok = self.expect("[")
+        self.expect("[")
         if self.lattice.kind != "interval":
-            self.err("interval literals require an interval lattice", tok)
+            self.err("interval literals require an interval lattice", self.pos - 1)
         lo = self._parse_interval_endpoint()
         self.expect(",")
         hi = self._parse_interval_endpoint()
@@ -384,30 +385,30 @@ class Parser:
 
     def _parse_value(self):
         """A lattice term in query/assert position (FnApp legality checked later)."""
-        tok = self.peek()
-        if tok.kind == "yvar":
+        start, tok = self.pos, self.peek()
+        if tok[:1] == "'":
             return ast.YVar(self._bound_yvar())
-        if self.at("["):
+        if tok == "[":
             # an interval literal starts with inf, -inf, or a signed integer
             # and a comma; any other bracketed term is a description
-            i = 2 if self.peek(1).value == "-" else 1
+            i = 2 if self.peek(1) == "-" else 1
             first = self.peek(i)
-            if first.value == "inf" or (first.kind == "int" and self.peek(i + 1).value == ","):
+            if first == "inf" or (first.isdecimal() and self.peek(i + 1) == ","):
                 return ast.LitConst(self._parse_interval_literal())
             self.advance()
             term = self._parse_term()
             self.expect("]")
             return ast.Repr(term)
-        if self.at("{") or self.at("top") or self.at("bot"):
+        if tok == "{" or tok == "top" or tok == "bot":
             return ast.LitConst(self._parse_lconst())
-        if tok.kind == "ident":
-            name = self.advance().value
+        if tok.isidentifier():
+            name = self.advance()
             self.expect("(")
             args = self._parse_list(self._parse_value, ")")
             if not self.registry.has(name, len(args)):
-                self.err(f"unknown function symbol {name}/{len(args)}", tok)
+                self.err(f"unknown function symbol {name}/{len(args)}", start)
             return ast.FnApp(name, tuple(args))
-        self.err(f"expected a lattice term, found {self._show(tok)}", tok)
+        self.expected("a lattice term")
 
     # -- clauses and preconditions: ``clause`` tells the position being read
 
@@ -417,16 +418,16 @@ class Parser:
         end: that is, whether the chain starting here is a precondition."""
         tokens, i, depth = self.tokens, self.pos, 0
         while True:
-            value = tokens[i].value
-            if value in _OPEN:
+            tok = tokens[i]
+            if tok in _OPEN:
                 depth += 1
-            elif value in _CLOSE:
+            elif tok in _CLOSE:
                 if not depth:
                     return False
                 depth -= 1
-            elif not depth and value == "=>":
+            elif not depth and tok == "=>":
                 return True
-            elif value in _ITEM_END or not depth and value == ",":
+            elif tok in _ITEM_END or not depth and tok == ",":
                 return False
             i += 1
 
@@ -439,21 +440,19 @@ class Parser:
             return ast.Imply(pre, self._parse_quantified(True))
         node = self._parse_or(clause)
         if not clause and self.at("=>"):
-            self.err("'=>' is not allowed inside preconditions", self.peek())
+            self.err("'=>' is not allowed inside preconditions", self.pos)
         return node
 
     def _parse_binder_body(self, clause: bool, top: bool):
         """``forall`` binds in clause position and ``exists`` in preconditions;
         a binder inside a chain (not ``top``) scopes over one or-chain."""
-        tok = self.advance()
-        if (tok.value == "forall") != clause:
+        if (self.advance() == "forall") != clause:
             self.err("exists is not allowed in clause position" if clause
-                     else "forall is not allowed in preconditions", tok)
-        bind_tok = self.peek()
-        is_y = bind_tok.kind == "yvar"
-        name = self.advance().value if is_y else self.expect_kind("ident").value
+                     else "forall is not allowed in preconditions", self.pos - 1)
+        start = self.pos
+        name = self.advance() if self.peek()[:1] == "'" else self.expect_ident()
         outer = self.scope.get(name)
-        var = self._bind(name, bind_tok)
+        var = self._bind(name, start)
         self.expect(".")
         body = self._parse_quantified(clause) if top else self._parse_or(clause)
         self.scope[name] = outer
@@ -468,10 +467,11 @@ class Parser:
             return node
         parts = list(node.parts) if isinstance(node, ast.PreOr) else [node]
         while self.at("|"):
-            tok = self.advance()
+            start = self.pos
+            self.advance()
             parts.append(self._parse_and(False))
         if clause:
-            self.err("disjunction is only allowed in preconditions", tok)
+            self.err("disjunction is only allowed in preconditions", start)
         return ast.PreOr(tuple(parts))
 
     def _parse_and(self, clause: bool):
@@ -484,47 +484,47 @@ class Parser:
         return ast.And(tuple(parts))
 
     def _parse_unit(self, clause: bool):
-        tok = self.peek()
+        start, tok = self.pos, self.peek()
         if self.eat("("):
             node = self._parse_quantified(clause)
             self.expect(")")
             return node
-        if self.at("forall") or self.at("exists"):
+        if tok == "forall" or tok == "exists":
             return self._parse_binder_body(clause, top=False)
-        if self.at("!"):
+        if tok == "!":
             if clause:
-                self.err("a negated query cannot be asserted", tok)
+                self.err("a negated query cannot be asserted", start)
             self.advance()
-            return self._parse_rel_atom(False, neg=True, tok=tok)
-        if tok.kind == "int" and tok.value == 1:
+            return self._parse_rel_atom(False, neg=True, start=start)
+        if tok.isdecimal() and int(tok) == 1:
             if not clause:
-                self.err("'1' is a clause, not a precondition", tok)
+                self.err("'1' is a clause, not a precondition", start)
             self.advance()
             return ast.TrueClause()
-        if tok.kind == "yvar":
+        if tok[:1] == "'":
             bound = self._bound_yvar()
             if clause:
                 self.err("a lattice-variable application is only allowed in preconditions",
-                         tok)
+                         start)
             self.expect("(")
             term = self._parse_term()
             self.expect(")")
             return ast.Apply(bound, term)
-        if tok.kind == "ident":
-            return self._parse_rel_atom(clause, neg=False, tok=tok)
-        self.err(f"expected a clause or precondition, found {self._show(tok)}", tok)
+        if tok.isidentifier():
+            return self._parse_rel_atom(clause, neg=False, start=start)
+        self.expected("a clause or precondition")
 
-    def _parse_rel_atom(self, clause: bool, neg: bool, tok: Token):
-        pred = self.expect_kind("ident").value
+    def _parse_rel_atom(self, clause: bool, neg: bool, start: int):
+        pred = self.expect_ident()
         self.expect("(")
         args = self._parse_list(self._parse_term, ";", ")")
         value = self._parse_value()
         self.expect(")")
-        self._note_arity(pred, len(args), tok)
+        self._note_arity(pred, len(args), start)
         if clause:
             return ast.Assert(pred, tuple(args), value)
         if isinstance(value, ast.FnApp):
-            self.err("function terms are not allowed in queries", tok)
+            self.err("function terms are not allowed in queries", start)
         return (ast.NegQuery if neg else ast.Query)(pred, tuple(args), value)
 
 
@@ -542,8 +542,8 @@ def parse_fact(text: str, program: ast.Program) -> ast.Fact:
     parser.arities = dict(program.arities)
     parser._parse_fact()
     tok = parser.peek()
-    if tok.kind != "eof":
-        parser.err(f"unexpected trailing input {parser._show(tok)}", tok)
+    if tok:
+        parser.err(f"unexpected trailing input {parser._show(tok)}", parser.pos)
     return parser.facts[0]
 
 

@@ -1,5 +1,8 @@
 """Parsing, pretty-printing, well-formedness, stratification, reordering."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from latlog import ast
@@ -9,7 +12,7 @@ from latlog.ast import (And, Apply, Assert, Const, FnApp, Forall, Imply,
 from latlog.cli import run_solve
 from latlog.errors import ParseError, StratificationError, ValidationError
 from latlog.lattices import interval_lattice, powerset_lattice, standard_registry
-from latlog.parser import parse_clauses, parse_fact, pretty
+from latlog.parser import parse_clauses, parse_fact, pretty, tokenize
 from latlog.randgen import random_program
 
 import helpers
@@ -102,18 +105,50 @@ POWERSET = "lattice powerset {a,b}\n"
      "expected an interval endpoint, found 'x'", 3, 14),
     (POWERSET + "rel R/1\nfact R(a) = [0,1]",
      "interval literals require an interval lattice", 3, 13),
+    (POWERSET + "clause R(a;[a]) #",
+     "unexpected character '#'", 2, 17),
+    (POWERSET + "clause R(a;[a]  \n  // tail",
+     "expected ')', found end of input", 3, 10),
+    (POWERSET + "clause R(a;[a]) & \n\n   ",
+     "expected a clause or precondition, found end of input", 4, 4),
+    (POWERSET + "clause R(a;[a]) )\n é",
+     "unexpected character 'é'", 3, 2),
+    (POWERSET + "clause R(a;[a]) & S(²;[a])",
+     "unexpected character '²'", 2, 21),
+    (POWERSET + "clause forall x'. R(x;[x])",
+     "unexpected character \"'\"", 2, 16),
 ], ids=["exists-in-clause", "forall-in-precondition", "disjunction-asserted",
         "negation-asserted", "application-asserted", "one-as-precondition",
         "implication-in-precondition", "function-term-in-query", "bad-character",
         "and-at-end", "after-comment-and-blank-lines", "after-tab",
         "reserved-rel-name", "rel-arity-mismatch", "empty-grid", "unknown-function",
         "bad-lattice-constant", "set-literal-on-intervals", "bad-sign",
-        "bad-interval-endpoint", "interval-literal-on-powerset"])
+        "bad-interval-endpoint", "interval-literal-on-powerset",
+        "bad-character-at-end", "end-after-trailing-comment", "end-after-trailing-blanks",
+        "bad-character-before-parse-error", "superscript-digit", "lone-apostrophe"])
 def test_parse_error_message_and_position(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_clauses(text)
     assert (str(err.value), err.value.line, err.value.col) == \
         (f"{line}:{col}: {message}", line, col)
+
+
+def test_tokens_are_untracked_strings_of_few_bytes():
+    n = 20_000
+    text = "lattice signs\n" + "".join(
+        f"fact E(n{i},n{i + 1}) = {{+}}\n" for i in range(n - 1)) + \
+        "clause R(n0;{+}) & (forall x. forall y. R(x;{+}) & E(x,y;{+}) => R(y;{+}))\n"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tokens = tokenize(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the header, 11 per fact, 46 for the clause and the end marker
+    assert len(tokens) == 2 + 11 * (n - 1) + 46 + 1 and tokens[-1] == ""
+    assert held <= 40 * len(tokens)
+    assert not any(map(gc.is_tracked, tokens))
 
 
 @pytest.mark.parametrize("suffix", ["", " => S(a;[a])"],
@@ -304,6 +339,21 @@ def test_roundtrip_sample_files(name):
 @pytest.mark.parametrize("seed", range(40))
 def test_roundtrip_random_programs(seed):
     p1 = random_program(seed)
+    p2 = parse_clauses(pretty(p1))
+    assert helpers.program_fingerprint(p1) == helpers.program_fingerprint(p2)
+
+
+@pytest.mark.parametrize("text, line", [
+    (POWERSET + "clause R(a;[a]) // é ² #\n", "clause R(a;[a])"),
+    ("lattice interval zmin=٣ zmax=٥", "lattice interval zmin=3 zmax=5"),
+    ("lattice powerset {007,a}\nfact R(7) = {7}", "lattice powerset {7,a}"),
+    ("lattice powerset {007,a}\nfact R(7) = {7}", "fact R(7) = {7}"),
+    ("lattice signs\nclause R(0;{00})", "clause R(0;{0})"),
+], ids=["characters-in-comment", "arabic-indic-digits", "leading-zeros-atom",
+        "leading-zeros-fact", "leading-zeros-sign"])
+def test_roundtrip_lexemes_print_as_read(text, line):
+    p1 = parse_clauses(text)
+    assert line in pretty(p1).splitlines()
     p2 = parse_clauses(pretty(p1))
     assert helpers.program_fingerprint(p1) == helpers.program_fingerprint(p2)
 
