@@ -18,7 +18,7 @@ from typing import Union
 from . import ast
 from .errors import ParseError, ValidationError
 from .lattices import Lattice, interval_lattice, sign_lattice, standard_registry
-from .parser import _RESERVED, pretty
+from .parser import _RESERVED, pretty, read_int
 
 _RESERVED_GRAPH = {"state", "initial", "var", "skip", "test"}
 
@@ -79,7 +79,7 @@ _EDGE_RE = re.compile(r"^\s*(?P<src>\w+)\s*->\s*(?P<dst>\w+)\s*:\s*(?P<act>.*)$"
 
 def _operand(text: str, variables, lineno: int) -> Operand:
     if re.fullmatch(r"-?\d+", text):
-        return int(text)
+        return read_int(text, lambda: (lineno, 1))
     if text not in variables:
         raise ParseError(f"unknown variable {text!r}", lineno, 1)
     return text

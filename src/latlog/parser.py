@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from . import ast
 from .errors import ParseError
@@ -60,6 +60,17 @@ def _line_col(text: str, index: int) -> tuple[int, int]:
         if i == index:
             offset = m.start(1)
             return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def read_int(digits: str, where: Callable[[], tuple[int, int]]) -> int:
+    """The integer that a digit string, with an optional minus sign, spells.
+    One longer than ``int()`` converts (Python's limit on integer string
+    conversion, left as it is) is a ``ParseError`` at ``where()``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits.lstrip('-'))} digits is too long",
+                         *where()) from None
 
 
 def tokenize(text: str) -> list[str]:
@@ -126,17 +137,21 @@ class Parser:
             self.expected("ident")
         return self.advance()
 
+    def int_at(self, index: int) -> int:
+        return read_int(self.tokens[index], lambda: _line_col(self.text, index))
+
     def expect_int(self) -> int:
         if not self.tokens[self.pos].isdecimal():
             self.expected("int")
-        return int(self.advance())
+        self.pos += 1
+        return self.int_at(self.pos - 1)
 
-    @staticmethod
-    def _show(tok: str) -> str:
-        return repr(str(int(tok)) if tok.isdecimal() else tok) if tok else "end of input"
+    def _show(self, index: int) -> str:
+        tok = self.tokens[index]
+        return repr(str(self.int_at(index)) if tok.isdecimal() else tok) if tok else "end of input"
 
     def expected(self, what: str):
-        self.err(f"expected {what}, found {self._show(self.tokens[self.pos])}", self.pos)
+        self.err(f"expected {what}, found {self._show(self.pos)}", self.pos)
 
     def err(self, msg: str, index: int):
         raise ParseError(msg, *_line_col(self.text, index))
@@ -327,7 +342,8 @@ class Parser:
         self.expected("a term")
 
     def _check_powerset_atom(self, atom, start: int):
-        if self.lattice.kind == "powerset" and atom not in self.lattice.atoms:
+        # a powerset's top is the frozenset of its atoms
+        if self.lattice.kind == "powerset" and atom not in self.lattice.top:
             self.err(f"unknown atom {atom!r} (not in the powerset universe)", start)
 
     def _parse_lconst(self):
@@ -354,7 +370,7 @@ class Parser:
                 return "-"
             if self.eat("+"):
                 return "+"
-            if tok.isdecimal() and int(tok) == 0:
+            if tok.isdecimal() and self.int_at(self.pos) == 0:
                 self.advance()
                 return "0"
             self.expected("a sign (-, 0, +)")
@@ -496,7 +512,7 @@ class Parser:
                 self.err("a negated query cannot be asserted", start)
             self.advance()
             return self._parse_rel_atom(False, neg=True, start=start)
-        if tok.isdecimal() and int(tok) == 1:
+        if tok.isdecimal() and self.int_at(self.pos) == 1:
             if not clause:
                 self.err("'1' is a clause, not a precondition", start)
             self.advance()
@@ -543,7 +559,7 @@ def parse_fact(text: str, program: ast.Program) -> ast.Fact:
     parser._parse_fact()
     tok = parser.peek()
     if tok:
-        parser.err(f"unexpected trailing input {parser._show(tok)}", parser.pos)
+        parser.err(f"unexpected trailing input {parser._show(parser.pos)}", parser.pos)
     return parser.facts[0]
 
 

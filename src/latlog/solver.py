@@ -10,11 +10,14 @@ existential memo and an evaluator per lattice term; a clause conjunction
 becomes a flat tuple of steps.  Top-level conjuncts that differ only in
 their constants and binder names share one compiled step, and each runs it
 on an environment holding its own constants.  Running joins assertion
-candidates into per-predicate prefix trees over atom ids and queues each
-strict growth with the queries waiting under a matching prefix so far, each
-its compiled match and the environment it registered in.  One loop delivers
-the queue, oldest first, running each match as a sweep does, so deliveries
-never nest, and stops delivering a leaf once a later growth has replaced it.
+candidates into flat leaf maps over atom id tuples, one per predicate, with
+a hash index per search signature: the argument positions a query finds
+constant or bound, whose atoms are the key it looks up.  Each strict growth
+is queued with the queries waiting so far under its key for one of the
+predicate's signatures, each its compiled match and the environment it
+registered in.  One loop delivers the queue, oldest first, running each
+match as a sweep does, so deliveries never nest, and stops delivering a
+leaf once a later growth has replaced it.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
 it against; narrowing it by meet below that bound fails.  Leaves are never
@@ -63,46 +66,6 @@ class AtomTable:
         return tuple(self._atoms[i] for i in ids)
 
 
-class PrefixTree:
-    """Radix tree over interned atom ids; leaves hold lattice values."""
-
-    __slots__ = ("arity", "root")
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.root: Any = {} if arity else None
-
-    def get(self, ids: tuple):
-        node = self.root
-        for i in ids:
-            if node is None:
-                return None
-            node = node.get(i)
-        return node
-
-    def set(self, ids: tuple, value) -> None:
-        if self.arity == 0:
-            self.root = value
-            return
-        node = self.root
-        for i in ids[:-1]:
-            node = node.setdefault(i, {})
-        node[ids[-1]] = value
-
-    def items(self, prefix: tuple = ()) -> list[tuple[tuple, Any]]:
-        """Leaves under the given prefix, in insertion order."""
-        node = self.get(prefix)
-        if node is None:
-            return []
-        level = [(tuple(prefix), node)]
-        for _ in range(self.arity - len(prefix)):
-            if not level:
-                break
-            level = [(path + (i,), child) for path, inner in level
-                     for i, child in inner.items()]
-        return level
-
-
 @dataclass
 class SolveStats:
     """Instrumentation counters for one solve run."""
@@ -119,8 +82,74 @@ class SolveStats:
             "redundant_adds")}
 
 
+_NO_KEY, _WHOLE = itemgetter(slice(0)), itemgetter(slice(None))  # () and ids[:], which is ids
+
+
+def _key_of(sig: tuple, arity: int) -> Callable[[tuple], Any]:
+    """A stored tuple's key under a search signature, the positions a query
+    binds: () for the empty signature, the tuple itself for the full one,
+    else its atom ids at the signature's positions, one bare id for one
+    position."""
+    if not sig:
+        return _NO_KEY
+    return _WHOLE if len(sig) == arity else itemgetter(*sig)
+
+
+def _file(index: dict, key, ids: tuple) -> None:
+    """Add an id tuple to its bucket in an index, in insertion order.  A
+    bucket of up to eight is a tuple, smaller than a list and untracked by
+    the cycle collector once collected; a larger one is a list, so adding
+    stays constant time."""
+    bucket = index.get(key, ())
+    if type(bucket) is list:
+        bucket.append(ids)
+    elif len(bucket) < 8:
+        index[key] = (*bucket, ids)
+    else:
+        index[key] = [*bucket, ids]
+
+
+class Relation(dict):
+    """One predicate's leaves, ``{ids: leaf}`` in insertion order, with a
+    hash index ``{key: bucket of ids}`` per search signature that a sweep
+    has read (keys by :func:`_key_of`, buckets by :func:`_file`).  An index
+    is built from the leaves on its first sweep and gains each tuple that
+    first appears later."""
+
+    __slots__ = ("arity", "indexes")
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.indexes: Optional[dict] = None  # {sig: (key_of, index)}
+
+    def enter(self, ids: tuple) -> None:
+        """File a tuple stored for the first time in every index."""
+        for key_of, index in self.indexes.values():
+            _file(index, key_of(ids), ids)
+
+    def sweep(self, sig: tuple, key) -> list[tuple[tuple, Any]]:
+        """Snapshot of the ``(ids, leaf)`` pairs stored under a signature's
+        key, in insertion order: all of them for the empty signature, one
+        leaf for the full one, else those its index files under the key."""
+        if not sig:
+            return list(self.items())
+        if len(sig) == self.arity:
+            leaf = self.get(key)
+            return [] if leaf is None else [(key, leaf)]
+        if self.indexes is None:
+            self.indexes = {}
+        entry = self.indexes.get(sig)
+        if entry is None:
+            key_of, index = _key_of(sig, self.arity), {}
+            for ids in self:
+                _file(index, key_of(ids), ids)
+            entry = self.indexes[sig] = key_of, index
+        return [(ids, self[ids]) for ids in entry[1].get(key, ())]
+
+
 class ResultStore:
-    """Per-predicate prefix trees mapping ground tuples to joined values.
+    """A :class:`Relation` per predicate, from ground tuples of atom ids to
+    joined values.
 
     Leaves are never bottom and only grow; once a stratum completes, the
     leaves of its predicates are sealed and any further growth aborts.
@@ -131,38 +160,39 @@ class ResultStore:
         self.lattice = lattice
         self.ranks = ranks
         self.stats = stats or SolveStats()
-        self._trees = {pred: PrefixTree(arities[pred]) for pred in arities}
+        self._relations = {pred: Relation(arity) for pred, arity in arities.items()}
         self._sealed_rank = -1
 
-    def tree(self, pred: str) -> PrefixTree:
+    def relation(self, pred: str) -> Relation:
         try:
-            return self._trees[pred]
+            return self._relations[pred]
         except KeyError:
             raise SolverInvariantError(f"undeclared predicate {pred!r}") from None
 
     def current(self, pred: str, ids: tuple):
-        leaf = self.tree(pred).get(ids)
+        leaf = self.relation(pred).get(ids)
         return self.lattice.bottom if leaf is None else leaf
 
     def raise_leaf(self, pred: str, ids: tuple, l):
         """Join l into the leaf; the new leaf if it strictly grew, else None."""
-        tree, lattice = self.tree(pred), self.lattice
-        current = tree.get(ids)
-        if current is None:
-            current = lattice.bottom
-        if lattice.leq(l, current):
+        leaves, lattice = self.relation(pred), self.lattice
+        current = leaves.get(ids)
+        if lattice.leq(l, lattice.bottom if current is None else current):
             return None
         if self.sealed(pred):
             raise SolverInvariantError(
                 f"predicate {pred} of completed stratum {self.ranks.get(pred, 0)} "
                 f"grew at {ids} after sealing")
-        joined = lattice.join(current, l)
-        tree.set(ids, joined)
+        if current is None:
+            current = lattice.bottom
+            if leaves.indexes:
+                leaves.enter(ids)
+        joined = leaves[ids] = lattice.join(current, l)
         self.stats.growths += 1
         return joined
 
-    def sub(self, pred: str, prefix: tuple = ()) -> list[tuple[tuple, Any]]:
-        return self.tree(pred).items(prefix)
+    def sub(self, pred: str, sig: tuple = (), key=()) -> list[tuple[tuple, Any]]:
+        return self.relation(pred).sweep(sig, key)
 
     def seal_up_to(self, rank: int) -> None:
         self._sealed_rank = max(self._sealed_rank, rank)
@@ -171,28 +201,50 @@ class ResultStore:
         return self.ranks.get(pred, 0) <= self._sealed_rank
 
 
-class ConsumerStore:
-    """Waiting queries, ``(match, env)`` pairs, prefix-indexed per predicate.
+class _Waiting(dict):
+    """Waiting queries of one predicate under one search signature, by key."""
 
-    A growth at a tuple is delivered to every consumer whose registration
-    prefix matches; consumers registered during a delivery are picked up by
-    subsequent growths (registration separately sweeps the existing store).
+    __slots__ = ("sig", "key_of")
+
+    def __init__(self, sig: tuple, arity: int):
+        self.sig, self.key_of = sig, _key_of(sig, arity)
+
+
+class ConsumerStore:
+    """Waiting queries, ``(match, env)`` pairs, per predicate keyed by their
+    search signature and key (see :func:`_key_of`).
+
+    A growth at a tuple is delivered to every consumer registered under its
+    key for one of the predicate's signatures; consumers registered during
+    a delivery are picked up by subsequent growths (registration separately
+    sweeps the existing store).
     """
 
-    def __init__(self):
-        self._by_pred: dict[str, dict[tuple, list]] = {}
+    def __init__(self, arities: dict):
+        self.arities = arities
+        self._by_pred: dict[str, list[_Waiting]] = {}
 
-    def register(self, pred: str, prefix: tuple, consumer: tuple) -> None:
-        self._by_pred.setdefault(pred, {}).setdefault(prefix, []).append(consumer)
+    def register(self, pred: str, sig: tuple, key, consumer: tuple) -> None:
+        per = self._by_pred.setdefault(pred, [])
+        for waiting in per:
+            if waiting.sig == sig:
+                break
+        else:
+            waiting = _Waiting(sig, self.arities[pred])
+            per.append(waiting)
+        waiting.setdefault(key, []).append(consumer)
 
     def matching(self, pred: str, ids: tuple) -> list:
-        """Snapshot of the consumers whose prefix matches the tuple."""
+        """Snapshot of the consumers waiting for the tuple, signature by
+        signature in the order first registered."""
         per = self._by_pred.get(pred)
         if not per:
             return []
         out = []
-        for plen in range(len(ids) + 1):
-            out.extend(per.get(ids[:plen], ()))
+        for waiting in per:
+            consumers = waiting.get(waiting.key_of(ids))
+            if consumers:
+                out += consumers
         return out
 
     def clear(self) -> None:
@@ -222,6 +274,10 @@ def _enumerate(slots: list, atoms: range, step: Step) -> Step:
                 env[s] = i
             step(env)
     return each
+
+
+def _no_key(env: list) -> tuple:
+    return ()
 
 
 class _Compiler:
@@ -431,18 +487,18 @@ class _Compiler:
         return memo_kc
 
     def query(self, q: Query, scope: dict, bound: frozenset, kc) -> Step:
-        """Registers the match on a copy of the environment under the prefix
-        of constant and bound arguments, then sweeps the tuples stored under it."""
+        """Registers the match on a copy of the environment under the key of
+        its search signature, the positions of constant and bound arguments,
+        then sweeps the tuples stored under that key."""
         e = self.engine
         slots = self.args(scope, q.args)
-        plen = 0
-        while plen < len(slots) and (isinstance(q.args[plen], Const)
-                                     or q.args[plen].name in bound):
-            plen += 1
+        sig = tuple([pos for pos, t in enumerate(q.args)
+                     if isinstance(t, Const) or t.name in bound])
         binds, tests, after = [], [], set(bound)
-        for pos in range(plen, len(slots)):  # the store matched the prefix
-            t = q.args[pos]
-            if isinstance(t, Var) and t.name not in after:
+        for pos, t in enumerate(q.args):  # the store matched the signature
+            if pos in sig:
+                continue
+            if t.name not in after:
                 binds.append((pos, slots[pos]))
                 after.add(t.name)
             else:
@@ -456,16 +512,23 @@ class _Compiler:
                 if ids[pos] != env[s]:
                     return
             match_value(env, l)
-        prefix_of = _reader(slots[:plen])
-        pred, stats, sub, register = q.pred, e.stats, e.store.sub, e.infl.register
-        live = not e.store.sealed(pred)
+        keys = [slots[pos] for pos in sig]
+        if not sig:
+            key_of = _no_key
+        elif len(sig) == len(slots):
+            key_of = _reader(keys)
+        else:
+            key_of = itemgetter(*keys)
+        pred, stats, register = q.pred, e.stats, e.infl.register
+        sweep, live = e.store.relation(pred).sweep, not e.store.sealed(pred)
 
         def query(env):
-            prefix = prefix_of(env)
+            key = key_of(env)
             if live:  # enclosing loops rebind slots after this, so copy once
-                register(pred, prefix, (match, env[:]))
-            for ids, l in sub(pred, prefix):
-                stats.sweep_invocations += 1
+                register(pred, sig, key, (match, env[:]))
+            swept = sweep(sig, key)
+            stats.sweep_invocations += len(swept)
+            for ids, l in swept:
                 match(env, ids, l)
         return query
 
@@ -602,13 +665,17 @@ class _Shape:
 
 
 class _Engine:
-    def __init__(self, program: Program, stats: SolveStats):
+    """Runs a program's strata on a store: a fresh one, or a given one whose
+    atom ids come from the same universe."""
+
+    def __init__(self, program: Program, stats: SolveStats,
+                 store: Optional[ResultStore] = None):
         self.program = program
         self.lattice = program.lattice
         self.table = AtomTable(program.universe)
         self.stats = stats
-        self.store = ResultStore(self.lattice, program.arities, program.ranks, stats)
-        self.infl = ConsumerStore()
+        self.store = store or ResultStore(self.lattice, program.arities, program.ranks, stats)
+        self.infl = ConsumerStore(program.arities)
         self.pending: deque = deque()
 
     def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
@@ -622,10 +689,10 @@ class _Engine:
         no longer stored is delivered no further: the growth that replaced it
         queued the larger leaf for a superset of the same consumers, and
         matching is monotone in the value."""
-        pending, tree, stats = self.pending, self.store.tree, self.stats
+        pending, relation, stats = self.pending, self.store.relation, self.stats
         while pending:
             pred, consumers, ids, leaf = pending.popleft()
-            get = tree(pred).get
+            get = relation(pred).get
             for match, env in consumers:
                 if get(ids) is not leaf:
                     break
@@ -683,15 +750,15 @@ class SolveResult:
     def leaves(self) -> dict:
         """{pred: {atom tuple: value}} with bottom leaves absent."""
         return {
-            pred: {self.table.atoms(ids): v for ids, v in tree.items()}
-            for pred, tree in self.store._trees.items()
+            pred: {self.table.atoms(ids): v for ids, v in leaves.items()}
+            for pred, leaves in self.store._relations.items()
         }
 
     def items(self) -> Iterator[tuple[str, tuple, Any]]:
         """(predicate, atom tuple, value), ordered by predicate name and
         interned tuple."""
-        for pred in sorted(self.store._trees):
-            for ids, v in sorted(self.store.sub(pred), key=itemgetter(0)):
+        for pred in sorted(self.store._relations):
+            for ids, v in sorted(self.store.relation(pred).items(), key=itemgetter(0)):
                 yield pred, self.table.atoms(ids), v
 
     def dump_lines(self) -> list[str]:
@@ -701,8 +768,8 @@ class SolveResult:
         names = [render_atom(a) for a in self.table._atoms]
         values: dict = {}
         lines = []
-        for pred in sorted(self.store._trees):
-            for ids, v in sorted(self.store.sub(pred), key=itemgetter(0)):
+        for pred in sorted(self.store._relations):
+            for ids, v in sorted(self.store.relation(pred).items(), key=itemgetter(0)):
                 text = values.get(v)
                 if text is None:
                     text = values[v] = render(v)

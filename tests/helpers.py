@@ -20,7 +20,7 @@ from latlog import ast
 from latlog.analysis import Assign, BinOp, BoolTest, Operand, ProgramGraph
 from latlog.lattices import IntervalValue, sign_of
 from latlog.parser import parse_clauses
-from latlog.solver import ConsumerStore, ResultStore, solve
+from latlog.solver import ConsumerStore, ResultStore, SolveStats, _Engine, solve
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -207,7 +207,7 @@ def audit():
             seen.growths_per_pred[pred] = seen.growths_per_pred.get(pred, 0) + 1
         return leaf
 
-    def recorded_register(infl, pred, prefix, consumer):
+    def recorded_register(infl, pred, sig, key, consumer):
         rec = ConsumerRecord(pred, seen.growths_per_pred.get(pred, 0))
         seen.consumers.append(rec)
 
@@ -216,7 +216,7 @@ def audit():
         def counted(env, ids, leaf):
             rec.delivery_invocations += 1
             match(env, ids, leaf)
-        register(infl, pred, prefix, (counted, env))
+        register(infl, pred, sig, key, (counted, env))
 
     def snapshot_seal_up_to(store, rank):
         seen.stratum_snapshots[rank] = {
@@ -252,6 +252,21 @@ def stratum_isolation_holds(seen: SolveAudit, result) -> bool:
             if dict(result.store.sub(pred)) != leaves:
                 return False
     return True
+
+
+def recheck(result) -> SolveStats:
+    """Check that a finished result is a model of its program: seal every
+    rank, then run the facts and each stratum once more on an engine that
+    shares the store.  Every query now only sweeps the final leaves, so a
+    rule instance whose head the store does not yet satisfy grows a sealed
+    leaf, which raises ``SolverInvariantError``.  Returns the counters of
+    that run.  This shows a model, not the least one: a leaf raised too high
+    passes, so leastness stays with ``oracle.naive_fixpoint``."""
+    program = result.program
+    result.store.seal_up_to(len(program.strata))
+    engine = _Engine(program, SolveStats(), result.store)
+    engine.run(program.facts)
+    return engine.stats
 
 
 # --- misc -----------------------------------------------------------------------

@@ -608,3 +608,29 @@ def test_reorder_preserves_conjunct_multisets(seed):
     for cl in reordered.strata:
         spines(cl, after)
     assert before == after
+
+
+def test_powerset_atoms_are_checked_without_scanning_the_carrier(monkeypatch):
+    # a facts-only file over a 16 000-atom powerset: looking each atom up in
+    # the carrier tuple made checking it quadratic, 2.2 s where it now takes
+    # about 0.2 s
+    from dataclasses import replace
+    from latlog import cli, parser
+
+    class Carrier(tuple):
+        scans = 0
+
+        def __contains__(self, atom):
+            Carrier.scans += 1
+            return tuple.__contains__(self, atom)
+
+    def counted_powerset(universe):
+        lattice = powerset_lattice(universe)
+        return replace(lattice, atoms=Carrier(lattice.atoms))
+
+    monkeypatch.setattr(parser, "powerset_lattice", counted_powerset)
+    atoms = [f"a{i}" for i in range(16_000)]
+    text = "\n".join(["lattice powerset {" + ",".join(atoms) + "}", "rel R/1",
+                      *(f"fact R({a}) = {{{a}}}" for a in atoms)])
+    assert cli.run_check(text).lines[0] == "ok: 0 strata, 1 predicates, 16000 atoms"
+    assert Carrier.scans == 0

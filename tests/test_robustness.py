@@ -10,6 +10,7 @@ the test with the input that raised it.
 import io
 import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -20,8 +21,11 @@ from latlog.randgen import random_program
 
 import helpers
 
+# past the 4 300 digits that int() converts by default
+_LONG = "1" * 5000
 _CLAUSE_VOCAB = (
     "inf", "-inf", "-", "99999999999999999999", "-99999999999999999999", "0", "1",
+    _LONG, "-" + _LONG,
     "lattice", "powerset", "signs", "interval", "zmin", "zmax", "rel", "fun",
     "fact", "clause", "forall", "exists", "top", "bot",
     "(", ")", "[", "]", "{", "}", ",", ";", ".", "=", "=>", "&", "|", "!", "/",
@@ -30,7 +34,7 @@ _CLAUSE_VOCAB = (
 _GRAPH_VOCAB = (
     "initial", "state", "var", "skip", "test", "->", ":", ":=", "+", "-", "*",
     "<", "<=", "==", "!=", "=", "q0", "q9", "x", "y", "0", "-3", "7", "1x",
-    "--1", "0x1f", "1_000", "é", "\n",
+    "--1", "0x1f", "1_000", _LONG, "é", "\n",
 )
 
 
@@ -105,3 +109,21 @@ def test_mutated_graphs_end_in_an_exit_code(tmp_path):
         if rng.random() < 0.25:
             argv.append("--emit-clauses")
         _check_exit(argv, text)
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_LONG),
+                    reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("argv, text, where", [
+    (["check"], f"lattice signs\nrel R/1\nfact R({_LONG}) = {{+}}\n", "3:8"),
+    (["solve"], f"lattice interval zmin=0 zmax={_LONG}\nrel R/1\n", "1:30"),
+    (["solve", "--fact", f"R(a,{_LONG}) = {{a}}"], helpers.sample("facts_only.lat"), "1:5"),
+    (["analyze", "--analysis", "intervals"],
+     f"initial q0\nstate q1\nvar x\nq0 -> q1 : x := -{_LONG}\n", "4:1"),
+], ids=["check", "solve", "solve --fact", "analyze"])
+def test_integers_too_long_to_convert_end_in_one_error_line(argv, text, where, tmp_path):
+    path = tmp_path / "input"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert (code, err.getvalue()) == (1, f"error: {where}: integer of 5000 digits is too long\n")

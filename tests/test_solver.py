@@ -16,8 +16,8 @@ from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
 from latlog.errors import SolverInvariantError
 from latlog.lattices import powerset_lattice
 from latlog.parser import parse_clauses
-from latlog.solver import (AtomTable, ConsumerStore, PrefixTree, ResultStore,
-                           SolveStats, _Compiler, _Engine, solve)
+from latlog.solver import (AtomTable, ConsumerStore, ResultStore, SolveStats,
+                           _Compiler, _Engine, solve)
 import latlog.oracle as oracle
 
 import helpers
@@ -78,7 +78,7 @@ def deliver(pre, bindings, atoms, l, text=RELS):
     ids = engine.table.ids(atoms)
     leaf = engine.store.raise_leaf(pre.pred, ids, l)
     if leaf is None:  # bottom never grows a leaf; store it as it is
-        engine.store.tree(pre.pred).set(ids, l)
+        engine.store.relation(pre.pred)[ids] = l
         leaf = l
     engine._broadcast(pre.pred, ids, leaf)
     engine._drain()
@@ -215,30 +215,41 @@ def test_unifiable_function_terms_evaluate_per_candidate():
 # --- stores ---------------------------------------------------------------------------
 
 
-def test_prefix_tree_insert_lookup_iterate():
-    t = PrefixTree(2)
-    t.set((0, 1), "x")
-    t.set((0, 2), "y")
-    t.set((1, 1), "z")
-    assert t.get((0, 2)) == "y"
-    assert t.get((2, 2)) is None
-    assert list(t.items()) == [((0, 1), "x"), ((0, 2), "y"), ((1, 1), "z")]
-    assert list(t.items((0,))) == [((0, 1), "x"), ((0, 2), "y")]
-    assert list(t.items((1, 1))) == [((1, 1), "z")]
-
-
-def test_prefix_tree_zero_arity():
-    t = PrefixTree(0)
-    assert list(t.items()) == []
-    t.set((), "v")
-    assert t.get(()) == "v"
-    assert list(t.items()) == [((), "v")]
-
-
 def store2(arities=None, ranks=None):
     arities = arities or {"R": 1}
     ranks = ranks or {p: 1 for p in arities}
     return ResultStore(LAT2, arities, ranks)
+
+
+def test_store_insert_lookup_sweep():
+    x, y, z = frozenset("a"), frozenset("b"), frozenset("ab")
+    t = store2({"R": 2})
+    assert t.sub("R", (0,), 0) == []  # builds the index while the store is empty
+    t.raise_leaf("R", (0, 1), x)
+    t.raise_leaf("R", (0, 2), y)
+    t.raise_leaf("R", (1, 1), z)
+    assert t.relation("R").get((0, 2)) == y
+    assert t.relation("R").get((2, 2)) is None
+    assert list(t.sub("R")) == [((0, 1), x), ((0, 2), y), ((1, 1), z)]
+    assert list(t.sub("R", (0,), 0)) == [((0, 1), x), ((0, 2), y)]
+    assert list(t.sub("R", (0, 1), (1, 1))) == [((1, 1), z)]
+    # an index on any positions; the one built early was kept up to date
+    assert t.relation("R").indexes[(0,)][1] == {0: ((0, 1), (0, 2)), 1: ((1, 1),)}
+    assert list(t.sub("R", (1,), 1)) == [((0, 1), x), ((1, 1), z)]
+    assert list(t.sub("R", (1,), 0)) == []
+    # a bucket past eight tuples becomes a list and keeps the order
+    for i in range(3, 12):
+        t.raise_leaf("R", (0, i), x)
+    assert t.relation("R").indexes[(0,)][1][0] == [(0, i) for i in range(1, 12)]
+    assert [ids for ids, _ in t.sub("R", (0,), 0)] == [(0, i) for i in range(1, 12)]
+
+
+def test_store_zero_arity():
+    t = store2({"F": 0})
+    assert list(t.sub("F")) == []
+    t.raise_leaf("F", (), A)
+    assert t.relation("F").get(()) == A
+    assert list(t.sub("F")) == [((), A)]
 
 
 def has(store, pred, ids, l):
@@ -288,21 +299,28 @@ def test_atom_table_is_deterministic():
 # --- consumers ------------------------------------------------------------------------
 
 
-def test_consumer_prefix_matching_and_snapshot():
-    infl = ConsumerStore()
+def test_consumer_signature_matching_and_snapshot():
+    infl = ConsumerStore({"R": 2})
     seen = []
 
     def record(env, atoms, v):
         seen.append((env[0], atoms))
-    infl.register("R", (0,), (record, ["p0"]))
-    infl.register("R", (), (record, ["any"]))
+    infl.register("R", (), (), (record, ["any"]))
+    infl.register("R", (0,), 0, (record, ["p0"]))
+    infl.register("R", (1,), 5, (record, ["s5"]))
+    infl.register("R", (0, 1), (0, 5), (record, ["both"]))
     for match, env in infl.matching("R", (0, 5)):
         match(env, ("a", "f"), None)
-    assert seen == [("any", ("a", "f")), ("p0", ("a", "f"))]
+    assert seen == [("any", ("a", "f")), ("p0", ("a", "f")), ("s5", ("a", "f")),
+                    ("both", ("a", "f"))]
     seen.clear()
     for match, env in infl.matching("R", (1, 5)):
         match(env, ("b", "f"), None)
-    assert seen == [("any", ("b", "f"))]
+    assert seen == [("any", ("b", "f")), ("s5", ("b", "f"))]
+    seen.clear()
+    for match, env in infl.matching("R", (1, 6)):
+        match(env, ("b", "g"), None)
+    assert seen == [("any", ("b", "g"))]
 
 
 def test_growth_invokes_each_consumer_once():
@@ -332,7 +350,7 @@ def test_non_growing_add_triggers_no_consumers():
     engine = _Engine(program, SolveStats())
     engine.run(program.facts)
     calls = []
-    engine.infl.register("E", (), (lambda env, ids, v: calls.append(ids), []))
+    engine.infl.register("E", (), (), (lambda env, ids, v: calls.append(ids), []))
     ids = engine.table.ids(("a",))
     assert has(engine.store, "E", ids, frozenset("a"))
     # a compiled assertion skips non-growing candidates before broadcasting
@@ -492,6 +510,76 @@ def test_ring_analysis_compiles_four_steps(states, compiles):
     report = cli.run_analyze(ring_graph(states), "intervals", 0, 5)
     assert len(report.lines) == 2 * states
     assert len(compiles) == 4
+
+
+def chain(n: int, backward: bool) -> str:
+    """Reachability along the edges n0 -> n1 -> ... from n0, or back to
+    every node from the last one."""
+    rule = ("R(n{last};{{+}}) & (forall x. forall y. forall 'Y. R(y;'Y) & E(x,y;'Y) => R(x;'Y))"
+            if backward else
+            "R(n0;{{+}}) & (forall x. forall y. R(x;{{+}}) & E(x,y;{{+}}) => R(y;{{+}}))")
+    return "\n".join(["lattice signs", *(f"fact E(n{i},n{i + 1}) = {{+}}" for i in range(n - 1)),
+                      "clause " + rule.format(last=n - 1)])
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_backward_reachability_sweeps_each_edge_once(n):
+    # R(y;'Y) binds E's second argument only; the index on that position
+    # finds the one edge into y, where a key of leading bound arguments
+    # swept all of E on every growth of R, about n * n sweeps
+    program, result = helpers.run_pipeline(chain(n, backward=True))
+    assert len(result.leaves()["R"]) == n
+    assert result.stats.sweep_invocations <= 2 * result.stats.growths
+
+
+def test_join_on_a_last_argument_matches_naive():
+    text = ("lattice powerset {a,b}\nrel P/2\n"
+            "fact P(c,d) = {a}\nfact P(e,d) = {b}\nfact P(c,e) = {a,b}\nfact P(d,e) = {b}\n"
+            "clause forall x. forall y. forall z. forall 'Y. forall 'Z."
+            " P(x,z;'Y) & P(y,z;'Z) => Q(x,y;'Y)")
+    report = cli.run_compare(validate(parse_clauses(text)))
+    assert report.lines == ["identical"]
+    # the second query reads the two tuples under its z, not all four
+    assert report.counters["sweep_invocations"] == 4 + 4 * 2
+
+
+def test_repeated_variable_after_a_bound_argument_matches_naive():
+    # R(x,y,y) with x bound: y binds at the second position, and the third
+    # must hold the same atom
+    text = ("lattice powerset {a,b}\nrel R/3\nrel S/1\n"
+            "fact R(c,d,d) = {a}\nfact R(c,d,e) = {b}\nfact R(d,e,e) = {a,b}\n"
+            "fact R(c,e,e) = {b}\nfact S(c) = {a}\nfact S(e) = {b}\n"
+            "clause forall x. forall y. forall 'Y. forall 'Z. S(x;'Z) & R(x,y,y;'Y) => T(x,y;'Y)")
+    program = validate(parse_clauses(text))
+    assert cli.run_compare(program).lines == ["identical"]
+    assert solve(program).leaves()["T"] == {("c", "d"): A, ("c", "e"): B}
+
+
+def test_recheck_rejects_a_leaf_below_the_model():
+    program, result = helpers.run_pipeline(
+        "lattice powerset {a,b}\nrel E/2\nfact E(c,d) = {a,b}\n"
+        "clause forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y)")
+    assert helpers.recheck(result).sweep_invocations == 1
+    result.store.relation("T")[result.table.ids(("c", "d"))] = A
+    with pytest.raises(SolverInvariantError, match="after sealing"):
+        helpers.recheck(result)
+
+
+@pytest.mark.parametrize("which", ["signs", "intervals"])
+@pytest.mark.parametrize("states", [1000, 2000])
+def test_ring_analyses_pass_the_recheck(states, which):
+    program = validate(analysis_program(parse_program_graph(ring_graph(states)), which, 0, 5))
+    result = solve(program)
+    assert len(result.dump_lines()) == 2 * states
+    helpers.recheck(result)  # raises if a rule would still grow a leaf
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_long_chains_pass_the_recheck(backward):
+    n = 20_000
+    program, result = helpers.run_pipeline(chain(n, backward))
+    assert len(result.leaves()["R"]) == n
+    helpers.recheck(result)
 
 
 @pytest.mark.parametrize("which", ["signs", "intervals"])
@@ -657,14 +745,14 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
     stale = []
     register = ConsumerStore.register
 
-    def checked_register(infl, pred, prefix, consumer):
+    def checked_register(infl, pred, sig, key, consumer):
         match, env = consumer
 
         def checked(env, ids, leaf):
             if leaf is not engine.store.current(pred, ids):
                 stale.append((pred, ids, leaf))
             match(env, ids, leaf)
-        register(infl, pred, prefix, (checked, env))
+        register(infl, pred, sig, key, (checked, env))
 
     monkeypatch.setattr(ConsumerStore, "register", checked_register)
     engine.run(program.facts)
@@ -675,7 +763,7 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
 def test_drain_delivers_oldest_first_and_skips_replaced_leaves():
     engine, _ = engine_for(RELS)
     seen = []
-    engine.infl.register("R", (), (lambda env, ids, leaf: seen.append((ids, leaf)), []))
+    engine.infl.register("R", (), (), (lambda env, ids, leaf: seen.append((ids, leaf)), []))
     for i, l in ((0, A), (1, A), (0, B)):  # the third replaces the first leaf
         ids = (i,)
         engine._broadcast("R", ids, engine.store.raise_leaf("R", ids, l))
@@ -751,7 +839,7 @@ def test_audit_catches_write_into_sealed_rank():
         program, result = helpers.run_pipeline(helpers.sample("eq_neq.lat"))
     assert helpers.stratum_isolation_holds(seen, result)
     # past raise_leaf, which would refuse the growth
-    result.store.tree("E").set(result.table.ids(("a",)), AB)
+    result.store.relation("E")[result.table.ids(("a",))] = AB
     assert not helpers.stratum_isolation_holds(seen, result)
 
 
@@ -955,3 +1043,4 @@ def test_solver_matches_naive_on_drawn_random_programs(seed):
         oracle.naive_fixpoint(program)
     assert helpers.stratum_isolation_holds(seen, result)
     assert helpers.propagation_bound_holds(seen)
+    helpers.recheck(result)
