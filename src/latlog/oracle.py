@@ -16,6 +16,7 @@ from .ast import (And, Apply, Assert, Const, Exists, FnApp, Forall, Imply,
                   LitConst, NegQuery, PreOr, Program, Query, Repr, TrueClause,
                   YVar, is_lattice_var)
 from .errors import OracleSizeError, UnsupportedInstanceError
+from .lattices import render_atom
 
 
 class Interpretation:
@@ -59,12 +60,10 @@ class Interpretation:
 
 def dump_lines(program: Program, interp: Interpretation) -> list[str]:
     """Render an interpretation in the solver's dump format, same ordering."""
-    from .lattices import render_atom
-
     order = {a: i for i, a in enumerate(program.universe)}
-    lines = []
+    leaves, lines = interp.leaves(), []
     for pred in sorted(program.arities):
-        entries = sorted(interp.leaves()[pred].items(),
+        entries = sorted(leaves[pred].items(),
                          key=lambda kv: tuple(order[a] for a in kv[0]))
         for atoms, v in entries:
             args = ",".join(render_atom(a) for a in atoms)

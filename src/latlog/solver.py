@@ -10,14 +10,15 @@ existential memo and an evaluator per lattice term; a clause conjunction
 becomes a flat tuple of steps.  Top-level conjuncts that differ only in
 their constants and binder names share one compiled step, and each runs it
 on an environment holding its own constants.  Running joins assertion
-candidates into flat leaf maps over atom id tuples, one per predicate, with
-a hash index per search signature: the argument positions a query finds
-constant or bound, whose atoms are the key it looks up.  Each strict growth
-is queued with the queries waiting so far under its key for one of the
-predicate's signatures, each its compiled match and the environment it
-registered in.  One loop delivers the queue, oldest first, running each
-match as a sweep does, so deliveries never nest, and stops delivering a
-leaf once a later growth has replaced it.
+candidates into flat leaf maps over atom id tuples, one per predicate, each
+with a table per search signature (the argument positions a query finds
+constant or bound, whose atoms are the key it looks up) of the queries
+waiting under each key, with their compiled match and the environment they
+registered in, and for a partial signature a hash index.  Each strict growth
+is queued with the queries then waiting under its key in those tables.  One
+loop delivers the queue, oldest first, running each match as a sweep does,
+so deliveries never nest, and stops delivering a leaf once a later growth
+has replaced it.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
 it against; narrowing it by meet below that bound fails.  Leaves are never
@@ -109,42 +110,58 @@ def _file(index: dict, key, ids: tuple) -> None:
         index[key] = [*bucket, ids]
 
 
+class Table(dict):
+    """One predicate's waiting queries under one search signature, by key:
+    ``{key: [(match, env), ...]}``, each a compiled match and the
+    environment it registered in.  The table also keeps the signature's key
+    function (:func:`_key_of`) and, for a partial signature, its hash index
+    ``{key: bucket of ids}`` (buckets by :func:`_file`)."""
+
+    __slots__ = ("pred", "sig", "key_of", "index")
+
+    def __init__(self, pred: str, sig: tuple, key_of: Callable[[tuple], Any]):
+        self.pred, self.sig, self.key_of, self.index = pred, sig, key_of, None
+
+    def register(self, key, consumer: tuple) -> None:
+        self.setdefault(key, []).append(consumer)
+
+
 class Relation(dict):
     """One predicate's leaves, ``{ids: leaf}`` in insertion order, with a
-    hash index ``{key: bucket of ids}`` per search signature that a sweep
-    has read (keys by :func:`_key_of`, buckets by :func:`_file`).  An index
-    is built from the leaves on its first sweep and gains each tuple that
-    first appears later."""
+    tuple of :class:`Table`, one per search signature that a query has used,
+    in the order first used.  A partial signature's index is built from the
+    leaves when its table opens and gains each tuple that first appears
+    later."""
 
-    __slots__ = ("arity", "indexes")
+    __slots__ = ("pred", "arity", "tables")
 
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.indexes: Optional[dict] = None  # {sig: (key_of, index)}
+    def __init__(self, pred: str, arity: int):
+        self.pred, self.arity, self.tables = pred, arity, ()
 
-    def enter(self, ids: tuple) -> None:
-        """File a tuple stored for the first time in every index."""
-        for key_of, index in self.indexes.values():
-            _file(index, key_of(ids), ids)
-
-    def sweep(self, sig: tuple, key) -> list[tuple[tuple, Any]]:
-        """Snapshot of the ``(ids, leaf)`` pairs stored under a signature's
-        key, in insertion order: all of them for the empty signature, one
-        leaf for the full one, else those its index files under the key."""
-        if not sig:
-            return list(self.items())
-        if len(sig) == self.arity:
-            leaf = self.get(key)
-            return [] if leaf is None else [(key, leaf)]
-        if self.indexes is None:
-            self.indexes = {}
-        entry = self.indexes.get(sig)
-        if entry is None:
-            key_of, index = _key_of(sig, self.arity), {}
+    def table(self, sig: tuple) -> Table:
+        """The signature's table, opened on first use."""
+        for table in self.tables:
+            if table.sig == sig:
+                return table
+        table = Table(self.pred, sig, _key_of(sig, self.arity))
+        if 0 < len(sig) < self.arity:
+            index = table.index = {}
             for ids in self:
-                _file(index, key_of(ids), ids)
-            entry = self.indexes[sig] = key_of, index
-        return [(ids, self[ids]) for ids in entry[1].get(key, ())]
+                _file(index, table.key_of(ids), ids)
+        self.tables += (table,)
+        return table
+
+    def sweep(self, table: Table, key) -> list[tuple[tuple, Any]]:
+        """Snapshot of the ``(ids, leaf)`` pairs stored under a key of the
+        table's signature, in insertion order: those its index files under
+        the key, else all of them for the empty signature and one leaf for
+        the full one."""
+        if table.index is not None:
+            return [(ids, self[ids]) for ids in table.index.get(key, ())]
+        if not table.sig:
+            return list(self.items())
+        leaf = self.get(key)
+        return [] if leaf is None else [(key, leaf)]
 
 
 class ResultStore:
@@ -160,7 +177,7 @@ class ResultStore:
         self.lattice = lattice
         self.ranks = ranks
         self.stats = stats or SolveStats()
-        self._relations = {pred: Relation(arity) for pred, arity in arities.items()}
+        self._relations = {pred: Relation(pred, arity) for pred, arity in arities.items()}
         self._sealed_rank = -1
 
     def relation(self, pred: str) -> Relation:
@@ -183,16 +200,27 @@ class ResultStore:
             raise SolverInvariantError(
                 f"predicate {pred} of completed stratum {self.ranks.get(pred, 0)} "
                 f"grew at {ids} after sealing")
-        if current is None:
+        if current is None:  # a tuple stored for the first time joins every index
             current = lattice.bottom
-            if leaves.indexes:
-                leaves.enter(ids)
+            for table in leaves.tables:
+                if table.index is not None:
+                    _file(table.index, table.key_of(ids), ids)
         joined = leaves[ids] = lattice.join(current, l)
         self.stats.growths += 1
         return joined
 
     def sub(self, pred: str, sig: tuple = (), key=()) -> list[tuple[tuple, Any]]:
-        return self.relation(pred).sweep(sig, key)
+        relation = self.relation(pred)
+        return relation.sweep(relation.table(sig), key)
+
+    def drop_tables(self) -> None:
+        """Empty every table's waiting map, as waiting queries and their
+        continuations refer to each other, and drop the tables; a later
+        sweep rebuilds the index it reads."""
+        for relation in self._relations.values():
+            for table in relation.tables:
+                table.clear()
+            relation.tables = ()
 
     def seal_up_to(self, rank: int) -> None:
         self._sealed_rank = max(self._sealed_rank, rank)
@@ -201,66 +229,23 @@ class ResultStore:
         return self.ranks.get(pred, 0) <= self._sealed_rank
 
 
-class _Waiting(dict):
-    """Waiting queries of one predicate under one search signature, by key."""
-
-    __slots__ = ("sig", "key_of")
-
-    def __init__(self, sig: tuple, arity: int):
-        self.sig, self.key_of = sig, _key_of(sig, arity)
-
-
-class ConsumerStore:
-    """Waiting queries, ``(match, env)`` pairs, per predicate keyed by their
-    search signature and key (see :func:`_key_of`).
-
-    A growth at a tuple is delivered to every consumer registered under its
-    key for one of the predicate's signatures; consumers registered during
-    a delivery are picked up by subsequent growths (registration separately
-    sweeps the existing store).
-    """
-
-    def __init__(self, arities: dict):
-        self.arities = arities
-        self._by_pred: dict[str, list[_Waiting]] = {}
-
-    def register(self, pred: str, sig: tuple, key, consumer: tuple) -> None:
-        per = self._by_pred.setdefault(pred, [])
-        for waiting in per:
-            if waiting.sig == sig:
-                break
-        else:
-            waiting = _Waiting(sig, self.arities[pred])
-            per.append(waiting)
-        waiting.setdefault(key, []).append(consumer)
-
-    def matching(self, pred: str, ids: tuple) -> list:
-        """Snapshot of the consumers waiting for the tuple, signature by
-        signature in the order first registered."""
-        per = self._by_pred.get(pred)
-        if not per:
-            return []
-        out = []
-        for waiting in per:
-            consumers = waiting.get(waiting.key_of(ids))
-            if consumers:
-                out += consumers
-        return out
-
-    def clear(self) -> None:
-        self._by_pred.clear()
-
-
 # --- compilation --------------------------------------------------------------
 
 Step = Callable[[list], None]
 
 
 def _reader(slots: list) -> Callable[[list], tuple]:
-    """Tuple of the values in the slots; a None slot reads as None."""
+    """Tuple of the values in the slots; a None slot reads as None.  Every
+    reader of no slots is one shared function, as rules compile many."""
+    if not slots:
+        return _read_none
     if len(slots) > 1 and None not in slots:
         return itemgetter(*slots)
     return lambda env: tuple([None if s is None else env[s] for s in slots])
+
+
+def _read_none(env: list) -> tuple:
+    return ()
 
 
 def _enumerate(slots: list, atoms: range, step: Step) -> Step:
@@ -274,10 +259,6 @@ def _enumerate(slots: list, atoms: range, step: Step) -> Step:
                 env[s] = i
             step(env)
     return each
-
-
-def _no_key(env: list) -> tuple:
-    return ()
 
 
 class _Compiler:
@@ -487,9 +468,9 @@ class _Compiler:
         return memo_kc
 
     def query(self, q: Query, scope: dict, bound: frozenset, kc) -> Step:
-        """Registers the match on a copy of the environment under the key of
-        its search signature, the positions of constant and bound arguments,
-        then sweeps the tuples stored under that key."""
+        """Registers the match on a copy of the environment under its key in
+        the table, opened when compiled, of its search signature (constant and
+        bound argument positions), then sweeps the tuples stored under it."""
         e = self.engine
         slots = self.args(scope, q.args)
         sig = tuple([pos for pos, t in enumerate(q.args)
@@ -513,20 +494,16 @@ class _Compiler:
                     return
             match_value(env, l)
         keys = [slots[pos] for pos in sig]
-        if not sig:
-            key_of = _no_key
-        elif len(sig) == len(slots):
-            key_of = _reader(keys)
-        else:
-            key_of = itemgetter(*keys)
-        pred, stats, register = q.pred, e.stats, e.infl.register
-        sweep, live = e.store.relation(pred).sweep, not e.store.sealed(pred)
+        key_of = _reader(keys) if len(sig) in (0, len(slots)) else itemgetter(*keys)
+        stats, relation, live = e.stats, e.store.relation(q.pred), not e.store.sealed(q.pred)
+        table = relation.table(sig)
+        sweep, register = relation.sweep, table.register
 
         def query(env):
             key = key_of(env)
             if live:  # enclosing loops rebind slots after this, so copy once
-                register(pred, sig, key, (match, env[:]))
-            swept = sweep(sig, key)
+                register(key, (match, env[:]))
+            swept = sweep(table, key)
             stats.sweep_invocations += len(swept)
             for ids, l in swept:
                 match(env, ids, l)
@@ -675,12 +652,17 @@ class _Engine:
         self.table = AtomTable(program.universe)
         self.stats = stats
         self.store = store or ResultStore(self.lattice, program.arities, program.ranks, stats)
-        self.infl = ConsumerStore(program.arities)
         self.pending: deque = deque()
 
     def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
-        """Queue a growth with the consumers registered for it so far."""
-        self.pending.append((pred, self.infl.matching(pred, ids), ids, leaf))
+        """Queue a growth with the queries waiting for it so far, table by
+        table in the order its relation's tables were first used."""
+        consumers = []
+        for table in self.store._relations[pred].tables:
+            waiting = table.get(table.key_of(ids))
+            if waiting:
+                consumers += waiting
+        self.pending.append((pred, consumers, ids, leaf))
 
     def _drain(self) -> None:
         """Deliver queued growths, oldest first, until none is left, each by
@@ -786,7 +768,6 @@ def solve(program: Program) -> SolveResult:
     try:
         engine.run(program.facts)
     finally:
-        # consumers and their continuations refer to each other; drop them
-        engine.infl.clear()
+        engine.store.drop_tables()
         engine.pending.clear()
     return SolveResult(program, engine.store, engine.table, stats)

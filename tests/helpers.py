@@ -20,7 +20,7 @@ from latlog import ast
 from latlog.analysis import Assign, BinOp, BoolTest, Operand, ProgramGraph
 from latlog.lattices import IntervalValue, sign_of
 from latlog.parser import parse_clauses
-from latlog.solver import ConsumerStore, ResultStore, SolveStats, _Engine, solve
+from latlog.solver import ResultStore, SolveStats, Table, _Engine, solve
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -193,13 +193,15 @@ class SolveAudit:
 @contextmanager
 def audit():
     """Observe the engine from outside while the block runs, by wrapping
-    ``ResultStore.raise_leaf`` (growths per predicate),
-    ``ConsumerStore.register`` (one record per consumer, counting its
-    deliveries by wrapping the match of its ``(match, env)`` pair) and ``ResultStore.seal_up_to`` (a copy of the leaves of the
-    rank being sealed).  Wrap one solve per block."""
+    ``ResultStore.raise_leaf`` (growths per predicate), ``Table.register``,
+    which files a waiting query in its relation's table for one search
+    signature (one record per consumer, counting its deliveries by wrapping
+    the match of its ``(match, env)`` pair), and ``ResultStore.seal_up_to``
+    (a copy of the leaves of the rank being sealed).  Wrap one solve per
+    block."""
     seen = SolveAudit()
     raise_leaf, register, seal_up_to = (
-        ResultStore.raise_leaf, ConsumerStore.register, ResultStore.seal_up_to)
+        ResultStore.raise_leaf, Table.register, ResultStore.seal_up_to)
 
     def counted_raise_leaf(store, pred, ids, l):
         leaf = raise_leaf(store, pred, ids, l)
@@ -207,8 +209,8 @@ def audit():
             seen.growths_per_pred[pred] = seen.growths_per_pred.get(pred, 0) + 1
         return leaf
 
-    def recorded_register(infl, pred, sig, key, consumer):
-        rec = ConsumerRecord(pred, seen.growths_per_pred.get(pred, 0))
+    def recorded_register(table, key, consumer):
+        rec = ConsumerRecord(table.pred, seen.growths_per_pred.get(table.pred, 0))
         seen.consumers.append(rec)
 
         match, env = consumer
@@ -216,7 +218,7 @@ def audit():
         def counted(env, ids, leaf):
             rec.delivery_invocations += 1
             match(env, ids, leaf)
-        register(infl, pred, sig, key, (counted, env))
+        register(table, key, (counted, env))
 
     def snapshot_seal_up_to(store, rank):
         seen.stratum_snapshots[rank] = {
@@ -225,13 +227,13 @@ def audit():
         seal_up_to(store, rank)
 
     ResultStore.raise_leaf = counted_raise_leaf
-    ConsumerStore.register = recorded_register
+    Table.register = recorded_register
     ResultStore.seal_up_to = snapshot_seal_up_to
     try:
         yield seen
     finally:
         ResultStore.raise_leaf = raise_leaf
-        ConsumerStore.register = register
+        Table.register = register
         ResultStore.seal_up_to = seal_up_to
 
 

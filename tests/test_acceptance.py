@@ -183,7 +183,8 @@ def test_criterion_7_difference_propagation():
             engine.run(program.facts)
             calls = []
             pred = sorted(program.arities)[0]
-            engine.infl.register(pred, (), (), (lambda env, ids, v: calls.append(ids), []))
+            engine.store.relation(pred).table(()).register(
+                (), (lambda env, ids, v: calls.append(ids), []))
             ids, leaf = next(iter(engine.store.sub(pred)))
             engine.run_stratum(
                 ast.Assert(pred, tuple(ast.Const(a) for a in

@@ -36,17 +36,23 @@ _GRAPH_VOCAB = (
     "<", "<=", "==", "!=", "=", "q0", "q9", "x", "y", "0", "-3", "7", "1x",
     "--1", "0x1f", "1_000", _LONG, "é", "\n",
 )
+# an action's word after one of these is an operand: an integer or a variable
+_GRAPH_OPERATORS = (":=", "+", "-", "*", "<", "<=", ">", ">=", "==", "!=", "=")
+_MUTATIONS = ("delete", "duplicate", "swap", "replace", "garble", "truncate")
 
 
-def _mutate(rng: random.Random, tokens: list, vocab: tuple) -> list:
-    """One to three deletions, duplications, swaps, replacements, garblings
-    or truncations; a replacement draws from the vocabulary or from the
-    input's own tokens, and a garbling glues a sign or a character on."""
+def _mutate(rng: random.Random, tokens: list, vocab: tuple,
+            mutations: tuple = _MUTATIONS) -> list:
+    """One to three deletions, duplications, swaps, replacements, garblings,
+    truncations or, for graphs, operand replacements; a replacement draws
+    from the vocabulary or from the input's own tokens, a garbling glues a
+    sign or a character on, and an operand replacement puts a vocabulary
+    word after an operator of an action."""
     tokens = list(tokens)
-    vocab = vocab + tuple(tokens)
+    words, vocab = vocab, vocab + tuple(tokens)
     for _ in range(rng.choice((1, 1, 2, 3))):
         i = rng.randrange(len(tokens))
-        op = rng.choice(("delete", "duplicate", "swap", "replace", "garble", "truncate"))
+        op = rng.choice(mutations)
         if op == "delete" and len(tokens) > 1:
             del tokens[i]
         elif op == "duplicate":
@@ -58,6 +64,11 @@ def _mutate(rng: random.Random, tokens: list, vocab: tuple) -> list:
             tokens[i] = rng.choice(vocab)
         elif op == "garble":
             tokens[i] = rng.choice(("-" + tokens[i], tokens[i] + rng.choice("x_é")))
+        elif op == "operand":
+            spots = [j for j in range(1, len(tokens))
+                     if tokens[j - 1] in _GRAPH_OPERATORS and tokens[j] != "\n"]
+            if spots:
+                tokens[rng.choice(spots)] = rng.choice(words)
         else:
             del tokens[i + 1:]
     return tokens
@@ -102,7 +113,8 @@ def test_mutated_graphs_end_in_an_exit_code(tmp_path):
     rng = random.Random(20261)
     path = tmp_path / "mutant.graph"
     for _ in range(800):
-        text = " ".join(_mutate(rng, rng.choice(word_lists), _GRAPH_VOCAB))
+        text = " ".join(_mutate(rng, rng.choice(word_lists), _GRAPH_VOCAB,
+                                _MUTATIONS + ("operand",)))
         path.write_text(text)
         argv = ["analyze", str(path), "--analysis", rng.choice(("signs", "intervals")),
                 "--zmin", str(rng.randint(-4, 4)), "--zmax", str(rng.randint(-4, 4))]

@@ -16,7 +16,7 @@ from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
 from latlog.errors import SolverInvariantError
 from latlog.lattices import powerset_lattice
 from latlog.parser import parse_clauses
-from latlog.solver import (AtomTable, ConsumerStore, ResultStore, SolveStats,
+from latlog.solver import (AtomTable, ResultStore, SolveStats, Table,
                            _Compiler, _Engine, solve)
 import latlog.oracle as oracle
 
@@ -234,13 +234,13 @@ def test_store_insert_lookup_sweep():
     assert list(t.sub("R", (0,), 0)) == [((0, 1), x), ((0, 2), y)]
     assert list(t.sub("R", (0, 1), (1, 1))) == [((1, 1), z)]
     # an index on any positions; the one built early was kept up to date
-    assert t.relation("R").indexes[(0,)][1] == {0: ((0, 1), (0, 2)), 1: ((1, 1),)}
+    assert t.relation("R").table((0,)).index == {0: ((0, 1), (0, 2)), 1: ((1, 1),)}
     assert list(t.sub("R", (1,), 1)) == [((0, 1), x), ((1, 1), z)]
     assert list(t.sub("R", (1,), 0)) == []
     # a bucket past eight tuples becomes a list and keeps the order
     for i in range(3, 12):
         t.raise_leaf("R", (0, i), x)
-    assert t.relation("R").indexes[(0,)][1][0] == [(0, i) for i in range(1, 12)]
+    assert t.relation("R").table((0,)).index[0] == [(0, i) for i in range(1, 12)]
     assert [ids for ids, _ in t.sub("R", (0,), 0)] == [(0, i) for i in range(1, 12)]
 
 
@@ -300,25 +300,30 @@ def test_atom_table_is_deterministic():
 
 
 def test_consumer_signature_matching_and_snapshot():
-    infl = ConsumerStore({"R": 2})
+    engine, _ = engine_for(RELS)
+    relation = engine.store.relation("R2")
     seen = []
 
     def record(env, atoms, v):
         seen.append((env[0], atoms))
-    infl.register("R", (), (), (record, ["any"]))
-    infl.register("R", (0,), 0, (record, ["p0"]))
-    infl.register("R", (1,), 5, (record, ["s5"]))
-    infl.register("R", (0, 1), (0, 5), (record, ["both"]))
-    for match, env in infl.matching("R", (0, 5)):
+
+    def waiting(ids):
+        engine._broadcast("R2", ids, None)
+        return engine.pending.pop()[1]
+    relation.table(()).register((), (record, ["any"]))
+    relation.table((0,)).register(0, (record, ["p0"]))
+    relation.table((1,)).register(5, (record, ["s5"]))
+    relation.table((0, 1)).register((0, 5), (record, ["both"]))
+    for match, env in waiting((0, 5)):
         match(env, ("a", "f"), None)
     assert seen == [("any", ("a", "f")), ("p0", ("a", "f")), ("s5", ("a", "f")),
                     ("both", ("a", "f"))]
     seen.clear()
-    for match, env in infl.matching("R", (1, 5)):
+    for match, env in waiting((1, 5)):
         match(env, ("b", "f"), None)
     assert seen == [("any", ("b", "f")), ("s5", ("b", "f"))]
     seen.clear()
-    for match, env in infl.matching("R", (1, 6)):
+    for match, env in waiting((1, 6)):
         match(env, ("b", "g"), None)
     assert seen == [("any", ("b", "g"))]
 
@@ -350,7 +355,8 @@ def test_non_growing_add_triggers_no_consumers():
     engine = _Engine(program, SolveStats())
     engine.run(program.facts)
     calls = []
-    engine.infl.register("E", (), (), (lambda env, ids, v: calls.append(ids), []))
+    engine.store.relation("E").table(()).register(
+        (), (lambda env, ids, v: calls.append(ids), []))
     ids = engine.table.ids(("a",))
     assert has(engine.store, "E", ids, frozenset("a"))
     # a compiled assertion skips non-growing candidates before broadcasting
@@ -743,18 +749,19 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
     program = reorder_preconditions(validate(parse_clauses(text)))
     engine = _Engine(program, SolveStats())
     stale = []
-    register = ConsumerStore.register
+    register = Table.register
 
-    def checked_register(infl, pred, sig, key, consumer):
+    def checked_register(table, key, consumer):
         match, env = consumer
+        pred = table.pred
 
         def checked(env, ids, leaf):
             if leaf is not engine.store.current(pred, ids):
                 stale.append((pred, ids, leaf))
             match(env, ids, leaf)
-        register(infl, pred, sig, key, (checked, env))
+        register(table, key, (checked, env))
 
-    monkeypatch.setattr(ConsumerStore, "register", checked_register)
+    monkeypatch.setattr(Table, "register", checked_register)
     engine.run(program.facts)
     assert engine.stats.consumer_invocations > 0
     assert stale == []
@@ -763,7 +770,8 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
 def test_drain_delivers_oldest_first_and_skips_replaced_leaves():
     engine, _ = engine_for(RELS)
     seen = []
-    engine.infl.register("R", (), (), (lambda env, ids, leaf: seen.append((ids, leaf)), []))
+    engine.store.relation("R").table(()).register(
+        (), (lambda env, ids, leaf: seen.append((ids, leaf)), []))
     for i, l in ((0, A), (1, A), (0, B)):  # the third replaces the first leaf
         ids = (i,)
         engine._broadcast("R", ids, engine.store.raise_leaf("R", ids, l))
@@ -995,7 +1003,7 @@ def test_waiting_queries_keep_few_tracked_objects_per_rule():
         engine.run(program.facts)
         gc.collect()
         live = len(gc.get_objects()) - before
-        engine.infl.clear()  # waiting queries and the engine refer to each other
+        engine.store.drop_tables()  # waiting queries and the engine refer to each other
     finally:
         if enabled:
             gc.enable()
