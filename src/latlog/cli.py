@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import analysis, oracle
-from .ast import Program, validate, reorder_preconditions
+from .ast import Program, validate
+from .ast import reorder_preconditions  # noqa: F401  uncalled; bench/run.py traces it here
 from .errors import LatlogError, ValidationError
 from .lattices import render_atom
 from .parser import parse_clauses, parse_fact, pretty
@@ -32,10 +33,6 @@ class RunReport:
     counters: dict = field(default_factory=dict)
     elapsed: float = 0.0
     ok: bool = True
-
-
-def _prepare(program: Program) -> Program:
-    return reorder_preconditions(validate(program))
 
 
 def _with_facts(program: Program, fact_texts) -> Program:
@@ -55,10 +52,8 @@ def _with_facts(program: Program, fact_texts) -> Program:
 
 
 def _run_program(program: Program, start: float) -> RunReport:
-    """Validate, reorder and solve a program; time the run from ``start``.
-    Rebinding ``program`` frees the unreordered clauses before the solve."""
-    program = _prepare(program)
-    result = solve(program)
+    """Validate and solve a program; time the run from ``start``."""
+    result = solve(validate(program))
     return RunReport(lines=result.dump_lines(), counters=result.stats.as_dict(),
                      elapsed=time.perf_counter() - start)
 
@@ -183,9 +178,9 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             if args.seed is not None:
-                program = reorder_preconditions(random_program(args.seed))
+                program = random_program(args.seed)
             else:
-                program = _prepare(parse_clauses(Path(args.file).read_text()))
+                program = validate(parse_clauses(Path(args.file).read_text()))
             report = run_compare(program)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

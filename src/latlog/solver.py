@@ -19,6 +19,10 @@ is queued with the queries then waiting under its key in those tables.  One
 loop delivers the queue, oldest first, running each match as a sweep does,
 so deliveries never nest, and stops delivering a leaf once a later growth
 has replaced it.
+A positive query on a relation that holds no leaf when compiled and whose
+predicate can never hold one (:class:`_Liveness`, found at most once per
+run, on first need) compiles to one shared no-op step, and what follows it
+is never compiled.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
 it against; narrowing it by meet below that bound fails.  Leaves are never
@@ -30,7 +34,7 @@ are independent, and a finished result is safe to share.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -248,6 +252,10 @@ def _read_none(env: list) -> tuple:
     return ()
 
 
+def _skip(env: list) -> None:
+    """The one step of every query that never matches and every empty body."""
+
+
 def _enumerate(slots: list, atoms: range, step: Step) -> Step:
     """``step`` once per assignment of atom ids to the slots, in id order."""
     if not slots:
@@ -348,8 +356,9 @@ class _Compiler:
             return conjunction
         if isinstance(cl, Imply):
             body = cl.body
-            return self.pre(cl.pre, scope, bound, ((body,), 0, None),
-                            lambda b: self.clause(body, scope, b) or (lambda env: None))
+            step = self.pre(cl.pre, scope, bound, ((body,), 0, None),
+                            lambda b: self.clause(body, scope, b) or _skip)
+            return None if step is _skip else step
         if isinstance(cl, Forall):
             scope = {**scope, cl.var: self.slot(is_lattice_var(cl.var))}
             return self.clause(cl.body, scope, bound)
@@ -396,7 +405,7 @@ class _Compiler:
         ``rest`` is ``(parts, i, outer)``, the nodes after p whose variables
         the continuation reads: ``parts[i:]``, then those of ``outer``."""
         if isinstance(p, Query):
-            return self.query(p, scope, bound, kc)
+            return self.query(p, scope, bound, kc) if self.engine.can_hold(p.pred) else _skip
         if isinstance(p, NegQuery):
             return self.negquery(p, scope, bound, kc)
         if isinstance(p, Apply):
@@ -413,6 +422,9 @@ class _Compiler:
                 memo, scope, rest, lambda b: kc(b - {p.var}))),)
         else:
             raise SolverInvariantError(f"cannot check {p!r}")
+        branches = tuple([b for b in branches if b is not _skip])
+        if not branches:
+            return _skip
 
         def memoized(env):
             env[memo] = set()
@@ -447,12 +459,11 @@ class _Compiler:
         """``kc`` behind a filter that passes each binding of the variables of
         ``rest``, with the lower bounds of its lattice variables, once per entry."""
         compiled: dict = {}
-        needed = sorted(self.reads(rest))
 
-        def memo_kc(bound):
+        def memo_kc(bound):  # a memo whose branches are all dead reads no names
             if bound not in compiled:
                 slots = []
-                for name in needed:
+                for name in sorted(self.reads(rest)):
                     s = self.lookup(scope, name)
                     width = 2 if is_lattice_var(name) else 1
                     slots += [s + j if name in bound else None for j in range(width)]
@@ -641,6 +652,60 @@ class _Shape:
         return t
 
 
+class _Liveness:
+    """The live predicates, those that can ever hold a leaf: each with a fact
+    or a stored leaf, and the head of each assertion whose enclosing
+    preconditions can hold while only live predicates have leaves.  As in
+    Dowling and Gallier's linear-time Horn propagation, a top-level conjunct
+    that finds a predicate dead waits in ``readers`` and is examined again
+    only when that predicate becomes live."""
+
+    __slots__ = ("live", "readers", "todo", "conjuncts", "current")
+
+    def __init__(self, program: Program, store: ResultStore):
+        self.live = {f.pred for f in program.facts}
+        self.live.update([pred for pred, leaves in store._relations.items() if leaves])
+        self.readers: defaultdict = defaultdict(set)
+        self.conjuncts = [c for cl in program.strata
+                          for c in (cl.parts if isinstance(cl, And) else (cl,))]
+        self.todo = list(reversed(range(len(self.conjuncts))))  # first conjunct first
+        while self.todo:
+            self.examine(self.todo.pop())
+
+    def examine(self, i: int) -> None:
+        self.current = i
+        self.clause(self.conjuncts[i])
+
+    def clause(self, cl) -> None:
+        t = type(cl)
+        if t is Assert and cl.pred not in self.live:
+            self.live.add(cl.pred)
+            self.todo += self.readers.pop(cl.pred, ())
+        elif t is And:
+            for c in cl.parts:
+                self.clause(c)
+        elif t is Forall or (t is Imply and self.holds(cl.pre)):
+            self.clause(cl.body)
+
+    def holds(self, p) -> bool:
+        """Whether p can hold: a positive query needs a live predicate, a
+        conjunction all of its parts, a disjunction one, an existential its
+        body; a negative query or an application ``'Y(u)`` always can."""
+        t = type(p)
+        if t is Query:
+            if p.pred in self.live:
+                return True
+            self.readers[p.pred].add(self.current)
+            return False
+        if t is And or t is PreOr:  # all parts, or any one
+            any_one = t is PreOr
+            for q in p.parts:
+                if self.holds(q) is any_one:
+                    return any_one
+            return not any_one
+        return self.holds(p.body) if t is Exists else True
+
+
 class _Engine:
     """Runs a program's strata on a store: a fresh one, or a given one whose
     atom ids come from the same universe."""
@@ -653,6 +718,16 @@ class _Engine:
         self.stats = stats
         self.store = store or ResultStore(self.lattice, program.arities, program.ranks, stats)
         self.pending: deque = deque()
+        self.live: Optional[set] = None
+
+    def can_hold(self, pred: str) -> bool:
+        """Whether the predicate holds a leaf or is live (computed on the first
+        call for an empty relation); a query on any other never matches."""
+        if self.store.relation(pred):
+            return True
+        if self.live is None:
+            self.live = _Liveness(self.program, self.store).live
+        return pred in self.live
 
     def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
         """Queue a growth with the queries waiting for it so far, table by

@@ -25,7 +25,10 @@ import reference_semantics as semantics
 
 LAT2 = powerset_lattice(("a", "b"))
 A, B, AB, BOT = frozenset("a"), frozenset("b"), frozenset("ab"), frozenset()
-RELS = "lattice powerset {a,b}\nrel R/1\nrel R2/2\nrel F/0\nclause 1"
+# Each relation has a fact, so it is live and a query on it compiles in
+# full; the tests below never load the facts, so the store starts empty.
+RELS = ("lattice powerset {a,b}\nrel R/1\nrel R2/2\nrel F/0\n"
+        "fact R(a) = {a}\nfact R2(a,a) = {a}\nfact F() = {a}\nclause 1")
 
 
 def engine_for(text):
@@ -332,8 +335,9 @@ def test_growth_invokes_each_consumer_once():
     text = ("lattice powerset {a,b}\n"
             "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y),\n"
             "       forall x. forall 'Y. R(x;'Y) => T(x;'Y)")
+    # R's fact, never loaded, makes R live, so the queries compile
     program = reorder_preconditions(validate(parse_clauses(
-        text.replace("clause", "rel R/1\nclause", 1))))
+        text.replace("clause", "rel R/1\nfact R(b) = {b}\nclause", 1))))
     engine = _Engine(program, SolveStats())
     for cl in program.strata:  # register consumers without sealing strata
         engine.run_stratum(cl)
@@ -597,6 +601,101 @@ def test_sample_analysis_compiles_one_step_per_shape(name, steps, which, compile
     assert len(compiles) == steps
 
 
+# --- rules that cannot fire --------------------------------------------------------
+
+# D is declared and has no fact; E has facts
+DEAD = "lattice powerset {a,b}\nrel D/1\nrel E/2\nfact E(a,b) = {a}\nfact E(b,b) = {b}\n"
+UNFIRED = {
+    "a recursive rule with no base case":
+        "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x;'Y))"
+        " & (forall x. forall y. forall z. forall 'Y. R(x,y;'Y) & E(y,z;'Y) => R(x,z;'Y))",
+    "a disjunction with one dead and one live branch":
+        "clause forall x. forall 'Y. D(x;'Y) | (exists y. E(x,y;'Y)) => S(x;'Y)",
+    "an existential over a dead query":
+        "clause (forall x. (exists y. R(x,y;{a})) => S(x;{b}))"
+        " & (forall x. forall y. forall 'Y. R(x,y;'Y) => R(y,x;'Y))",
+    "a negated query on a never-live predicate":
+        "clause forall x. forall 'Y. !D(x;'Y) => N(x;'Y)",
+    "two strata, the first ending empty":
+        "clause (forall x. forall 'Y. D(x;'Y) => F(x;'Y))"
+        " & (forall x. forall y. E(x,y;{a,b}) => F(x;{a}))\n"
+        "clause (forall x. forall 'Y. F(x;'Y) => G(x;'Y))"
+        " & (forall x. forall 'Y. !F(x;'Y) => M(x;'Y))",
+}
+
+
+@pytest.mark.parametrize("text", UNFIRED.values(), ids=UNFIRED)
+def test_rules_that_cannot_fire_match_naive(text):
+    assert cli.run_compare(validate(parse_clauses(DEAD + text))).lines == ["identical"]
+
+
+def test_negated_query_on_a_never_live_predicate_holds_with_top():
+    _, result = helpers.run_pipeline(DEAD + UNFIRED["a negated query on a never-live predicate"])
+    assert result.leaves()["N"] == {("a",): AB, ("b",): AB}
+
+
+@pytest.fixture
+def liveness_runs(monkeypatch):
+    """One entry per liveness computation from here on."""
+    made = []
+
+    class Counting(solver._Liveness):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(None)
+            super().__init__(*args)
+    monkeypatch.setattr(solver, "_Liveness", Counting)
+    return made
+
+
+def test_dead_rules_compile_no_assertion(monkeypatch, liveness_runs):
+    calls = []
+    assertion = _Compiler.assertion
+    monkeypatch.setattr(_Compiler, "assertion",
+                        lambda self, *args: calls.append(args[0]) or assertion(self, *args))
+    _, result = helpers.run_pipeline(DEAD + UNFIRED["a recursive rule with no base case"]
+                                     .replace("E(x,y;'Y) => T", "D(x;'Y) & E(x,y;'Y) => T"))
+    assert result.dump_lines() == ["E(a,b) = {a}", "E(b,b) = {b}"]
+    assert calls == []
+    assert len(liveness_runs) == 1  # once per solve, for several dead queries
+    helpers.run_pipeline(DEAD + UNFIRED["a recursive rule with no base case"])
+    assert [a.pred for a in calls] == ["T"]  # T's query is live again; R's stays dead
+
+
+def test_liveness_is_not_computed_when_every_queried_relation_has_leaves(liveness_runs):
+    # the closure workload's shape and a ring analysis: each relation a query
+    # reads has leaves by the time the query compiles
+    _, result = helpers.run_pipeline(
+        "lattice powerset {a,b}\nrel E/2\nfact E(n0,n1) = {a}\nfact E(n1,n2) = {b}\n"
+        "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))"
+        "  & (forall x. forall y. forall z. forall 'Y. forall 'Z."
+        " T(x,y;'Y) & E(y,z;'Z) => T(x,z;'Y) & T(x,z;'Z))")
+    assert len(result.leaves()["T"]) == 3
+    assert len(cli.run_analyze(ring_graph(50), "intervals", 0, 5).lines) == 100
+    assert liveness_runs == []
+
+
+def reversed_chain(rules: int) -> str:
+    """``P2 => P1``, ..., ``P{rules} => P{rules - 1}``, then ``P{rules}(a;{a})``
+    last: each rule's query is live only once every later rule is examined."""
+    parts = [f"(forall x. forall 'Y. P{i + 1}(x;'Y) => P{i}(x;'Y))" for i in range(1, rules)]
+    return "lattice powerset {a}\nclause " + " & ".join(parts + [f"P{rules}(a;{{a}})"])
+
+
+@pytest.mark.parametrize("rules", [1000, 4000])
+def test_liveness_examines_each_conjunct_at_most_twice(rules, monkeypatch):
+    # a repeat-until-stable loop in program order would make one predicate
+    # live per pass over all the rules
+    examined = []
+    examine = solver._Liveness.examine
+    monkeypatch.setattr(solver._Liveness, "examine",
+                        lambda self, i: examined.append(i) or examine(self, i))
+    result = solve(validate(parse_clauses(reversed_chain(rules))))
+    assert len(result.dump_lines()) == rules
+    assert 0 < len(examined) <= 2 * rules
+
+
 # --- whole solve runs ----------------------------------------------------------------
 
 
@@ -646,7 +745,9 @@ def test_solve_facts_with_unit_stratum():
 
 
 def test_env_rejects_out_of_scope_lookup():
-    engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
+    # R's fact makes R live: a query on a predicate that can never hold a
+    # leaf compiles to nothing and looks up no variable
+    engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nfact R(a) = {a}\nclause 1")
     with pytest.raises(SolverInvariantError, match="not in scope"):
         engine.run_stratum(Assert("R", (Var("x"),), LitConst(frozenset("a"))))
     with pytest.raises(SolverInvariantError, match="not in scope"):
@@ -826,7 +927,7 @@ def test_solve_stratum_isolation_and_propagation_bound():
 
 def test_audit_catches_delivery_without_growth():
     program = reorder_preconditions(validate(parse_clauses(
-        "lattice powerset {a,b}\nrel R/1\n"
+        "lattice powerset {a,b}\nrel R/1\nfact R(b) = {b}\n"  # R is live; never loaded
         "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y)")))
     unobserved_raise_leaf = ResultStore.raise_leaf
     with helpers.audit() as seen:
