@@ -12,13 +12,13 @@ programs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from . import ast
 from .errors import ParseError, ValidationError
 from .lattices import Lattice, interval_lattice, sign_lattice, standard_registry
 from .parser import _RESERVED, pretty, read_int
+from .records import Frozen, set_field
 
 _RESERVED_GRAPH = {"state", "initial", "var", "skip", "test"}
 
@@ -26,47 +26,56 @@ _RESERVED_GRAPH = {"state", "initial", "var", "skip", "test"}
 Operand = Union[int, str]  # an integer literal or a variable name
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    rhs: Union[Operand, "BinOp"]
+class Assign(Frozen):
+    __slots__ = ("target", "rhs")
+
+    def __init__(self, target: str, rhs: Union[Operand, "BinOp"]):
+        set_field(self, "target", target)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - *
-    left: Operand
-    right: Operand
+class BinOp(Frozen):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Operand, right: Operand):  # op: + - *
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class BoolTest:
-    left: Operand
-    op: str  # < <= > >= == !=
-    right: Operand
+class BoolTest(Frozen):
+    __slots__ = ("left", "op", "right")
+
+    def __init__(self, left: Operand, op: str, right: Operand):  # op: < <= > >= == !=
+        set_field(self, "left", left)
+        set_field(self, "op", op)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(Frozen):
+    __slots__ = ()
 
 
 Action = Union[Assign, BoolTest, Skip]
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    action: Action
-    dst: str
+class Edge(Frozen):
+    __slots__ = ("src", "action", "dst")
+
+    def __init__(self, src: str, action: Action, dst: str):
+        set_field(self, "src", src)
+        set_field(self, "action", action)
+        set_field(self, "dst", dst)
 
 
-@dataclass(frozen=True)
-class ProgramGraph:
-    states: tuple
-    initial: str
-    edges: tuple
-    variables: tuple
+class ProgramGraph(Frozen):
+    __slots__ = ("states", "initial", "edges", "variables")
+
+    def __init__(self, states: tuple, initial: str, edges: tuple, variables: tuple):
+        set_field(self, "states", states)
+        set_field(self, "initial", initial)
+        set_field(self, "edges", edges)
+        set_field(self, "variables", variables)
 
 
 _OPERAND_RE = re.compile(r"-?\d+|[A-Za-z_][A-Za-z0-9_]*")

@@ -11,28 +11,42 @@ One node serves each quantifier and conjunction: :class:`Forall` and
 :class:`And` is a clause or a precondition by its position.  A bound
 variable's sort is read from its name (:func:`is_lattice_var`): lattice
 variables carry a leading apostrophe.
+
+Nodes, :class:`Fact`, and the :class:`~latlog.lattices.Lattice` and
+:class:`~latlog.lattices.IntervalValue` they hold are immutable slotted
+records (:class:`~latlog.records.Frozen`) compared by value: two are equal
+when they are of one class with equal fields, and each hashes as its field
+tuple.  They are not dataclasses, so ``dataclasses.replace`` and
+``dataclasses.fields`` no longer apply to them;
+:func:`latlog.records.replace` copies a record with fields changed, and a
+class's ``__slots__`` names its fields in order.  :class:`Program` is a
+mutable record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Optional, Union
 
 from .errors import StratificationError, ValidationError
 from .lattices import Atom, FunctionRegistry, Lattice, atom_sort_key
+from .records import Frozen, Record, replace, set_field
 
 # --- terms ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Const:
-    atom: Atom
+class Const(Frozen):
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        set_field(self, "atom", atom)
 
 
 Term = Union[Var, Const]
@@ -46,33 +60,41 @@ def is_lattice_var(name: str) -> bool:
 # --- lattice terms ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YVar:
+class YVar(Frozen):
     """Lattice-valued variable."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Repr:
+class Repr(Frozen):
     """Best lattice description of a universe term."""
 
-    term: Term
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        set_field(self, "term", term)
 
 
-@dataclass(frozen=True)
-class FnApp:
+class FnApp(Frozen):
     """Registered monotone function applied to lattice terms (assertions only)."""
 
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class LitConst:
+class LitConst(Frozen):
     """Ground lattice constant; behaves like a pre-bound lattice variable."""
 
-    value: Any
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        set_field(self, "value", value)
 
 
 LatticeTerm = Union[YVar, Repr, FnApp, LitConst]
@@ -81,31 +103,36 @@ LatticeTerm = Union[YVar, Repr, FnApp, LitConst]
 # --- preconditions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Query:
-    pred: str
-    args: tuple
-    value: LatticeTerm
+class Query(Frozen):
+    __slots__ = ("pred", "args", "value")
+
+    def __init__(self, pred: str, args: tuple, value: LatticeTerm):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class NegQuery:
-    pred: str
-    args: tuple
-    value: LatticeTerm
+class NegQuery(Frozen):
+    __slots__ = ("pred", "args", "value")
+
+    def __init__(self, pred: str, args: tuple, value: LatticeTerm):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(Frozen):
     """Membership-style use of a lattice variable: the description of the
     term must lie below the variable's value."""
 
-    yvar: str
-    term: Term
+    __slots__ = ("yvar", "term")
+
+    def __init__(self, yvar: str, term: Term):
+        set_field(self, "yvar", yvar)
+        set_field(self, "term", term)
 
 
-@dataclass(frozen=True)
-class And:
+class And(Frozen):
     """Conjunction of two or more clauses, or of two or more preconditions:
     its position says which.
 
@@ -118,20 +145,27 @@ class And:
     shrunk pair on its tuple free list, which a long run's peak memory counts.
     """
 
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class PreOr:
+class PreOr(Frozen):
     """Disjunction of two or more preconditions."""
 
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Pre"
+class Exists(Frozen):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Pre"):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
 Pre = Union[Query, NegQuery, Apply, And, PreOr, Exists]
@@ -140,56 +174,68 @@ Pre = Union[Query, NegQuery, Apply, And, PreOr, Exists]
 # --- clauses ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assert:
-    pred: str
-    args: tuple
-    value: LatticeTerm
+class Assert(Frozen):
+    __slots__ = ("pred", "args", "value")
+
+    def __init__(self, pred: str, args: tuple, value: LatticeTerm):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class TrueClause:
-    pass
+class TrueClause(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imply:
-    pre: Pre
-    body: "Clause"
+class Imply(Frozen):
+    __slots__ = ("pre", "body")
+
+    def __init__(self, pre: Pre, body: "Clause"):
+        set_field(self, "pre", pre)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Clause"
+class Forall(Frozen):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Clause"):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
 Clause = Union[Assert, TrueClause, And, Imply, Forall]
 
 
-@dataclass(frozen=True)
-class Fact:
-    pred: str
-    atoms: tuple
-    value: Any
+class Fact(Frozen):
+    __slots__ = ("pred", "atoms", "value")
+
+    def __init__(self, pred: str, atoms: tuple, value: Any):
+        set_field(self, "pred", pred)
+        set_field(self, "atoms", atoms)
+        set_field(self, "value", value)
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A parsed (or programmatically built) clause program.
 
     ``strata`` is the ordered clause sequence; ``ranks`` is filled in by
     :func:`compute_ranks`.  ``universe`` is the sorted tuple of atoms.
     """
 
-    lattice: Lattice
-    registry: FunctionRegistry
-    strata: tuple
-    facts: tuple = ()
-    arities: dict = field(default_factory=dict)
-    universe: tuple = ()
-    declared_funs: tuple = ()
-    ranks: Optional[dict] = None
+    __slots__ = ("lattice", "registry", "strata", "facts", "arities", "universe",
+                 "declared_funs", "ranks")
+
+    def __init__(self, lattice: Lattice, registry: FunctionRegistry, strata: tuple,
+                 facts: tuple = (), arities: Optional[dict] = None, universe: tuple = (),
+                 declared_funs: tuple = (), ranks: Optional[dict] = None):
+        self.lattice = lattice
+        self.registry = registry
+        self.strata = strata
+        self.facts = facts
+        self.arities = {} if arities is None else arities
+        self.universe = universe
+        self.declared_funs = declared_funs
+        self.ranks = ranks
 
     @property
     def num_strata(self) -> int:

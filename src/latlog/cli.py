@@ -9,10 +9,8 @@ of a few hundred parts) or running out of memory, 2 usage or I/O.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import analysis, oracle
@@ -22,17 +20,21 @@ from .errors import LatlogError, ValidationError
 from .lattices import render_atom
 from .parser import parse_clauses, parse_fact, pretty
 from .randgen import random_program
+from .records import Record, replace
 from .solver import solve
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Outcome of one command: dump lines, counters, timing."""
 
-    lines: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    ok: bool = True
+    __slots__ = ("lines", "counters", "elapsed", "ok")
+
+    def __init__(self, lines: list | None = None, counters: dict | None = None,
+                 elapsed: float = 0.0, ok: bool = True):
+        self.lines = [] if lines is None else lines
+        self.counters = {} if counters is None else counters
+        self.elapsed = elapsed
+        self.ok = ok
 
 
 def _with_facts(program: Program, fact_texts) -> Program:
@@ -114,7 +116,11 @@ def run_compare(program: Program) -> RunReport:
                      elapsed=elapsed)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argument parser; ``argparse`` is imported here, as only
+    :func:`main` needs it."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="latlog",
         description="Clause solving over finite lattices, with ready-made "

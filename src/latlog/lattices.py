@@ -9,11 +9,11 @@ finite powersets, the sign powerset, and bounded integer intervals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import LatticeError, MonotonicityError, RegistryError
+from .records import Frozen, set_field
 
 Atom = Any  # universe atoms are identifiers (str) or integers
 
@@ -34,8 +34,7 @@ def render_atom(a: Atom) -> str:
 # Intervals
 
 
-@dataclass(frozen=True)
-class IntervalValue:
+class IntervalValue(Frozen):
     """Closed integer interval with extended endpoints.
 
     The empty interval is canonically ``(+inf, -inf)``; with that encoding the
@@ -43,8 +42,21 @@ class IntervalValue:
     makes the ordering and join/meet formulas below uniform.
     """
 
-    lo: int | float
-    hi: int | float
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int | float, hi: int | float):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+
+    # the base's results, written out: the engine compares interval values on
+    # every narrowing, and the base reads the fields by name
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @property
     def is_empty(self) -> bool:
@@ -116,8 +128,7 @@ def interval_arithmetic(op: str, i1: IntervalValue, i2: IntervalValue,
 # Lattice handle
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """A complete lattice packaged with the operations the solver needs.
 
     ``represent`` maps a universe atom to its most precise description and
@@ -125,27 +136,47 @@ class Lattice:
     (negation over a complement-free lattice is rejected at validation).
     ``enumerate_elements``/``element_count`` are needed only by the reference
     evaluators and by exhaustive monotonicity checks; ``sample_element``
-    backs randomized monotonicity spot checks on large lattices.
+    backs randomized monotonicity spot checks on large lattices.  ``atoms``
+    is the carrier of a set-based lattice, ``zvalues`` the integer grid
+    zmin..zmax of the interval lattice and ``make_interval`` its snapping
+    constructor.
 
     Values are immutable and all operations pure, so handles and values can
     be shared freely across threads.
     """
 
-    kind: str
-    bottom: Any
-    top: Any
-    leq: Callable[[Any, Any], bool]
-    join: Callable[[Any, Any], Any]
-    meet: Callable[[Any, Any], Any]
-    represent: Callable[[Atom], Any]
-    complement: Optional[Callable[[Any], Any]] = None
-    enumerate_elements: Optional[Callable[[], Sequence[Any]]] = None
-    element_count: Optional[int] = None
-    sample_element: Optional[Callable[[random.Random], Any]] = None
-    render: Callable[[Any], str] = repr
-    atoms: Optional[tuple] = None       # carrier of set-based lattices
-    zvalues: Optional[range] = None     # integer grid zmin..zmax of the interval lattice
-    make_interval: Optional[Callable[[Any, Any], IntervalValue]] = None
+    __slots__ = ("kind", "bottom", "top", "leq", "join", "meet", "represent",
+                 "complement", "enumerate_elements", "element_count",
+                 "sample_element", "render", "atoms", "zvalues", "make_interval")
+
+    def __init__(self, kind: str, bottom: Any, top: Any,
+                 leq: Callable[[Any, Any], bool],
+                 join: Callable[[Any, Any], Any],
+                 meet: Callable[[Any, Any], Any],
+                 represent: Callable[[Atom], Any],
+                 complement: Optional[Callable[[Any], Any]] = None,
+                 enumerate_elements: Optional[Callable[[], Sequence[Any]]] = None,
+                 element_count: Optional[int] = None,
+                 sample_element: Optional[Callable[[random.Random], Any]] = None,
+                 render: Callable[[Any], str] = repr,
+                 atoms: Optional[tuple] = None,
+                 zvalues: Optional[range] = None,
+                 make_interval: Optional[Callable[[Any, Any], IntervalValue]] = None):
+        set_field(self, "kind", kind)
+        set_field(self, "bottom", bottom)
+        set_field(self, "top", top)
+        set_field(self, "leq", leq)
+        set_field(self, "join", join)
+        set_field(self, "meet", meet)
+        set_field(self, "represent", represent)
+        set_field(self, "complement", complement)
+        set_field(self, "enumerate_elements", enumerate_elements)
+        set_field(self, "element_count", element_count)
+        set_field(self, "sample_element", sample_element)
+        set_field(self, "render", render)
+        set_field(self, "atoms", atoms)
+        set_field(self, "zvalues", zvalues)
+        set_field(self, "make_interval", make_interval)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ loop delivers the queue, oldest first, running each match as a sweep does,
 so deliveries never nest, and stops delivering a leaf once a later growth
 has replaced it.
 A positive query on a relation that holds no leaf when compiled and whose
-predicate can never hold one (:class:`_Liveness`, found at most once per
-run, on first need) compiles to one shared no-op step, and what follows it
-is never compiled.
+predicate is sealed or can never hold one (:class:`_Liveness`, found at most
+once per run, on first need) compiles to one shared no-op step, and what
+follows it is never compiled.
 Negative queries read the complement of final values.  A lattice variable
 also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
 it against; narrowing it by meet below that bound fails.  Leaves are never
@@ -35,7 +35,6 @@ are independent, and a finished result is safe to share.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
@@ -43,6 +42,7 @@ from typing import Any, Callable, Iterator, Optional
 from . import ast
 from .errors import SolverInvariantError
 from .lattices import Lattice, render_atom
+from .records import Record
 from .ast import (And, Apply, Assert, Const, Exists, FnApp, Forall, Imply,
                   LitConst, NegQuery, PreOr, Program, Query, Repr, TrueClause,
                   Var, YVar, is_lattice_var)
@@ -71,20 +71,23 @@ class AtomTable:
         return tuple(self._atoms[i] for i in ids)
 
 
-@dataclass
-class SolveStats:
-    """Instrumentation counters for one solve run."""
+class SolveStats(Record):
+    """Instrumentation counters for one solve run.  ``redundant_adds`` is
+    always 0: joins that do not grow are not counted."""
 
-    growths: int = 0
-    consumer_invocations: int = 0
-    sweep_invocations: int = 0
-    candidates: int = 0
-    redundant_adds: int = 0  # always 0: joins that do not grow are not counted
+    __slots__ = ("growths", "consumer_invocations", "sweep_invocations", "candidates",
+                 "redundant_adds")
+
+    def __init__(self, growths: int = 0, consumer_invocations: int = 0,
+                 sweep_invocations: int = 0, candidates: int = 0, redundant_adds: int = 0):
+        self.growths = growths
+        self.consumer_invocations = consumer_invocations
+        self.sweep_invocations = sweep_invocations
+        self.candidates = candidates
+        self.redundant_adds = redundant_adds
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in (
-            "growths", "consumer_invocations", "sweep_invocations", "candidates",
-            "redundant_adds")}
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 _NO_KEY, _WHOLE = itemgetter(slice(0)), itemgetter(slice(None))  # () and ids[:], which is ids
@@ -722,9 +725,12 @@ class _Engine:
 
     def can_hold(self, pred: str) -> bool:
         """Whether the predicate holds a leaf or is live (computed on the first
-        call for an empty relation); a query on any other never matches."""
+        call for an empty relation that is not sealed: a sealed one never
+        grows); a query on any other never matches."""
         if self.store.relation(pred):
             return True
+        if self.store.sealed(pred):
+            return False
         if self.live is None:
             self.live = _Liveness(self.program, self.store).live
         return pred in self.live
@@ -795,14 +801,17 @@ class _Engine:
             self.store.seal_up_to(i)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """Final store of a solve run plus instrumentation."""
 
-    program: Program
-    store: ResultStore
-    table: AtomTable
-    stats: SolveStats
+    __slots__ = ("program", "store", "table", "stats")
+
+    def __init__(self, program: Program, store: ResultStore, table: AtomTable,
+                 stats: SolveStats):
+        self.program = program
+        self.store = store
+        self.table = table
+        self.stats = stats
 
     def leaves(self) -> dict:
         """{pred: {atom tuple: value}} with bottom leaves absent."""

@@ -30,8 +30,8 @@ def sample(name: str) -> str:
 
 
 def run_pipeline(text: str):
-    """parse -> validate -> reorder -> solve; returns (program, result)."""
-    program = ast.reorder_preconditions(ast.validate(parse_clauses(text)))
+    """parse -> validate -> solve, as ``latlog solve`` runs; returns (program, result)."""
+    program = ast.validate(parse_clauses(text))
     return program, solve(program)
 
 

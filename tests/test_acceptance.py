@@ -14,7 +14,7 @@ import pytest
 from latlog import ast, oracle
 from latlog.analysis import (gen_interval_clauses, gen_sign_clauses,
                              parse_program_graph)
-from latlog.ast import reorder_preconditions, validate
+from latlog.ast import validate
 from latlog.errors import StratificationError
 from latlog.lattices import (interval_lattice, powerset_lattice, sign_lattice,
                              sign_transfer)
@@ -37,16 +37,12 @@ def criterion(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def solve_program(program):
-    return solve(reorder_preconditions(program))
-
-
 def test_criterion_1_moore_family_suite():
     with criterion(1, "Moore-family suite, 100 seeded instances"):
         start = time.perf_counter()
         for seed in range(100):
             program = random_program(seed)
-            result = solve_program(program)
+            result = solve(program)
             got = semantics.from_leaves(program, result.leaves())
             # (a) the solver output satisfies every clause above the facts
             assert semantics.is_model(program, got), f"seed {seed}: not a model"
@@ -103,7 +99,7 @@ def test_criterion_4_interval_analysis():
     with criterion(4, "interval analysis: loop result and soundness"):
         graph = parse_program_graph(helpers.sample("loop.graph"))
         text = gen_interval_clauses(graph, 0, 3)
-        program = reorder_preconditions(validate(parse_clauses(text)))
+        program = validate(parse_clauses(text))
         result = solve(program)
         mk = program.lattice.make_interval
         inf = float("inf")
@@ -151,22 +147,20 @@ def test_criterion_6_set_based_correspondence():
     with criterion(6, "set-based correspondence on 50 instances"):
         for seed in range(50):
             program = random_program(seed, set_fragment=True)
-            result = solve_program(program)
+            result = solve(program)
             diffs = semantics.correspondence_diff(program, result.leaves())
             assert diffs == [], f"seed {seed}: {diffs[:3]}"
 
 
 def _loop_interval_program():
     graph = parse_program_graph(helpers.sample("loop.graph"))
-    return reorder_preconditions(validate(parse_clauses(
-        gen_interval_clauses(graph, 0, 3))))
+    return validate(parse_clauses(gen_interval_clauses(graph, 0, 3)))
 
 
 def test_criterion_7_difference_propagation():
     with criterion(7, "difference propagation bounds"):
         workloads = [
-            reorder_preconditions(validate(parse_clauses(
-                helpers.sample("eq_neq.lat")))),
+            validate(parse_clauses(helpers.sample("eq_neq.lat"))),
             _loop_interval_program(),
         ]
         for program in workloads:
@@ -196,11 +190,10 @@ def test_criterion_7_difference_propagation():
 def test_criterion_8_termination_and_stratum_isolation():
     with criterion(8, "termination and stratum isolation"):
         programs = [
-            reorder_preconditions(validate(parse_clauses(helpers.sample(name))))
+            validate(parse_clauses(helpers.sample(name)))
             for name in ("eq_neq.lat", "eq_neq_abc.lat", "facts_only.lat")]
         programs.append(_loop_interval_program())
-        programs += [reorder_preconditions(random_program(seed))
-                     for seed in range(40)]
+        programs += [random_program(seed) for seed in range(40)]
         for program in programs:
             with helpers.audit() as seen:
                 result = solve(program)  # terminated to get past this line

@@ -126,7 +126,7 @@ def test_long_ring_text_parses_at_default_recursion_limit(default_recursion_limi
 
 def loop_result():
     text = gen_interval_clauses(graph("loop.graph"), 0, 3)
-    program = ast.reorder_preconditions(ast.validate(parse_clauses(text)))
+    program = ast.validate(parse_clauses(text))
     return program, solve(program)
 
 
@@ -217,7 +217,7 @@ def test_assign_positive_literal():
 
 def test_generated_sign_file_matches_oracle():
     text = gen_sign_clauses(graph("branch.graph"))
-    program = ast.reorder_preconditions(ast.validate(parse_clauses(text)))
+    program = ast.validate(parse_clauses(text))
     result = solve(program)
     assert semantics.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)

@@ -614,8 +614,8 @@ def test_powerset_atoms_are_checked_without_scanning_the_carrier(monkeypatch):
     # a facts-only file over a 16 000-atom powerset: looking each atom up in
     # the carrier tuple made checking it quadratic, 2.2 s where it now takes
     # about 0.2 s
-    from dataclasses import replace
     from latlog import cli, parser
+    from latlog.records import replace
 
     class Carrier(tuple):
         scans = 0

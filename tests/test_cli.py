@@ -1,12 +1,15 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import subprocess
+import sys
 from itertools import cycle
 from pathlib import Path
 
 import pytest
 
+import latlog
 from latlog import cli, parser
-from latlog.ast import validate, reorder_preconditions
+from latlog.ast import validate
 from latlog.cli import leaf_diff, main, run_analyze, run_compare
 from latlog.errors import ParseError
 from latlog.parser import parse_clauses
@@ -111,6 +114,33 @@ def test_solve_missing_file_exits_2(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["analyze", spath("loop.graph")]) == 2  # --analysis missing
     capsys.readouterr()
+
+
+def run_isolated(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh ``python -I`` that imports latlog from where this
+    process does."""
+    prelude = f"import sys\nsys.path.insert(0, {str(Path(latlog.__file__).parents[1])!r})\n"
+    return subprocess.run([sys.executable, "-I", "-c", prelude + code],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
+    out = run_isolated("before = set(sys.modules)\n"
+                       "import latlog.cli\n"
+                       "print(*sorted(set(sys.modules) - before))\n")
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "latlog.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "argparse"} == set()
+
+
+def test_help_of_the_module_exits_0():
+    # what ``python -I -m latlog --help`` runs, with latlog found on sys.path
+    out = run_isolated("import runpy\n"
+                       "sys.argv[1:] = ['--help']\n"
+                       "runpy.run_module('latlog', run_name='__main__', alter_sys=True)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: latlog")
 
 
 def test_stats_go_to_stderr(capsys):
@@ -357,8 +387,7 @@ def test_compare_mismatch_prints_leaf_diffs_and_stats(monkeypatch, capsys):
 
 
 def test_leaf_diff_detects_corruption():
-    program = reorder_preconditions(validate(parse_clauses(
-        helpers.sample("eq_neq.lat"))))
+    program = validate(parse_clauses(helpers.sample("eq_neq.lat")))
     report = run_compare(program)
     assert report.ok and report.lines == ["identical"]
     # corrupt one leaf and diff against the healthy reference

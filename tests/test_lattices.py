@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latlog.ast import reorder_preconditions, validate
+from latlog.ast import validate
 from latlog.cli import run_analyze
 from latlog.errors import LatticeError, MonotonicityError, RegistryError
 from latlog.lattices import (EMPTY_INTERVAL, FULL_INTERVAL, NEG_INF, POS_INF,
@@ -402,7 +402,7 @@ def test_parse_registers_monotone_user_function():
     widen = lambda s: s | {"+"} if s else s
     program = parse_clauses(USER_FN_PROGRAM, extra_functions={("widen", 1): widen})
     assert program.registry.has("widen", 1)
-    result = solve(reorder_preconditions(validate(program)))
+    result = solve(validate(program))
     assert result.dump_lines() == ["A(x) = {0,+}", "B(x) = {0}"]
 
 

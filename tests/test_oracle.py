@@ -94,8 +94,7 @@ def test_naive_fixpoint_facts_only():
 
 
 def test_oracle_dump_matches_solver_dump_format():
-    program = reorder_preconditions(validate(parse_clauses(
-        helpers.sample("eq_neq_abc.lat"))))
+    program = validate(parse_clauses(helpers.sample("eq_neq_abc.lat")))
     result = solve(program)
     reference = oracle.naive_fixpoint(program)
     assert oracle.dump_lines(program, reference) == result.dump_lines()
@@ -251,7 +250,7 @@ def test_lex_base_difference_uses_stage_zero():
 def test_solver_output_is_lex_least():
     for seed in range(15):
         program = random_program(seed)
-        result = solve(reorder_preconditions(program))
+        result = solve(program)
         got = semantics.from_leaves(program, result.leaves())
         for m in semantics.enumerate_models(program):
             assert semantics.lex_leq(program, got, m), f"seed {seed}"
@@ -271,7 +270,7 @@ def test_datalog_translation_of_eq_neq():
 def test_datalog_matches_solver_on_fragment():
     for seed in range(25):
         program = random_program(seed, set_fragment=True)
-        result = solve(reorder_preconditions(program))
+        result = solve(program)
         assert semantics.correspondence_diff(program, result.leaves()) == [], \
             f"seed {seed}"
         fix = oracle.naive_fixpoint(program)

@@ -32,7 +32,7 @@ RELS = ("lattice powerset {a,b}\nrel R/1\nrel R2/2\nrel F/0\n"
 
 
 def engine_for(text):
-    program = reorder_preconditions(validate(parse_clauses(text)))
+    program = validate(parse_clauses(text))
     return _Engine(program, SolveStats()), program
 
 
@@ -336,8 +336,8 @@ def test_growth_invokes_each_consumer_once():
             "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y),\n"
             "       forall x. forall 'Y. R(x;'Y) => T(x;'Y)")
     # R's fact, never loaded, makes R live, so the queries compile
-    program = reorder_preconditions(validate(parse_clauses(
-        text.replace("clause", "rel R/1\nfact R(b) = {b}\nclause", 1))))
+    program = validate(parse_clauses(
+        text.replace("clause", "rel R/1\nfact R(b) = {b}\nclause", 1)))
     engine = _Engine(program, SolveStats())
     for cl in program.strata:  # register consumers without sealing strata
         engine.run_stratum(cl)
@@ -432,9 +432,9 @@ def test_compiling_a_chain_of_memos_is_linear(monkeypatch):
 
     def calls_to_solve(parts):
         chain = " & ".join(["(exists z. R(x;[x]) | S(x;[x]))"] * parts)
-        program = reorder_preconditions(validate(parse_clauses(
+        program = validate(parse_clauses(
             "lattice powerset {a}\nrel R/1\nrel S/1\nrel T/1\nfact R(a) = {a}\n"
-            f"clause forall x. {chain} => T(x;[x])")))
+            f"clause forall x. {chain} => T(x;[x])"))
         calls.clear()
         assert solve(program).dump_lines() == ["R(a) = {a}", "T(a) = {a}"]
         return len(calls)
@@ -663,6 +663,16 @@ def test_dead_rules_compile_no_assertion(monkeypatch, liveness_runs):
     assert [a.pred for a in calls] == ["T"]  # T's query is live again; R's stays dead
 
 
+@pytest.mark.parametrize("text", [
+    "clause forall x. forall 'Y. D(x;'Y) => S(x;'Y)",
+    UNFIRED["two strata, the first ending empty"],
+], ids=["a base relation with no fact", "an earlier stratum's predicate ending empty"])
+def test_sealed_empty_relations_need_no_liveness(text, liveness_runs):
+    # a sealed relation never grows, so an empty one is dead without analysis
+    assert cli.run_compare(validate(parse_clauses(DEAD + text))).lines == ["identical"]
+    assert liveness_runs == []
+
+
 def test_liveness_is_not_computed_when_every_queried_relation_has_leaves(liveness_runs):
     # the closure workload's shape and a ring analysis: each relation a query
     # reads has leaves by the time the query compiles
@@ -803,8 +813,7 @@ def test_solve_labeled_transitive_closure():
          & (forall x. forall y. forall z. forall 'L1. forall 'L2.
              Path(x,y;'L1) & Edge(y,z;'L2) => Path(x,z;u_join('L1,'L2)))
     """
-    program = reorder_preconditions(validate(parse_clauses(
-        text, {("u_join", 2): frozenset.union})))
+    program = validate(parse_clauses(text, {("u_join", 2): frozenset.union}))
     with helpers.audit() as seen:
         result = solve(program)
     assert semantics.from_leaves(program, result.leaves()) == \
@@ -847,7 +856,7 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
          "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))"
          "  & (forall x. forall y. forall z. forall 'Y. forall 'Z."
          " T(x,y;'Y) & E(y,z;'Z) => T(x,z;'Y) & T(x,z;'Z))"])
-    program = reorder_preconditions(validate(parse_clauses(text)))
+    program = validate(parse_clauses(text))
     engine = _Engine(program, SolveStats())
     stale = []
     register = Table.register
@@ -926,9 +935,9 @@ def test_solve_stratum_isolation_and_propagation_bound():
 
 
 def test_audit_catches_delivery_without_growth():
-    program = reorder_preconditions(validate(parse_clauses(
+    program = validate(parse_clauses(
         "lattice powerset {a,b}\nrel R/1\nfact R(b) = {b}\n"  # R is live; never loaded
-        "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y)")))
+        "clause forall x. forall 'Y. R(x;'Y) => S(x;'Y)"))
     unobserved_raise_leaf = ResultStore.raise_leaf
     with helpers.audit() as seen:
         engine = _Engine(program, SolveStats())
@@ -958,7 +967,7 @@ def test_solver_matches_naive_on_random_programs():
     for seed in range(60):
         program = random_program(seed)
         with helpers.audit() as seen:
-            result = solve(reorder_preconditions(program))
+            result = solve(program)
         assert semantics.from_leaves(program, result.leaves()) == \
             oracle.naive_fixpoint(program), f"seed {seed}"
         assert helpers.stratum_isolation_holds(seen, result), f"seed {seed}"
@@ -1021,8 +1030,7 @@ def test_solve_restores_recursion_limit_when_it_raises(recursion_limit):
     fact P(a) = {a}
     clause forall x. forall 'i. P(x;'i) => Q(x;grow('i))
     """
-    program = reorder_preconditions(validate(parse_clauses(
-        text, {("grow", 1): grow})))
+    program = validate(parse_clauses(text, {("grow", 1): grow}))
     armed.append(True)
     with pytest.raises(Boom):
         solve(program)
@@ -1063,7 +1071,7 @@ def test_application_fails_when_a_later_query_narrows_below_it(clause):
 def test_application_inside_exists_matches_naive():
     from latlog.randgen import random_program
 
-    program = reorder_preconditions(random_program(3951134603))
+    program = random_program(3951134603)
     assert cli.run_compare(program).lines == ["identical"]
 
 
@@ -1120,7 +1128,7 @@ def test_solve_leaves_ast_caches_untouched():
             "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))"
             " & (forall x. forall y. forall z. forall 'Y. forall 'Z."
             " T(x,y;'Y) & E(y,z;'Z) & (exists w. !E(z,w;{a})) => T(x,z;'Y))")
-    program = reorder_preconditions(validate(parse_clauses(text)))
+    program = validate(parse_clauses(text))
     caches = (ast.clause_vars, ast.pre_vars, ast.lattice_term_vars)
     before = [fn.cache_info().currsize for fn in caches]
     result = solve(program)
@@ -1147,7 +1155,7 @@ def test_solver_matches_naive_on_drawn_random_programs(seed):
 
     program = random_program(seed)
     with helpers.audit() as seen:
-        result = solve(reorder_preconditions(program))
+        result = solve(program)
     assert semantics.from_leaves(program, result.leaves()) == \
         oracle.naive_fixpoint(program)
     assert helpers.stratum_isolation_holds(seen, result)
