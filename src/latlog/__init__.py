@@ -9,8 +9,7 @@ sign and interval analyses generated from program graphs.
 
 from .ast import (And, Apply, Assert, Const, Exists, Fact, FnApp, Forall,
                   Imply, LitConst, NegQuery, PreOr, Program, Query, Repr,
-                  TrueClause, Var, YVar, compute_ranks, reorder_preconditions,
-                  validate)
+                  TrueClause, Var, YVar, compute_ranks, validate)
 from .errors import (LatlogError, LatticeError, MonotonicityError,
                      OracleSizeError, ParseError, RegistryError,
                      SolverInvariantError, StratificationError,
@@ -30,7 +29,7 @@ __all__ = [
     "And", "Apply", "Assert", "Const", "Exists", "Fact", "FnApp", "Forall",
     "Imply", "LitConst", "NegQuery", "PreOr", "Program", "Query", "Repr",
     "TrueClause", "Var", "YVar",
-    "compute_ranks", "reorder_preconditions", "validate",
+    "compute_ranks", "validate",
     "LatlogError", "LatticeError", "MonotonicityError", "OracleSizeError",
     "ParseError", "RegistryError", "SolverInvariantError",
     "StratificationError", "UnsupportedInstanceError", "ValidationError",

@@ -202,7 +202,8 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
     makes of its pretty-printed text: the k-th binder named ``b`` is ``b_k``
     from k = 2 on.  Variable operands are queried at the source state, which
     gates the rule on its reachability; an all-literal right-hand side is
-    gated on the target variable itself."""
+    gated on the target variable itself.  The universe records the atoms the
+    rules name: the initial state, the variables and each edge's states."""
     _check_graph_names(graph)
     taken: dict[str, int] = {}
     funs: set[str] = set()
@@ -243,7 +244,9 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
 
     top = ast.LitConst(lattice.top)
     rules = [ast.Assert("A", at(graph.initial, v), top) for v in graph.variables]
+    atoms = {graph.initial, *graph.variables}
     for edge in graph.edges:
+        atoms.update((edge.src, edge.dst))
         action = edge.action
         if isinstance(action, Assign):
             rules.append(assign(edge, action.target, action.rhs))
@@ -257,7 +260,7 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
     strata = (rules[0] if len(rules) == 1 else ast.And(tuple(rules)),)
     return ast.Program(lattice=lattice, registry=standard_registry(lattice),
                        strata=strata, arities={"A": 2},
-                       universe=ast.universe_of(strata, ()),
+                       universe=ast.universe_of(atoms),
                        declared_funs=tuple((f, 2) for f in sorted(funs)))
 
 

@@ -12,6 +12,9 @@ One node serves each quantifier and conjunction: :class:`Forall` and
 variable's sort is read from its name (:func:`is_lattice_var`): lattice
 variables carry a leading apostrophe.
 
+A program's universe holds the atoms that its producer, the parser or the
+analysis builder, recorded as it made them; :func:`universe_of` orders them.
+
 Nodes, :class:`Fact`, and the :class:`~latlog.lattices.Lattice` and
 :class:`~latlog.lattices.IntervalValue` they hold are immutable slotted
 records (:class:`~latlog.records.Frozen`) compared by value: two are equal
@@ -242,7 +245,8 @@ class Program(Record):
         return len(self.strata)
 
     def with_strata(self, strata) -> "Program":
-        return replace(self, strata=tuple(strata))
+        """A copy with new strata and no ranks, which solving then validates."""
+        return replace(self, strata=tuple(strata), ranks=None)
 
 
 # --- free variables ---------------------------------------------------------
@@ -539,52 +543,6 @@ def reorder_preconditions(program: Program) -> Program:
     return program.with_strata(_reorder_clause(cl) for cl in program.strata)
 
 
-def _value_atoms(v, atoms: set) -> None:
-    if isinstance(v, Repr) and isinstance(v.term, Const):
-        atoms.add(v.term.atom)
-    elif isinstance(v, FnApp):
-        for a in v.args:
-            _value_atoms(a, atoms)
-
-
-def _term_atoms(ts, atoms: set) -> None:
-    for t in ts:
-        if isinstance(t, Const):
-            atoms.add(t.atom)
-
-
-def _pre_atoms(p, atoms: set) -> None:
-    if isinstance(p, (Query, NegQuery)):
-        _term_atoms(p.args, atoms)
-        _value_atoms(p.value, atoms)
-    elif isinstance(p, Apply):
-        _term_atoms((p.term,), atoms)
-    elif isinstance(p, (And, PreOr)):
-        for q in p.parts:
-            _pre_atoms(q, atoms)
-    elif isinstance(p, Exists):
-        _pre_atoms(p.body, atoms)
-
-
-def _clause_atoms(cl, atoms: set) -> None:
-    if isinstance(cl, Assert):
-        _term_atoms(cl.args, atoms)
-        _value_atoms(cl.value, atoms)
-    elif isinstance(cl, And):
-        for c in cl.parts:
-            _clause_atoms(c, atoms)
-    elif isinstance(cl, Imply):
-        _pre_atoms(cl.pre, atoms)
-        _clause_atoms(cl.body, atoms)
-    elif isinstance(cl, Forall):
-        _clause_atoms(cl.body, atoms)
-
-
-def universe_of(strata, facts, extra=()) -> tuple:
-    """Sorted atom tuple mentioned by clauses, facts, and an extra carrier."""
-    atoms: set = set(extra)
-    for cl in strata:
-        _clause_atoms(cl, atoms)
-    for f in facts:
-        atoms.update(f.atoms)
+def universe_of(atoms) -> tuple:
+    """The atoms a program's producer recorded, in the universe's one order."""
     return tuple(sorted(atoms, key=atom_sort_key))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 import time
-from pathlib import Path
 
 from . import analysis, oracle
 from .ast import Program, validate
@@ -35,6 +34,11 @@ class RunReport(Record):
         self.counters = {} if counters is None else counters
         self.elapsed = elapsed
         self.ok = ok
+
+
+def _read_text(path: str) -> str:
+    with open(path) as file:
+        return file.read()
 
 
 def _with_facts(program: Program, fact_texts) -> Program:
@@ -172,11 +176,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.command == "solve":
-            report = run_solve(Path(args.file).read_text(), args.fact)
+            report = run_solve(_read_text(args.file), args.fact)
         elif args.command == "check":
-            report = run_check(Path(args.file).read_text())
+            report = run_check(_read_text(args.file))
         elif args.command == "analyze":
-            report = run_analyze(Path(args.file).read_text(), args.analysis,
+            report = run_analyze(_read_text(args.file), args.analysis,
                                  args.zmin, args.zmax, args.emit_clauses)
         else:
             if (args.file is None) == (args.seed is None):
@@ -186,7 +190,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 program = random_program(args.seed)
             else:
-                program = validate(parse_clauses(Path(args.file).read_text()))
+                program = validate(parse_clauses(_read_text(args.file)))
             report = run_compare(program)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

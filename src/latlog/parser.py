@@ -92,6 +92,9 @@ _ITEM_END = frozenset({"rel", "fun", "fact", "clause", ""})
 
 
 class Parser:
+    """Reads a clause file in one pass.  ``atoms``, the universe, records each
+    atom where it is read: constant terms, fact atoms and a powerset's carrier."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
@@ -102,6 +105,7 @@ class Parser:
         self.declared_funs: list[tuple[str, int]] = []
         self.facts: list[ast.Fact] = []
         self.strata: list = []
+        self.atoms: set = set()
         # surface name -> internal name of the innermost binder in scope,
         # None once that binder's scope has closed
         self.scope: dict[str, Optional[str]] = {}
@@ -174,15 +178,13 @@ class Parser:
                 self._parse_clause_item()
             else:
                 self.expected("rel/fun/fact/clause")
-        extra = self.lattice.atoms if self.lattice.kind == "powerset" else ()
-        universe = ast.universe_of(self.strata, self.facts, extra)
         return ast.Program(
             lattice=self.lattice,
             registry=self.registry,
             strata=tuple(self.strata),
             facts=tuple(self.facts),
             arities=self.arities,
-            universe=universe,
+            universe=ast.universe_of(self.atoms),
             declared_funs=tuple(self.declared_funs),
         )
 
@@ -195,6 +197,7 @@ class Parser:
             if not atoms:
                 self.err("powerset universe must not be empty", start)
             self.lattice = powerset_lattice(atoms)
+            self.atoms.update(atoms)
         elif self.eat("signs"):
             self.lattice = sign_lattice()
         elif self.eat("interval"):
@@ -264,6 +267,7 @@ class Parser:
         self.expect("(")
         atoms = self._parse_list(self._parse_atom_token, ")")
         self._note_arity(pred, len(atoms), start)
+        self.atoms.update(atoms)
         self.expect("=")
         value = self._parse_lconst()
         self.facts.append(ast.Fact(pred, tuple(atoms), value))
@@ -326,6 +330,7 @@ class Parser:
         if tok.isdecimal() or tok == "-":
             atom = self._parse_signed_int()
             self._check_powerset_atom(atom, start)
+            self.atoms.add(atom)
             return ast.Const(atom)
         if tok.isidentifier():
             name = self.advance()
@@ -338,6 +343,7 @@ class Parser:
                 self.err(f"unbound identifier {name!r} used as a constant "
                          "(constants are lowercase)", start)
             self._check_powerset_atom(name, start)
+            self.atoms.add(name)
             return ast.Const(name)
         self.expected("a term")
 

@@ -97,7 +97,8 @@ def test_generator_rejects_colliding_names():
 
 @pytest.mark.parametrize("name", [*GRAPHS, "no-edges"])
 def test_built_program_is_what_its_text_parses_to(name):
-    # a graph without edges makes a single assertion, not a conjunction
+    # a graph without edges makes a single assertion, not a conjunction; the
+    # builder's recorded universe is the one the parser records from its text
     g = parse_program_graph("initial q0\nvar x\n" if name == "no-edges"
                             else helpers.sample(name))
     for args in (("signs",), ("intervals",), ("intervals", -2, 7)):
@@ -108,6 +109,14 @@ def test_built_program_is_what_its_text_parses_to(name):
             (program.arities, program.universe, program.declared_funs)
         assert (parsed.lattice.kind, parsed.lattice.zvalues) == \
             (program.lattice.kind, program.lattice.zvalues)
+
+
+def test_universe_leaves_out_a_state_that_no_edge_touches():
+    g = parse_program_graph("initial q0\nstate q1\nstate idle\nvar x\nq0 -> q1 : x := 1\n")
+    for which in ("signs", "intervals"):
+        program = analysis_program(g, which)
+        assert program.universe == ("q0", "q1", "x")
+        assert parse_clauses(pretty(program)).universe == program.universe
 
 
 def test_long_ring_text_parses_at_default_recursion_limit(default_recursion_limit):

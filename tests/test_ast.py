@@ -468,6 +468,19 @@ def test_empty_universe_rejected():
         validate(parse_clauses(text))
 
 
+@pytest.mark.parametrize("text, universe", [
+    ("lattice signs\nfact R(z) = {+}\nclause S(a;[a])", ("a", "z")),
+    ("lattice signs\nclause forall x. R(x;[x]) => S(a;[b])", ("a", "b")),
+    ("lattice signs\nclause S(a;s_add([b],[c]))", ("a", "b", "c")),
+    ("lattice signs\nclause forall 'Y. R(a;'Y) & 'Y(c) => S(a;'Y)", ("a", "c")),
+    ("lattice powerset {c,a,b}\nclause R(a;[a])", ("a", "b", "c")),
+    ("lattice interval zmin=-3 zmax=3\nclause R(b,-2,a,1;[-1])", (-2, -1, 1, "a", "b")),
+], ids=["fact-only", "description-only", "function-argument", "application",
+        "powerset-carrier", "integers-first"])
+def test_parse_records_every_atom_in_the_universe(text, universe):
+    assert parse_clauses(text).universe == universe
+
+
 def test_eq_neq_sample_accepted():
     program = validate(parse_clauses(helpers.sample("eq_neq.lat")))
     assert program.ranks == {"E": 1, "N": 2}

@@ -131,7 +131,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.split())
     assert "latlog.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "argparse"} == set()
+    assert loaded & {"dataclasses", "inspect", "argparse", "pathlib"} == set()
 
 
 def test_help_of_the_module_exits_0():

@@ -13,7 +13,7 @@ from latlog.analysis import analysis_program, parse_program_graph
 from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
                         Query, Repr, TrueClause, Var, YVar,
                         reorder_preconditions, validate)
-from latlog.errors import SolverInvariantError
+from latlog.errors import SolverInvariantError, StratificationError
 from latlog.lattices import powerset_lattice
 from latlog.parser import parse_clauses
 from latlog.solver import (AtomTable, ResultStore, SolveStats, Table,
@@ -835,6 +835,15 @@ def test_solve_validates_an_unvalidated_program(build):
     lines = solve(program).dump_lines()
     assert program.ranks is not None
     assert lines == solve(validate(build())).dump_lines()
+
+
+def test_solve_validates_strata_swapped_into_a_validated_program():
+    # solved with the old ranks, the new stratum gives P(a) = {b}
+    text = "lattice powerset {a,b}\nfact B(a) = {a}\n"
+    program = validate(parse_clauses(text + "clause forall x. B(x;[x]) => P(x;{a})"))
+    strata = parse_clauses(text + "clause forall x. B(x;[x]) & !P(x;[x]) => P(x;{b})").strata
+    with pytest.raises(StratificationError, match="stratum 1 negatively queries P of rank 1"):
+        solve(program.with_strata(strata))
 
 
 def test_solve_dump_deterministic():
