@@ -207,13 +207,15 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
     _check_graph_names(graph)
     taken: dict[str, int] = {}
     funs: set[str] = set()
+    atoms = {graph.initial, *graph.variables, *[q for e in graph.edges for q in (e.src, e.dst)]}
+    consts = {a: ast.Const(a) for a in atoms}  # one node per atom
 
     def fresh(base: str) -> str:
         n = taken[base] = taken.get(base, 0) + 1
         return base if n == 1 else f"{base}_{n}"
 
     def at(state: str, var) -> tuple:
-        return ast.Const(state), var if isinstance(var, ast.Var) else ast.Const(var)
+        return consts[state], var if isinstance(var, ast.Var) else consts[var]
 
     def rule(edge: Edge, reads: list, var, value) -> ast.Clause:
         """``forall Y.. A(src,r;Y) & .. => A(dst,var;value)`` per (r, Y) read."""
@@ -244,9 +246,7 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
 
     top = ast.LitConst(lattice.top)
     rules = [ast.Assert("A", at(graph.initial, v), top) for v in graph.variables]
-    atoms = {graph.initial, *graph.variables}
     for edge in graph.edges:
-        atoms.update((edge.src, edge.dst))
         action = edge.action
         if isinstance(action, Assign):
             rules.append(assign(edge, action.target, action.rhs))

@@ -14,26 +14,30 @@ variables carry a leading apostrophe.
 
 A program's universe holds the atoms that its producer, the parser or the
 analysis builder, recorded as it made them; :func:`universe_of` orders them.
+:func:`validate` checks a program in one walk and returns a new one that also
+holds its ranks and, in each stratum of several conjuncts, each conjunct's
+shape, which the solver compiles by.
 
-Nodes, :class:`Fact`, and the :class:`~latlog.lattices.Lattice` and
-:class:`~latlog.lattices.IntervalValue` they hold are immutable slotted
-records (:class:`~latlog.records.Frozen`) compared by value: two are equal
-when they are of one class with equal fields, and each hashes as its field
-tuple.  They are not dataclasses, so ``dataclasses.replace`` and
-``dataclasses.fields`` no longer apply to them;
+Nodes, :class:`Fact`, :class:`Program`, and the
+:class:`~latlog.lattices.Lattice` and :class:`~latlog.lattices.IntervalValue`
+they hold are immutable slotted records (:class:`~latlog.records.Frozen`)
+compared by value: two are equal when they are of one class with equal
+fields, and each hashes as its field tuple (a program's read-only map
+views make it unhashable).  They are not dataclasses, so
+``dataclasses.replace`` and ``dataclasses.fields`` no longer apply to them;
 :func:`latlog.records.replace` copies a record with fields changed, and a
-class's ``__slots__`` names its fields in order.  :class:`Program` is a
-mutable record.
+class's ``__slots__`` names its fields in order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Optional, Union
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .errors import StratificationError, ValidationError
 from .lattices import Atom, FunctionRegistry, Lattice, atom_sort_key
-from .records import Frozen, Record, replace, set_field
+from .records import Frozen, replace, set_field
 
 # --- terms ------------------------------------------------------------------
 
@@ -218,35 +222,49 @@ class Fact(Frozen):
         set_field(self, "value", value)
 
 
-class Program(Record):
+def _read_only(m: Mapping) -> MappingProxyType:
+    """``m`` if it is a read-only view, else a view of the dict ``m``, which
+    the program then owns."""
+    return m if type(m) is MappingProxyType else MappingProxyType(m)
+
+
+class Program(Frozen):
     """A parsed (or programmatically built) clause program.
 
-    ``strata`` is the ordered clause sequence; ``ranks`` is filled in by
-    :func:`compute_ranks`.  ``universe`` is the sorted tuple of atoms.
+    ``strata`` is the ordered clause sequence, ``universe`` the sorted tuple
+    of atoms, and ``arities`` and ``ranks`` read-only maps.  A program that
+    :func:`validate` returns has ``ranks``, each predicate's stratum, and
+    ``shapes``, per stratum None for a lone conjunct, else ``(holes,
+    shape_of, consts)``: conjunct j has shape ``shape_of[j]`` and constants
+    ``consts[j]`` by hole number, an atom as its universe position, and
+    ``holes[n]`` maps each ``(is atom, constant)`` of shape n's first
+    conjunct to its hole number (see :class:`_WFChecker`).
     """
 
     __slots__ = ("lattice", "registry", "strata", "facts", "arities", "universe",
-                 "declared_funs", "ranks")
+                 "declared_funs", "ranks", "shapes")
 
     def __init__(self, lattice: Lattice, registry: FunctionRegistry, strata: tuple,
-                 facts: tuple = (), arities: Optional[dict] = None, universe: tuple = (),
-                 declared_funs: tuple = (), ranks: Optional[dict] = None):
-        self.lattice = lattice
-        self.registry = registry
-        self.strata = strata
-        self.facts = facts
-        self.arities = {} if arities is None else arities
-        self.universe = universe
-        self.declared_funs = declared_funs
-        self.ranks = ranks
+                 facts: tuple = (), arities: Optional[Mapping] = None, universe: tuple = (),
+                 declared_funs: tuple = (), ranks: Optional[Mapping] = None,
+                 shapes: Optional[tuple] = None):
+        set_field(self, "lattice", lattice)
+        set_field(self, "registry", registry)
+        set_field(self, "strata", strata)
+        set_field(self, "facts", facts)
+        set_field(self, "arities", _read_only(arities or {}))
+        set_field(self, "universe", universe)
+        set_field(self, "declared_funs", declared_funs)
+        set_field(self, "ranks", None if ranks is None else _read_only(ranks))
+        set_field(self, "shapes", shapes)
 
     @property
     def num_strata(self) -> int:
         return len(self.strata)
 
     def with_strata(self, strata) -> "Program":
-        """A copy with new strata and no ranks, which solving then validates."""
-        return replace(self, strata=tuple(strata), ranks=None)
+        """An unvalidated copy with new strata, which solving validates."""
+        return replace(self, strata=tuple(strata), ranks=None, shapes=None)
 
 
 # --- free variables ---------------------------------------------------------
@@ -305,158 +323,203 @@ def free_names(node) -> frozenset:
 
 
 class _WFChecker:
+    """Checks closedness, occurrence discipline, arities and negation use in
+    one walk, recording each violation under its clause path, a ``(parent,
+    segment, argument)`` tuple formatted only then.  Each node returns its
+    shape key: nested tuples of node types, names and binder sorts, in which
+    a variable reads as its binder's depth.  In a stratum of two or more
+    conjuncts each distinct constant reads as hole ``-1 - n``, numbered in the
+    order first met: ``holes`` maps ``(is atom, constant)`` to n and
+    ``consts[n]`` holds it.  Elsewhere ``holes`` is None, a constant reads as
+    False and the stratum's key is dropped.  Parts are gathered by loops, as
+    a comprehension per node made the walk a quarter slower on CPython 3.11."""
+
     def __init__(self, program: Program):
-        self.program = program
-        self.universe = set(program.universe)
+        self.lattice, self.registry = program.lattice, program.registry
+        self.ids = {a: i for i, a in enumerate(program.universe)}
+        self.arities = program.arities.copy()  # dict() would not reuse a freed dict
         self.errors: list[str] = []
         # per stratum: the predicates it asserts, queries and negatively queries
         self.uses: list[tuple[list, list, list]] = []
+        self.xs, self.ys = {}, {}  # universe, lattice variables in scope -> depth
+        self.shapes, self.holes, self.consts = [], None, []
 
-    def fail(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}")
+    def fail(self, path: tuple, msg: str):
+        segments = []
+        while path is not None:
+            path, segment, arg = path
+            segments.append(f"{segment}{arg}")
+        self.errors.append(f"{''.join(reversed(segments))}: {msg}")
 
-    def check_term(self, t: Term, xs: set, path: str):
-        if isinstance(t, Var):
-            if t.name not in xs:
-                self.fail(path, f"free variable {t.name!r}")
-        elif isinstance(t, Const):
-            if t.atom not in self.universe:
+    def hole(self, atom: bool, c, value) -> int:
+        n = self.holes.get((atom, c))
+        if n is None:
+            n = self.holes[atom, c] = len(self.consts)
+            self.consts.append(value)
+        return -1 - n
+
+    def depth(self, scope: dict, name: str, path: tuple, sort: str) -> Optional[int]:
+        depth = scope.get(name)
+        if depth is None:
+            self.fail(path, f"free {sort} {name!r}")
+        return depth
+
+    def stratum(self, cl, path: tuple) -> None:
+        """Check a stratum and add its ``shapes`` entry (see :class:`Program`)."""
+        self.uses.append(([], [], []))
+        if type(cl) is not And:
+            self.clause(cl, path)
+            self.shapes.append(None)
+            return
+        numbers, holes, shape_of, consts = {}, [], [], []
+        for i, c in enumerate(cl.parts, 1):
+            self.holes, self.consts = {}, []
+            n = numbers.setdefault(self.clause(c, (path, "/and.", i)), len(numbers))
+            if n == len(holes):
+                holes.append(self.holes)
+            shape_of.append(n)
+            consts.append(tuple(self.consts))
+        self.holes = None
+        self.shapes.append((tuple(holes), tuple(shape_of), tuple(consts)))
+
+    def term(self, t: Term, path: tuple):
+        if type(t) is Var:
+            return self.depth(self.xs, t.name, path, "variable")
+        if type(t) is Const:
+            i = self.ids.get(t.atom)
+            if i is None:
                 self.fail(path, f"unknown atom {t.atom!r}")
-        else:
-            self.fail(path, f"not a term: {t!r}")
+            return self.holes is not None and self.hole(True, t.atom, i)
+        self.fail(path, f"not a term: {t!r}")
 
-    def check_value(self, v: LatticeTerm, xs: set, ys: set, path: str, assertion: bool):
-        if isinstance(v, YVar):
-            if v.name not in ys:
-                self.fail(path, f"free lattice variable {v.name!r}")
-        elif isinstance(v, Repr):
-            self.check_term(v.term, xs, path)
-        elif isinstance(v, LitConst):
-            if not assertion and v.value == self.program.lattice.bottom:
+    def value(self, v: LatticeTerm, path: tuple, assertion: bool):
+        t = type(v)
+        if t is YVar:
+            return self.depth(self.ys, v.name, path, "lattice variable")
+        if t is Repr:
+            return t, self.term(v.term, path)
+        if t is LitConst:
+            if not assertion and v.value == self.lattice.bottom:
                 self.fail(path, "bottom constant in a query (query constants act "
                                 "as pre-bound lattice variables, which exclude bottom)")
-        elif isinstance(v, FnApp):
+            return self.holes is not None and self.hole(False, v.value, v.value)
+        if t is FnApp:
             if not assertion:
                 self.fail(path, "function terms are only allowed in assertions")
-            if not self.program.registry.has(v.name, len(v.args)):
+            if not self.registry.has(v.name, len(v.args)):
                 self.fail(path, f"unknown function {v.name}/{len(v.args)}")
-            for a in v.args:
-                self.check_value(a, xs, ys, path, assertion)
+            return (t, v.name, *[self.value(a, path, assertion) for a in v.args])
+        self.fail(path, f"not a lattice term: {v!r}")
+
+    def arity(self, pred: str, n: int, path: tuple):
+        want = self.arities.setdefault(pred, n)
+        if want != n:
+            self.fail(path, f"arity mismatch for {pred}: {n} vs declared {want}")
+
+    def atom(self, a, path: tuple, assertion: bool) -> tuple:
+        """Key of an assertion or a query, after its arity and terms."""
+        self.arity(a.pred, len(a.args), path)
+        args = []
+        for t in a.args:
+            args.append(self.term(t, path))
+        return type(a), a.pred, tuple(args), self.value(a.value, path, assertion)
+
+    def binder(self, node, path: tuple, body: Callable) -> tuple:
+        """Key of a quantifier; ``body`` checks its body with its variable in scope."""
+        var, xs, ys = node.var, self.xs, self.ys
+        lattice = is_lattice_var(var)
+        scope = ys if lattice else xs
+        fresh = var not in xs and var not in ys
+        if fresh:
+            scope[var] = len(xs) + len(ys)
         else:
-            self.fail(path, f"not a lattice term: {v!r}")
-
-    def check_atom_args(self, pred: str, args: tuple, path: str):
-        want = self.program.arities.get(pred)
-        if want is None:
-            self.program.arities[pred] = len(args)
-        elif want != len(args):
-            self.fail(path, f"arity mismatch for {pred}: {len(args)} vs declared {want}")
-
-    def bind(self, var: str, xs: set, ys: set, path: str) -> tuple:
-        """The universe and lattice variables in scope under a binder of ``var``."""
-        if var in xs or var in ys:
             self.fail(path, f"shadowed variable {var!r}")
-        return (xs, ys | {var}) if is_lattice_var(var) else (xs | {var}, ys)
+        key = body(node.body, (path, "/forall " if type(node) is Forall else "/exists ", var))
+        if fresh:
+            del scope[var]
+        return type(node), lattice, key
 
-    def check_pre(self, p: Pre, xs: set, ys: set, path: str):
-        if isinstance(p, (Query, NegQuery)):
-            _, queried, negated = self.uses[-1]
-            (queried if isinstance(p, Query) else negated).append(p.pred)
-            self.check_atom_args(p.pred, p.args, path)
-            for t in p.args:
-                self.check_term(t, xs, path)
-            self.check_value(p.value, xs, ys, path, assertion=False)
-            if isinstance(p, NegQuery) and self.program.lattice.complement is None:
+    def pre(self, p: Pre, path: tuple):
+        t = type(p)
+        if t is Query or t is NegQuery:
+            self.uses[-1][1 if t is Query else 2].append(p.pred)
+            key = self.atom(p, path, False)
+            if t is NegQuery and self.lattice.complement is None:
                 self.fail(path, f"negative query on {p.pred} over lattice "
-                                f"{self.program.lattice.kind!r} without complement")
-        elif isinstance(p, Apply):
-            if p.yvar not in ys:
-                self.fail(path, f"free lattice variable {p.yvar!r}")
-            self.check_term(p.term, xs, path)
-        elif isinstance(p, (And, PreOr)):
-            op = "and" if isinstance(p, And) else "or"
+                                f"{self.lattice.kind!r} without complement")
+            return key
+        if t is Apply:
+            depth = self.depth(self.ys, p.yvar, path, "lattice variable")
+            return t, depth, self.term(p.term, path)
+        if t is And or t is PreOr:
+            op = "/and." if t is And else "/or."
+            parts = []
             for i, q in enumerate(p.parts, 1):
-                self.check_pre(q, xs, ys, f"{path}/{op}.{i}")
-        elif isinstance(p, Exists):
-            self.check_pre(p.body, *self.bind(p.var, xs, ys, path), path + f"/exists {p.var}")
-        else:
-            self.fail(path, f"not a precondition: {p!r}")
+                parts.append(self.pre(q, (path, op, i)))
+            return (t, *parts)
+        if t is Exists:
+            return self.binder(p, path, self.pre)
+        self.fail(path, f"not a precondition: {p!r}")
 
-    def check_clause(self, cl: Clause, xs: set, ys: set, path: str):
-        if isinstance(cl, Assert):
-            asserted, _, _ = self.uses[-1]
-            asserted.append(cl.pred)
-            self.check_atom_args(cl.pred, cl.args, path)
-            for t in cl.args:
-                self.check_term(t, xs, path)
-            self.check_value(cl.value, xs, ys, path, assertion=True)
-        elif isinstance(cl, TrueClause):
-            pass
-        elif isinstance(cl, And):
+    def clause(self, cl: Clause, path: tuple):
+        t = type(cl)
+        if t is Assert:
+            self.uses[-1][0].append(cl.pred)
+            return self.atom(cl, path, True)
+        if t is And:
+            parts = []
             for i, c in enumerate(cl.parts, 1):
-                self.check_clause(c, xs, ys, f"{path}/and.{i}")
-        elif isinstance(cl, Imply):
-            self.check_pre(cl.pre, xs, ys, path + "/pre")
-            self.check_clause(cl.body, xs, ys, path + "/body")
-        elif isinstance(cl, Forall):
-            self.check_clause(cl.body, *self.bind(cl.var, xs, ys, path),
-                              path + f"/forall {cl.var}")
-        else:
+                parts.append(self.clause(c, (path, "/and.", i)))
+            return (t, *parts)
+        if t is Imply:
+            return (t, self.pre(cl.pre, (path, "/pre", "")),
+                    self.clause(cl.body, (path, "/body", "")))
+        if t is Forall:
+            return self.binder(cl, path, self.clause)
+        if t is not TrueClause:
             self.fail(path, f"not a clause: {cl!r}")
+        return t
 
 
-def _checked_uses(program: Program) -> list:
-    """Check closedness, occurrence discipline, arities and negation use,
-    raising one :class:`ValidationError` that lists every violation with its
-    clause path; returns, per stratum, the predicates it asserts, queries and
-    negatively queries."""
+# --- validation and stratification -----------------------------------------
+
+
+def validate(program: Program) -> Program:
+    """The program with its ranks, its arities with each undeclared predicate
+    added, and its shapes, after one walk (:class:`_WFChecker`) that checks
+    well-formedness and stratification; ``program`` is left as it is.  An
+    ill-formed program raises one :class:`ValidationError` that lists every
+    violation.  A predicate asserted in stratum i gets rank i; predicates
+    never asserted are base relations of rank 0.  Positive queries in stratum
+    i require rank <= i, negative queries rank < i."""
     if not program.universe:
         raise ValidationError("empty universe: no atoms declared or mentioned")
     checker = _WFChecker(program)
     for i, cl in enumerate(program.strata, 1):
-        checker.uses.append(([], [], []))
-        checker.check_clause(cl, set(), set(), f"stratum {i}")
-    asserted = {pred for preds, _, _ in checker.uses for pred in preds}
+        checker.stratum(cl, (None, "stratum ", i))
+    heads = {pred for preds, _, _ in checker.uses for pred in preds}
     for f in program.facts:
-        path = f"fact {f.pred}"
-        checker.check_atom_args(f.pred, tuple(Const(a) for a in f.atoms), path)
+        path = (None, "fact ", f.pred)
+        checker.arity(f.pred, len(f.atoms), path)
         for a in f.atoms:
-            if a not in checker.universe:
+            if a not in checker.ids:
                 checker.fail(path, f"unknown atom {a!r}")
-        if f.pred in asserted:
+        if f.pred in heads:
             checker.fail(path, f"{f.pred} is asserted by a clause; facts may only "
                                "populate base relations")
     if checker.errors:
         raise ValidationError("; ".join(checker.errors))
-    return checker.uses
-
-
-# --- stratification ---------------------------------------------------------
-
-
-def compute_ranks(program: Program) -> dict:
-    """Check the program's well-formedness (:func:`_checked_uses`), then
-    assign each predicate its stratum and validate the query side conditions.
-
-    An ill-formed program raises that :class:`ValidationError`.  A predicate
-    asserted in stratum i gets rank i; predicates never asserted are base
-    relations of rank 0.  Positive queries in stratum i require rank <= i,
-    negative queries require rank < i.
-    """
-    per_stratum = _checked_uses(program)
     ranks: dict[str, int] = {}
-    for i, (asserted, _, _) in enumerate(per_stratum, 1):
+    for i, (asserted, _, _) in enumerate(checker.uses, 1):
         for pred in asserted:
             if ranks.get(pred, i) != i:
                 raise StratificationError(
                     f"stratification violation: predicate {pred} asserted in "
                     f"strata {ranks[pred]} and {i}")
             ranks[pred] = i
-    for pred in program.arities:
+    for pred in checker.arities:
         ranks.setdefault(pred, 0)
-    for f in program.facts:
-        ranks.setdefault(f.pred, 0)
-    for i, (_, pos, neg) in enumerate(per_stratum, 1):
+    for i, (_, pos, neg) in enumerate(checker.uses, 1):
         for pred in pos:
             if ranks.setdefault(pred, 0) > i:
                 raise StratificationError(
@@ -467,14 +530,14 @@ def compute_ranks(program: Program) -> dict:
                 raise StratificationError(
                     f"stratification violation: stratum {i} negatively queries "
                     f"{pred} of rank {ranks[pred]}")
-    program.ranks = ranks
-    return ranks
+    return Program(program.lattice, program.registry, program.strata, program.facts,
+                   checker.arities, program.universe, program.declared_funs, ranks,
+                   tuple(checker.shapes))
 
 
-def validate(program: Program) -> Program:
-    """Full static pipeline: well-formedness plus stratification, in one walk."""
-    compute_ranks(program)
-    return program
+def compute_ranks(program: Program) -> Mapping:
+    """Each predicate's stratum, as :func:`validate` finds it."""
+    return validate(program).ranks
 
 
 # --- precondition reordering -------------------------------------------------

@@ -59,7 +59,8 @@ def _with_facts(program: Program, fact_texts) -> Program:
 
 def _run_program(program: Program, start: float) -> RunReport:
     """Validate and solve a program; time the run from ``start``."""
-    result = solve(validate(program))
+    program = validate(program)  # the unvalidated one is freed while solving
+    result = solve(program)
     return RunReport(lines=result.dump_lines(), counters=result.stats.as_dict(),
                      elapsed=time.perf_counter() - start)
 
@@ -70,8 +71,7 @@ def run_solve(text: str, fact_texts=()) -> RunReport:
 
 
 def run_check(text: str) -> RunReport:
-    program = parse_clauses(text)
-    validate(program)
+    program = validate(parse_clauses(text))
     ranks = ", ".join(f"{p}={r}" for p, r in sorted(program.ranks.items()))
     return RunReport(lines=[
         f"ok: {program.num_strata} strata, {len(program.arities)} predicates, "
@@ -109,9 +109,9 @@ def leaf_diff(program: Program, got: dict, want: dict) -> list[str]:
 
 def run_compare(program: Program) -> RunReport:
     start = time.perf_counter()
-    result = solve(program)
-    reference = oracle.naive_fixpoint(program)
-    diffs = leaf_diff(program, result.leaves(), reference.leaves())
+    result = solve(program)  # its program is validated, with every arity
+    reference = oracle.naive_fixpoint(result.program)
+    diffs = leaf_diff(result.program, result.leaves(), reference.leaves())
     elapsed = time.perf_counter() - start
     if diffs:
         return RunReport(lines=diffs, counters=result.stats.as_dict(),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Optional
 
 from . import ast
@@ -38,28 +39,26 @@ _RESERVED = {
     "rel", "fun", "fact", "clause", "forall", "exists", "top", "bot", "inf",
 }
 
-# one match per token, skipping the whitespace and comments in front of it;
-# ``\Z`` precedes the catch-all, so that trailing blanks are skipped, not read
+# one match per lexeme, comments included; findall skips the blanks between
 _TOKEN_RE = re.compile(r"""
-    (?:\s+|//[^\n]*)*
-    ( '[A-Za-z_][A-Za-z0-9_]*
+      //[^\n]*
+    | '[A-Za-z_][A-Za-z0-9_]*
     | [A-Za-z_][A-Za-z0-9_]*
     | \d+
     | =>|:=|->|[(){}\[\],;./=!&|+\-*<>]
-    | \Z
-    | . )
+    | \S
 """, re.VERBOSE)
 
-# a lexeme that only the catch-all matches: one character that starts no token
-_BAD = re.compile(r"'|[^'A-Za-z_\d(){}\[\],;./=!&|+\-*<>]").fullmatch
+# a line of the newline-joined lexemes that only the catch-all matches
+_BAD = re.compile(r"^(?:'|[^'A-Za-z_\d(){}\[\],;./=!&|+\-*<>\n])$", re.MULTILINE).search
 
 
 def _line_col(text: str, index: int) -> tuple[int, int]:
-    """Line and column of the token at ``index``, found by matching again."""
-    for i, m in enumerate(_TOKEN_RE.finditer(text)):
-        if i == index:
-            offset = m.start(1)
-            return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    """Line and column of the token at ``index``, found by matching again;
+    the end of input is the token after the last lexeme."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m[0][:2] != "//")
+    offset = next(islice(starts, index, None), len(text))
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def read_int(digits: str, where: Callable[[], tuple[int, int]]) -> int:
@@ -77,11 +76,12 @@ def tokenize(text: str) -> list[str]:
     """The lexemes of ``text``, ending with ``""`` for the end of input; a
     character that starts no token is an error, so the parser sees none."""
     tokens = _TOKEN_RE.findall(text)
-    if tokens[-2:] == ["", ""]:
-        tokens.pop()  # after trailing blanks the end matches a second time
-    bad = [lexeme for lexeme in set(tokens) if len(lexeme) == 1 and _BAD(lexeme)]
+    if "//" in text:
+        tokens = [lexeme for lexeme in tokens if lexeme[:2] != "//"]
+    tokens.append("")
+    bad = _BAD(joined := "\n".join(tokens))
     if bad:
-        index = min(map(tokens.index, bad))
+        index = joined.count("\n", 0, bad.start())
         raise ParseError(f"unexpected character {tokens[index]!r}", *_line_col(text, index))
     return tokens
 

@@ -198,11 +198,8 @@ def random_program(seed: int, *, set_fragment: bool = False) -> ast.Program:
     """Deterministically generate one validated program for the given seed."""
     for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(f"latlog:{seed}:{attempt}")
-        gen = _Gen(rng, set_fragment)
-        program = gen.build()
         try:
-            ast.validate(program)
+            return ast.validate(_Gen(rng, set_fragment).build())
         except ValidationError:
             continue
-        return program
     raise ValidationError(f"no valid instance found for seed {seed}")

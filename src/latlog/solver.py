@@ -3,13 +3,14 @@ compiled once into closures, then run with difference propagation from one
 worklist of growths.
 
 Compiling fixes each variable's slot in a list environment (universe
-variables hold interned atom ids, lattice variables values), a slot per
-distinct constant (an atom's id or a lattice literal), the argument
-positions that bind or compare, the variables keying each disjunction or
-existential memo and an evaluator per lattice term; a clause conjunction
-becomes a flat tuple of steps.  Top-level conjuncts that differ only in
-their constants and binder names share one compiled step, and each runs it
-on an environment holding its own constants.  Running joins assertion
+variables hold atom ids, their universe positions, and lattice variables
+values), a slot per distinct constant (an atom's id or a lattice literal),
+the argument positions that bind or compare, the variables keying each
+disjunction or existential memo and an evaluator per lattice term; a clause
+conjunction becomes a flat tuple of steps.  The top-level conjuncts of one
+shape, which :func:`ast.validate` finds with their constants, share one
+compiled step, and each runs it on an environment holding its own constants,
+so ``solve`` walks no rule to key it.  Running joins assertion
 candidates into flat leaf maps over atom id tuples, one per predicate, each
 with a table per search signature (the argument positions a query finds
 constant or bound, whose atoms are the key it looks up) of the queries
@@ -596,65 +597,6 @@ class _Compiler:
 # --- the engine ---------------------------------------------------------------
 
 
-class _Shape:
-    """Structural key of one top-level conjunct, and its constants.
-
-    The key is nested tuples of node types, predicate and function names and
-    binder sorts.  A variable reads as its binder's depth; a free one, which
-    only unvalidated input has, reads as its name, so compiling reports it.
-    Each distinct constant, an atom (also inside a description ``[a]``) or a
-    lattice literal, is a hole numbered in the order first seen, and reads
-    as ``-1 - n``.  ``holes`` maps ``(is atom, constant)`` to n, and
-    ``values[n]`` is what its slot holds: the atom's id or the literal.
-    (Methods, not nested functions: a recursive closure is a reference cycle.)
-    """
-
-    __slots__ = ("table", "holes", "values", "depth", "key")
-
-    def __init__(self, conjunct, table: AtomTable):
-        self.table, self.holes, self.values, self.depth = table, {}, [], {}
-        self.key = self.node(conjunct)
-
-    def hole(self, atom: bool, c) -> int:
-        key = atom, c
-        n = self.holes.get(key)
-        if n is None:
-            n = self.holes[key] = len(self.values)
-            self.values.append(self.table.id(c) if atom else c)
-        return -1 - n
-
-    def term(self, t):
-        return self.depth.get(t.name, t.name) if type(t) is Var else self.hole(True, t.atom)
-
-    def value(self, v):
-        t = type(v)
-        if t is YVar:
-            return self.depth.get(v.name, v.name)
-        if t is LitConst:
-            return self.hole(False, v.value)
-        if t is Repr:
-            return t, self.term(v.term)
-        return (t, v.name, *[self.value(a) for a in v.args])
-
-    def node(self, n):
-        t = type(n)
-        if t is Assert or t is Query or t is NegQuery:
-            return t, n.pred, tuple([self.term(a) for a in n.args]), self.value(n.value)
-        if t is Imply:
-            return t, self.node(n.pre), self.node(n.body)
-        if t is And or t is PreOr:
-            return (t, *[self.node(p) for p in n.parts])
-        if t is Forall or t is Exists:
-            depth = self.depth
-            depth[n.var] = len(depth)
-            key = t, is_lattice_var(n.var), self.node(n.body)
-            del depth[n.var]
-            return key
-        if t is Apply:
-            return t, self.depth.get(n.yvar, n.yvar), self.term(n.term)
-        return t
-
-
 class _Liveness:
     """The live predicates, those that can ever hold a leaf: each with a fact
     or a stored leaf, and the head of each assertion whose enclosing
@@ -710,8 +652,8 @@ class _Liveness:
 
 
 class _Engine:
-    """Runs a program's strata on a store: a fresh one, or a given one whose
-    atom ids come from the same universe."""
+    """Runs a validated program's strata on a store: a fresh one, or a given
+    one whose atom ids come from the same universe."""
 
     def __init__(self, program: Program, stats: SolveStats,
                  store: Optional[ResultStore] = None):
@@ -762,43 +704,41 @@ class _Engine:
                 stats.consumer_invocations += 1
                 match(env, ids, leaf)
 
-    def run_stratum(self, cl) -> None:
-        """Run each top-level conjunct on a fresh environment and deliver its
-        growths; queries of sealed predicates register no consumers.
+    def run_stratum(self, i: int) -> None:
+        """Run stratum i (from 0) of the program, each top-level conjunct on a
+        fresh environment.  A lone conjunct runs as :meth:`run_clause` runs
+        it; otherwise each shape that :func:`ast.validate` found is compiled
+        once, and each conjunct runs it with its own constants in the holes."""
+        cl, shapes = self.program.strata[i], self.program.shapes[i]
+        if shapes is None:
+            return self.run_clause(cl)
+        holes, shape_of, consts = shapes
+        compiled: list = [None] * len(holes)
+        for conjunct, n, values in zip(cl.parts, shape_of, consts):
+            if compiled[n] is None:
+                compiler = _Compiler(self, holes[n])
+                compiled[n] = (compiler.clause(conjunct, {}, frozenset()),
+                               (None,) * (compiler.size - len(values)))
+            step, free = compiled[n]
+            if step is not None:
+                step([*values, *free])
+                self._drain()
 
-        Each distinct rule shape (:class:`_Shape`) is compiled once per
-        stratum, for the first conjunct of that shape; every conjunct of the
-        shape runs the shared step with its own constants in the hole slots.
-        A stratum of one conjunct is compiled without a key."""
-        if not isinstance(cl, And):
-            compiler = _Compiler(self)
-            self._run(compiler.clause(cl, {}, frozenset()), compiler.env())
-            return
-        shared: dict = {}
-        for conjunct in cl.parts:
-            shape = _Shape(conjunct, self.table)
-            compiled = shared.get(shape.key)
-            if compiled is None:
-                compiler = _Compiler(self, shape.holes)
-                compiled = shared[shape.key] = (compiler.clause(conjunct, {}, frozenset()),
-                                                compiler.size)
-            step, size = compiled
-            env = shape.values
-            env += [None] * (size - len(env))
-            self._run(step, env)
-
-    def _run(self, step: Optional[Step], env: list) -> None:
+    def run_clause(self, cl) -> None:
+        """Compile a clause into one step and run it on a fresh environment."""
+        compiler = _Compiler(self)
+        step = compiler.clause(cl, {}, frozenset())
         if step is not None:
-            step(env)
+            step(compiler.env())
             self._drain()
 
     def run(self, facts) -> None:
         for f in facts:
             self.store.raise_leaf(f.pred, self.table.ids(f.atoms), f.value)
         self.store.seal_up_to(0)
-        for i, cl in enumerate(self.program.strata, 1):
-            self.run_stratum(cl)
-            self.store.seal_up_to(i)
+        for i in range(self.program.num_strata):
+            self.run_stratum(i)
+            self.store.seal_up_to(i + 1)
 
 
 class SolveResult(Record):
@@ -845,8 +785,8 @@ class SolveResult(Record):
 
 def solve(program: Program) -> SolveResult:
     """Compute the least model of a program above its facts."""
-    if program.ranks is None:
-        ast.validate(program)
+    if program.shapes is None:
+        program = ast.validate(program)
     stats = SolveStats()
     engine = _Engine(program, stats)
     try:

@@ -180,7 +180,7 @@ def test_criterion_7_difference_propagation():
             engine.store.relation(pred).table(()).register(
                 (), (lambda env, ids, v: calls.append(ids), []))
             ids, leaf = next(iter(engine.store.sub(pred)))
-            engine.run_stratum(
+            engine.run_clause(
                 ast.Assert(pred, tuple(ast.Const(a) for a in
                                        engine.table.atoms(ids)),
                            ast.LitConst(leaf)))

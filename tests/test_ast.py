@@ -9,7 +9,7 @@ from latlog import ast
 from latlog.ast import (And, Apply, Assert, Const, FnApp, Forall, Imply,
                         LitConst, NegQuery, PreOr, Query, Repr, TrueClause, Var,
                         YVar, compute_ranks, reorder_preconditions, validate)
-from latlog.cli import run_solve
+from latlog.cli import _with_facts, run_solve
 from latlog.errors import ParseError, StratificationError, ValidationError
 from latlog.lattices import interval_lattice, powerset_lattice, standard_registry
 from latlog.parser import parse_clauses, parse_fact, pretty, tokenize
@@ -406,6 +406,86 @@ def test_validation_paths_index_the_parts():
     assert str(err.value) == "stratum 1/and.3/pre/or.2/and.2: free variable 'x'"
 
 
+_A = LitConst(frozenset("a"))
+_OK = Assert("E", (Const("a"),), _A)
+_OK_Q = Query("R", (Const("a"),), _A)
+_ONE = LitConst(interval_lattice(0, 1).top)
+# (strata, facts, arities, interval lattice?) -> the exact message, one
+# "path: problem" per violation, in the order the walk meets them
+_PINNED_MESSAGES = {
+    "forall": (
+        [Forall("x", Assert("E", (Var("y"),), Repr(Var("x"))))], [], {}, False,
+        "stratum 1/forall x: free variable 'y'"),
+    "exists": (
+        [Imply(ast.Exists("x", Query("R", (Var("z"),), Repr(Var("x")))), _OK)], [], {}, False,
+        "stratum 1/pre/exists x: free variable 'z'"),
+    "pre-body": (
+        [Forall("'Y", Imply(Query("R", (Var("x"),), YVar("'Y")),
+                            Assert("E", (Const("a"),), YVar("'Z"))))], [], {}, False,
+        "stratum 1/forall 'Y/pre: free variable 'x'; "
+        "stratum 1/forall 'Y/body: free lattice variable \"'Z\""),
+    "or-and": (
+        [And((_OK, Imply(PreOr((_OK_Q, And((_OK_Q, Apply("'Y", Const("a")))))), _OK)))],
+        [], {}, False,
+        "stratum 1/and.2/pre/or.2/and.2: free lattice variable \"'Y\""),
+    "shadowing": (
+        [Forall("x", Imply(ast.Exists("x", Query("R", (Var("x"),), _A)),
+                           Forall("'Y", Forall("'Y", Assert("E", (Var("x"),), YVar("'Y"))))))],
+        [], {}, False,
+        "stratum 1/forall x/pre: shadowed variable 'x'; "
+        "stratum 1/forall x/body/forall 'Y: shadowed variable \"'Y\""),
+    "negation": (
+        [And((Assert("R", (Const("a"),), _ONE),
+              Forall("'I", Imply(NegQuery("R", (Const("a"),), YVar("'I")),
+                                 Assert("S", (Const("a"),), YVar("'I"))))))], [], {}, True,
+        "stratum 1/and.2/forall 'I/pre: negative query on R over lattice 'interval' "
+        "without complement"),
+    "several": (
+        [And((Forall("x", Assert("E", (Var("x"), Const("c")), FnApp("nope", (Repr(Var("x")),)))),
+              Imply(And((Query("R", (Const("a"),), LitConst(frozenset())),
+                         NegQuery("R", (Var("w"),), FnApp("u_join", (_A, _A))))),
+                    TrueClause()))),
+         Forall("'Y", Imply(ast.Exists("x", PreOr((Query("R", (Var("x"), Var("x")), YVar("'Q")),
+                                                    Apply("'Q", Var("q"))))), _OK)),
+         "garbage",
+         Imply("junk", Assert("E", ("t",), 3))],
+        [ast.Fact("R", ("z",), frozenset("a")), ast.Fact("E", ("a",), frozenset("a")),
+         ast.Fact("S", ("a", "b"), frozenset("a"))], {"S": 1}, False,
+        "stratum 1/and.1/forall x: unknown atom 'c'; "
+        "stratum 1/and.1/forall x: unknown function nope/1; "
+        "stratum 1/and.2/pre/and.1: bottom constant in a query (query constants act as "
+        "pre-bound lattice variables, which exclude bottom); "
+        "stratum 1/and.2/pre/and.2: free variable 'w'; "
+        "stratum 1/and.2/pre/and.2: function terms are only allowed in assertions; "
+        "stratum 1/and.2/pre/and.2: unknown function u_join/2; "
+        "stratum 2/forall 'Y/pre/exists x/or.1: arity mismatch for R: 2 vs declared 1; "
+        "stratum 2/forall 'Y/pre/exists x/or.1: free lattice variable \"'Q\"; "
+        "stratum 2/forall 'Y/pre/exists x/or.2: free lattice variable \"'Q\"; "
+        "stratum 2/forall 'Y/pre/exists x/or.2: free variable 'q'; "
+        "stratum 2/forall 'Y/body: arity mismatch for E: 1 vs declared 2; "
+        "stratum 3: not a clause: 'garbage'; "
+        "stratum 4/pre: not a precondition: 'junk'; "
+        "stratum 4/body: arity mismatch for E: 1 vs declared 2; "
+        "stratum 4/body: not a term: 't'; "
+        "stratum 4/body: not a lattice term: 3; "
+        "fact R: unknown atom 'z'; "
+        "fact E: arity mismatch for E: 1 vs declared 2; "
+        "fact E: E is asserted by a clause; facts may only populate base relations; "
+        "fact S: arity mismatch for S: 2 vs declared 1"),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED_MESSAGES)
+def test_validation_messages_are_pinned(case):
+    strata, facts, arities, interval, message = _PINNED_MESSAGES[case]
+    lat = interval_lattice(0, 1) if interval else powerset_lattice(("a", "b"))
+    program = ast.Program(lattice=lat, registry=standard_registry(lat), strata=tuple(strata),
+                          facts=tuple(facts), arities=arities, universe=("a", "b"))
+    with pytest.raises(ValidationError) as err:
+        validate(program)
+    assert str(err.value) == message
+
+
 def test_fnapp_in_query_rejected_programmatically():
     pre = Query("R", (Var("x"),), FnApp("u_join", (YVar("'Y"), YVar("'Y"))))
     program = powerset_program(
@@ -557,6 +637,21 @@ def test_ranks_reject_an_ill_formed_program():
 def test_ranks_verified_independently(seed):
     program = random_program(seed)
     assert helpers.independent_rank_check(program, program.ranks)
+
+
+def test_validating_a_copy_leaves_the_original_unchanged():
+    # the swapped-in clause asserts P, which the first file never declares:
+    # validation adds P to the arities of the program it returns only
+    text = "lattice powerset {a,b}\nfact B(a) = {a}\n"
+    strata = parse_clauses(text + "clause forall x. B(x;[x]) => P(x;{b})").strata
+    program = validate(parse_clauses(text + "clause 1"))
+    swapped = program.with_strata(strata)
+    with_fact = _with_facts(swapped, ["B(b) = {b}"])
+    for copy in (swapped, with_fact):
+        assert validate(copy).arities == {"B": 1, "P": 1}
+    for original in (program, swapped, with_fact):
+        assert original.arities == {"B": 1}
+    assert program.ranks == {"B": 0} and swapped.ranks is None and with_fact.ranks is None
 
 
 # --- precondition reordering --------------------------------------------------------

@@ -386,6 +386,14 @@ def test_compare_mismatch_prints_leaf_diffs_and_stats(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("stats: ")
 
 
+def test_compare_reads_the_arities_that_validation_completes():
+    # P is asserted but never declared, so only the validated program has it
+    program = parse_clauses("lattice powerset {a,b}\nclause 1").with_strata(
+        parse_clauses("lattice powerset {a,b}\nclause P(a;{b})").strata)
+    assert "P" not in program.arities
+    assert run_compare(program).lines == ["identical"]
+
+
 def test_leaf_diff_detects_corruption():
     program = validate(parse_clauses(helpers.sample("eq_neq.lat")))
     report = run_compare(program)

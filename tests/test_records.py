@@ -61,10 +61,13 @@ def test_frozen_fields_cannot_be_set_or_deleted(record, field):
     assert getattr(record, field) == before
 
 
-def test_program_and_stats_stay_assignable_and_unhashable():
+def test_program_refuses_assignment_and_stats_stay_assignable():
     program = parse_clauses("lattice powerset {a}\nfact R(a) = {a}")
-    program.ranks = {"R": 0}
-    assert program.ranks == {"R": 0}
+    with pytest.raises(AttributeError):
+        program.ranks = {"R": 0}
+    with pytest.raises(TypeError):
+        program.arities["S"] = 1
+    assert program.ranks is None and program.arities == {"R": 1}
     stats = SolveStats()
     stats.growths += 2
     stats.candidates = 5
@@ -86,7 +89,7 @@ def test_replace_changes_the_named_fields_only():
     program = parse_clauses("lattice powerset {a}\nfact R(a) = {a}")
     changed = replace(program, facts=())
     assert changed.facts == () and program.facts
-    assert changed.lattice is program.lattice and changed.arities is program.arities
+    assert changed.lattice is program.lattice and changed.arities == program.arities
     assert replace(QUERY, pred="S") == Query("S", QUERY.args, QUERY.value)
     with pytest.raises(TypeError, match="no field 'name'"):
         replace(QUERY, name="S")

@@ -42,7 +42,7 @@ def compiled(engine, bindings, build):
     bound, record)`` returns the step; ``record`` is the continuation that
     appends the bindings it sees, {name: atom or value}, to the returned list.
     The environment holds the constants in their hole slots, as a lone
-    conjunct's does in ``run_stratum``."""
+    conjunct's does in ``run_clause``."""
     compiler = _Compiler(engine)
     scope = {n: compiler.slot(ast.is_lattice_var(n)) for n in bindings}
     seen = []
@@ -339,8 +339,8 @@ def test_growth_invokes_each_consumer_once():
     program = validate(parse_clauses(
         text.replace("clause", "rel R/1\nfact R(b) = {b}\nclause", 1)))
     engine = _Engine(program, SolveStats())
-    for cl in program.strata:  # register consumers without sealing strata
-        engine.run_stratum(cl)
+    for i in range(program.num_strata):  # register consumers without sealing strata
+        engine.run_stratum(i)
     assert engine.stats.consumer_invocations == 0
     leaf = engine.store.raise_leaf("R", (0,), frozenset("a"))
     assert leaf is not None
@@ -364,7 +364,7 @@ def test_non_growing_add_triggers_no_consumers():
     ids = engine.table.ids(("a",))
     assert has(engine.store, "E", ids, frozenset("a"))
     # a compiled assertion skips non-growing candidates before broadcasting
-    engine.run_stratum(ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))))
+    engine.run_clause(ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))))
     assert calls == []
 
 
@@ -373,22 +373,22 @@ def test_non_growing_add_triggers_no_consumers():
 
 def test_execute_assert_constant_top():
     engine, _ = engine_for("lattice powerset {q0,v}\nrel A/2\nclause 1")
-    engine.run_stratum(ast.Assert("A", (Const("q0"), Const("v")),
-                                  LitConst(engine.lattice.top)))
+    engine.run_clause(ast.Assert("A", (Const("q0"), Const("v")),
+                                 LitConst(engine.lattice.top)))
     assert engine.store.current("A", engine.table.ids(("q0", "v"))) == \
         engine.lattice.top
 
 
 def test_execute_unit_is_noop():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
-    engine.run_stratum(ast.TrueClause())
+    engine.run_clause(ast.TrueClause())
     assert list(engine.store.sub("R")) == []
     assert engine.stats.growths == 0
 
 
 def test_execute_forall_described_atoms():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    engine.run_stratum(Forall("x", Assert("R", (Var("x"),), Repr(Var("x")))))
+    engine.run_clause(Forall("x", Assert("R", (Var("x"),), Repr(Var("x")))))
     leaves = {engine.table.atoms(ids): v for ids, v in engine.store.sub("R")}
     assert leaves == {("a",): frozenset("a"), ("b",): frozenset("b")}
 
@@ -759,10 +759,10 @@ def test_env_rejects_out_of_scope_lookup():
     # leaf compiles to nothing and looks up no variable
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nfact R(a) = {a}\nclause 1")
     with pytest.raises(SolverInvariantError, match="not in scope"):
-        engine.run_stratum(Assert("R", (Var("x"),), LitConst(frozenset("a"))))
+        engine.run_clause(Assert("R", (Var("x"),), LitConst(frozenset("a"))))
     with pytest.raises(SolverInvariantError, match="not in scope"):
-        engine.run_stratum(Imply(Query("R", (Var("x"),), LitConst(frozenset("a"))),
-                                 TrueClause()))
+        engine.run_clause(Imply(Query("R", (Var("x"),), LitConst(frozenset("a"))),
+                                TrueClause()))
 
 
 def test_zero_arity_predicate_end_to_end():
@@ -831,10 +831,30 @@ def test_solve_labeled_transitive_closure():
 ], ids=["parsed-sample", "analysis-program"])
 def test_solve_validates_an_unvalidated_program(build):
     program = build()
-    assert program.ranks is None
-    lines = solve(program).dump_lines()
-    assert program.ranks is not None
-    assert lines == solve(validate(build())).dump_lines()
+    assert program.ranks is None and program.shapes is None
+    result = solve(program)
+    assert program.ranks is None and program.shapes is None
+    assert result.program.ranks is not None and result.program.shapes is not None
+    assert result.dump_lines() == solve(validate(build())).dump_lines()
+
+
+def test_shape_constants_are_the_engines_atom_ids():
+    # validation stores each atom constant as its universe position, which
+    # is the id the engine's atom table gives it
+    program = validate(parse_clauses(
+        "lattice powerset {a,b,c}\nclause R(c;[b]) & R(a;{c}) & R(a;[c]) & R(b;[b])"))
+    holes, shape_of, consts = program.shapes[0]
+    table = _Engine(program, SolveStats()).table
+    assert shape_of == (0, 1, 0, 2)
+    assert consts == ((2, 1), (0, frozenset("c")), (0, 2), (1,))
+    assert [dict(h) for h in holes] == [{(True, "c"): 0, (True, "b"): 1},
+                                        {(True, "a"): 0, (False, frozenset("c")): 1},
+                                        {(True, "b"): 0}]
+    for n, shape_holes in enumerate(holes):  # kept for each shape's first conjunct
+        first = consts[shape_of.index(n)]
+        for (atom, c), slot in shape_holes.items():
+            assert first[slot] == (table.id(c) if atom else c)
+    assert [table.id(a) for a in program.universe] == [0, 1, 2]
 
 
 def test_solve_validates_strata_swapped_into_a_validated_program():
@@ -950,8 +970,8 @@ def test_audit_catches_delivery_without_growth():
     unobserved_raise_leaf = ResultStore.raise_leaf
     with helpers.audit() as seen:
         engine = _Engine(program, SolveStats())
-        for cl in program.strata:  # register consumers without sealing strata
-            engine.run_stratum(cl)
+        for i in range(program.num_strata):  # register consumers without sealing strata
+            engine.run_stratum(i)
         assert helpers.propagation_bound_holds(seen)
         # a growth of R that the audit does not see
         leaf = unobserved_raise_leaf(engine.store, "R", (0,), A)
