@@ -258,6 +258,10 @@ class Program(Frozen):
         set_field(self, "ranks", None if ranks is None else _read_only(ranks))
         set_field(self, "shapes", shapes)
 
+    def __reduce__(self):  # copies get plain dicts, which __init__ wraps again
+        return Program, tuple([dict(v) if type(v) is MappingProxyType else v
+                               for v in self._values()])
+
     @property
     def num_strata(self) -> int:
         return len(self.strata)

@@ -409,6 +409,10 @@ class FunctionRegistry:
         self.lattice = lattice
         self._fns: dict[tuple[str, int], Callable] = {}
 
+    def __eq__(self, other):  # the same functions by name over an equal lattice
+        return (type(other) is FunctionRegistry and self.lattice == other.lattice
+                and self._fns == other._fns)
+
     def register(self, name: str, arity: int, fn: Callable) -> None:
         key = (name, arity)
         if key in self._fns:

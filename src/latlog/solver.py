@@ -15,11 +15,13 @@ candidates into flat leaf maps over atom id tuples, one per predicate, each
 with a table per search signature (the argument positions a query finds
 constant or bound, whose atoms are the key it looks up) of the queries
 waiting under each key, with their compiled match and the environment they
-registered in, and for a partial signature a hash index.  Each strict growth
-is queued with the queries then waiting under its key in those tables.  One
-loop delivers the queue, oldest first, running each match as a sweep does,
-so deliveries never nest, and stops delivering a leaf once a later growth
-has replaced it.
+registered in, and for a partial signature a hash index.  A step holds the
+relations it uses, found by name when compiled.  A candidate at or below its
+leaf stops before the store, which refuses growth of a sealed rank.  Each
+strict growth is queued with its relation and the queries then waiting
+under its key in those tables.  One loop delivers the queue, oldest first,
+running each match as a sweep does, so deliveries never nest, and stops
+delivering a leaf once a later growth has replaced it.
 A positive query on a relation that holds no leaf when compiled and whose
 predicate is sealed or can never hold one (:class:`_Liveness`, found at most
 once per run, on first need) compiles to one shared no-op step, and what
@@ -135,16 +137,16 @@ class Table(dict):
 
 
 class Relation(dict):
-    """One predicate's leaves, ``{ids: leaf}`` in insertion order, with a
-    tuple of :class:`Table`, one per search signature that a query has used,
-    in the order first used.  A partial signature's index is built from the
-    leaves when its table opens and gains each tuple that first appears
-    later."""
+    """One predicate's leaves, ``{ids: leaf}`` in insertion order, with its
+    stratum rank and a tuple of :class:`Table`, one per search signature
+    that a query has used, in the order first used.  A partial signature's
+    index is built from the leaves when its table opens and gains each tuple
+    that first appears later."""
 
-    __slots__ = ("pred", "arity", "tables")
+    __slots__ = ("pred", "arity", "rank", "tables")
 
-    def __init__(self, pred: str, arity: int):
-        self.pred, self.arity, self.tables = pred, arity, ()
+    def __init__(self, pred: str, arity: int, rank: int):
+        self.pred, self.arity, self.rank, self.tables = pred, arity, rank, ()
 
     def table(self, sig: tuple) -> Table:
         """The signature's table, opened on first use."""
@@ -174,19 +176,19 @@ class Relation(dict):
 
 class ResultStore:
     """A :class:`Relation` per predicate, from ground tuples of atom ids to
-    joined values.
+    joined values; compiled steps hold the relations they use.
 
-    Leaves are never bottom and only grow; once a stratum completes, the
-    leaves of its predicates are sealed and any further growth aborts.
+    Leaves are never bottom and only grow; once a stratum completes, each
+    relation of rank up to ``sealed_rank`` is sealed and any growth aborts.
     """
 
     def __init__(self, lattice: Lattice, arities: dict, ranks: dict,
                  stats: Optional[SolveStats] = None):
         self.lattice = lattice
-        self.ranks = ranks
         self.stats = stats or SolveStats()
-        self._relations = {pred: Relation(pred, arity) for pred, arity in arities.items()}
-        self._sealed_rank = -1
+        self._relations = {pred: Relation(pred, arity, ranks.get(pred, 0))
+                           for pred, arity in arities.items()}
+        self.sealed_rank = -1
 
     def relation(self, pred: str) -> Relation:
         try:
@@ -194,26 +196,23 @@ class ResultStore:
         except KeyError:
             raise SolverInvariantError(f"undeclared predicate {pred!r}") from None
 
-    def current(self, pred: str, ids: tuple):
-        leaf = self.relation(pred).get(ids)
-        return self.lattice.bottom if leaf is None else leaf
-
-    def raise_leaf(self, pred: str, ids: tuple, l):
-        """Join l into the leaf; the new leaf if it strictly grew, else None."""
-        leaves, lattice = self.relation(pred), self.lattice
-        current = leaves.get(ids)
+    def raise_leaf(self, relation: Relation, ids: tuple, l):
+        """Join l into the relation's leaf; the new leaf if it strictly grew,
+        else None."""
+        lattice = self.lattice
+        current = relation.get(ids)
         if lattice.leq(l, lattice.bottom if current is None else current):
             return None
-        if self.sealed(pred):
+        if relation.rank <= self.sealed_rank:
             raise SolverInvariantError(
-                f"predicate {pred} of completed stratum {self.ranks.get(pred, 0)} "
+                f"predicate {relation.pred} of completed stratum {relation.rank} "
                 f"grew at {ids} after sealing")
         if current is None:  # a tuple stored for the first time joins every index
             current = lattice.bottom
-            for table in leaves.tables:
+            for table in relation.tables:
                 if table.index is not None:
                     _file(table.index, table.key_of(ids), ids)
-        joined = leaves[ids] = lattice.join(current, l)
+        joined = relation[ids] = lattice.join(current, l)
         self.stats.growths += 1
         return joined
 
@@ -231,10 +230,7 @@ class ResultStore:
             relation.tables = ()
 
     def seal_up_to(self, rank: int) -> None:
-        self._sealed_rank = max(self._sealed_rank, rank)
-
-    def sealed(self, pred: str) -> bool:
-        return self.ranks.get(pred, 0) <= self._sealed_rank
+        self.sealed_rank = max(self.sealed_rank, rank)
 
 
 # --- compilation --------------------------------------------------------------
@@ -372,14 +368,18 @@ class _Compiler:
         e = self.engine
         ids_of = _reader(self.args(scope, a.args))
         value = self.evaluator(a.value, scope, bound)
-        pred, stats, raise_leaf, broadcast = a.pred, e.stats, e.store.raise_leaf, e._broadcast
+        relation, stats, raise_leaf, broadcast = (
+            e.store.relation(a.pred), e.stats, e.store.raise_leaf, e._broadcast)
+        get, leq = relation.get, self.lattice.leq
 
-        def assert_one(env):
+        def assert_one(env):  # a candidate at or below its leaf stops here
             stats.candidates += 1
-            ids = ids_of(env)
-            leaf = raise_leaf(pred, ids, value(env))
+            ids, l = ids_of(env), value(env)
+            if (current := get(ids)) is not None and leq(l, current):
+                return
+            leaf = raise_leaf(relation, ids, l)
             if leaf is not None:
-                broadcast(pred, ids, leaf)
+                broadcast(relation, ids, leaf)
         return _enumerate(self.unbound(scope, bound, a.args + (a.value,)),
                           self.atoms, assert_one)
 
@@ -510,7 +510,8 @@ class _Compiler:
             match_value(env, l)
         keys = [slots[pos] for pos in sig]
         key_of = _reader(keys) if len(sig) in (0, len(slots)) else itemgetter(*keys)
-        stats, relation, live = e.stats, e.store.relation(q.pred), not e.store.sealed(q.pred)
+        stats, relation = e.stats, e.store.relation(q.pred)
+        live = relation.rank > e.store.sealed_rank
         table = relation.table(sig)
         sweep, register = relation.sweep, table.register
 
@@ -532,9 +533,9 @@ class _Compiler:
         ids_of = _reader(self.args(scope, q.args))
         match = self.matcher(q.value, scope,
                              bound | {t.name for t in q.args if isinstance(t, Var)}, kc)
-        pred, current = q.pred, self.engine.store.current
+        get, bottom = self.engine.store.relation(q.pred).get, self.lattice.bottom
         return _enumerate(slots, self.atoms, lambda env: match(
-            env, complement(current(pred, ids_of(env)))))
+            env, complement(get(ids_of(env), bottom))))
 
     def apply(self, p: Apply, scope: dict, bound: frozenset, kc) -> Step:
         """``'Y(u)``: the description of u must lie below 'Y, which reads as
@@ -565,12 +566,19 @@ class _Compiler:
         lat = self.lattice
         leq, meet, top, bottom = lat.leq, lat.meet, lat.top, lat.bottom
         if isinstance(v, YVar):
-            s, k, was_bound = self.lookup(scope, v.name), kc(bound | {v.name}), v.name in bound
+            s, k = self.lookup(scope, v.name), kc(bound | {v.name})
+            if v.name not in bound:
+                def bind(env, l):
+                    if l != bottom:
+                        env[s], env[s + 1] = l, bottom
+                        k(env)
+                        env[s] = top
+                return bind
 
             def narrow(env, l):
-                old, lower = (env[s], env[s + 1]) if was_bound else (top, bottom)
-                met = meet(l, old) if was_bound else l
-                if met != bottom and (not was_bound or leq(lower, met)):
+                old, lower = env[s], env[s + 1]
+                met = meet(l, old)
+                if met != bottom and leq(lower, met):
                     env[s], env[s + 1] = met, lower
                     k(env)
                     env[s] = old
@@ -653,7 +661,8 @@ class _Liveness:
 
 class _Engine:
     """Runs a validated program's strata on a store: a fresh one, or a given
-    one whose atom ids come from the same universe."""
+    one whose atom ids come from the same universe; a queued growth holds
+    its relation."""
 
     def __init__(self, program: Program, stats: SolveStats,
                  store: Optional[ResultStore] = None):
@@ -669,23 +678,24 @@ class _Engine:
         """Whether the predicate holds a leaf or is live (computed on the first
         call for an empty relation that is not sealed: a sealed one never
         grows); a query on any other never matches."""
-        if self.store.relation(pred):
+        relation = self.store.relation(pred)
+        if relation:
             return True
-        if self.store.sealed(pred):
+        if relation.rank <= self.store.sealed_rank:
             return False
         if self.live is None:
             self.live = _Liveness(self.program, self.store).live
         return pred in self.live
 
-    def _broadcast(self, pred: str, ids: tuple, leaf) -> None:
-        """Queue a growth with the queries waiting for it so far, table by
-        table in the order its relation's tables were first used."""
+    def _broadcast(self, relation: Relation, ids: tuple, leaf) -> None:
+        """Queue a growth of the relation with the queries waiting for it so
+        far, table by table in the order its tables were first used."""
         consumers = []
-        for table in self.store._relations[pred].tables:
+        for table in relation.tables:
             waiting = table.get(table.key_of(ids))
             if waiting:
                 consumers += waiting
-        self.pending.append((pred, consumers, ids, leaf))
+        self.pending.append((relation, consumers, ids, leaf))
 
     def _drain(self) -> None:
         """Deliver queued growths, oldest first, until none is left, each by
@@ -694,10 +704,10 @@ class _Engine:
         no longer stored is delivered no further: the growth that replaced it
         queued the larger leaf for a superset of the same consumers, and
         matching is monotone in the value."""
-        pending, relation, stats = self.pending, self.store.relation, self.stats
+        pending, stats = self.pending, self.stats
         while pending:
-            pred, consumers, ids, leaf = pending.popleft()
-            get = relation(pred).get
+            relation, consumers, ids, leaf = pending.popleft()
+            get = relation.get
             for match, env in consumers:
                 if get(ids) is not leaf:
                     break
@@ -734,7 +744,7 @@ class _Engine:
 
     def run(self, facts) -> None:
         for f in facts:
-            self.store.raise_leaf(f.pred, self.table.ids(f.atoms), f.value)
+            self.store.raise_leaf(self.store.relation(f.pred), self.table.ids(f.atoms), f.value)
         self.store.seal_up_to(0)
         for i in range(self.program.num_strata):
             self.run_stratum(i)

@@ -203,9 +203,10 @@ def audit():
     raise_leaf, register, seal_up_to = (
         ResultStore.raise_leaf, Table.register, ResultStore.seal_up_to)
 
-    def counted_raise_leaf(store, pred, ids, l):
-        leaf = raise_leaf(store, pred, ids, l)
+    def counted_raise_leaf(store, relation, ids, l):
+        leaf = raise_leaf(store, relation, ids, l)
         if leaf is not None:
+            pred = relation.pred
             seen.growths_per_pred[pred] = seen.growths_per_pred.get(pred, 0) + 1
         return leaf
 
@@ -223,7 +224,7 @@ def audit():
     def snapshot_seal_up_to(store, rank):
         seen.stratum_snapshots[rank] = {
             pred: dict(store.sub(pred))
-            for pred, r in store.ranks.items() if r == rank}
+            for pred, relation in store._relations.items() if relation.rank == rank}
         seal_up_to(store, rank)
 
     ResultStore.raise_leaf = counted_raise_leaf

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from latlog.ast import (And, Const, Fact, Forall, Imply, Query, TrueClause, Var,
-                        YVar)
+                        YVar, validate)
 from latlog.lattices import IntervalValue, interval, powerset_lattice
 from latlog.parser import parse_clauses
 from latlog.records import replace
@@ -102,3 +102,18 @@ def test_records_copy_and_pickle_through_their_init():
     stats = copy.copy(SolveStats(growths=3))
     stats.growths += 1
     assert stats == SolveStats(growths=4)
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["parsed", "validated"])
+def test_deep_copy_of_a_program_equals_it_and_stays_read_only(validated):
+    program = parse_clauses("lattice signs\nrel E/2\nfact E(a,b) = {+}\n"
+                            "clause forall x. forall y. forall 'Y. E(x,y;'Y) => "
+                            "R(y;s_add('Y,'Y))")
+    program = validate(program) if validated else program
+    copied = copy.deepcopy(program)
+    assert copied == program and copied.arities is not program.arities
+    with pytest.raises(TypeError):
+        copied.arities["S"] = 1
+    if validated:
+        with pytest.raises(TypeError):
+            copied.ranks["S"] = 1

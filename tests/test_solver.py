@@ -78,12 +78,12 @@ def deliver(pre, bindings, atoms, l, text=RELS):
     step, env, seen = compiled(engine, bindings, lambda c, scope, bound, k:
                                c.pre(pre, scope, bound, None, k))
     step(env)  # registers the consumer; the store is empty, so nothing is swept
-    ids = engine.table.ids(atoms)
-    leaf = engine.store.raise_leaf(pre.pred, ids, l)
+    ids, relation = engine.table.ids(atoms), engine.store.relation(pre.pred)
+    leaf = engine.store.raise_leaf(relation, ids, l)
     if leaf is None:  # bottom never grows a leaf; store it as it is
-        engine.store.relation(pre.pred)[ids] = l
+        relation[ids] = l
         leaf = l
-    engine._broadcast(pre.pred, ids, leaf)
+    engine._broadcast(relation, ids, leaf)
     engine._drain()
     return seen
 
@@ -228,9 +228,9 @@ def test_store_insert_lookup_sweep():
     x, y, z = frozenset("a"), frozenset("b"), frozenset("ab")
     t = store2({"R": 2})
     assert t.sub("R", (0,), 0) == []  # builds the index while the store is empty
-    t.raise_leaf("R", (0, 1), x)
-    t.raise_leaf("R", (0, 2), y)
-    t.raise_leaf("R", (1, 1), z)
+    t.raise_leaf(t.relation("R"), (0, 1), x)
+    t.raise_leaf(t.relation("R"), (0, 2), y)
+    t.raise_leaf(t.relation("R"), (1, 1), z)
     assert t.relation("R").get((0, 2)) == y
     assert t.relation("R").get((2, 2)) is None
     assert list(t.sub("R")) == [((0, 1), x), ((0, 2), y), ((1, 1), z)]
@@ -242,7 +242,7 @@ def test_store_insert_lookup_sweep():
     assert list(t.sub("R", (1,), 0)) == []
     # a bucket past eight tuples becomes a list and keeps the order
     for i in range(3, 12):
-        t.raise_leaf("R", (0, i), x)
+        t.raise_leaf(t.relation("R"), (0, i), x)
     assert t.relation("R").table((0,)).index[0] == [(0, i) for i in range(1, 12)]
     assert [ids for ids, _ in t.sub("R", (0,), 0)] == [(0, i) for i in range(1, 12)]
 
@@ -250,31 +250,31 @@ def test_store_insert_lookup_sweep():
 def test_store_zero_arity():
     t = store2({"F": 0})
     assert list(t.sub("F")) == []
-    t.raise_leaf("F", (), A)
+    t.raise_leaf(t.relation("F"), (), A)
     assert t.relation("F").get(()) == A
     assert list(t.sub("F")) == [((), A)]
 
 
 def has(store, pred, ids, l):
     """The leaf at ``ids`` lies at or above ``l``."""
-    return store.lattice.leq(l, store.current(pred, ids))
+    return store.lattice.leq(l, store.relation(pred).get(ids, store.lattice.bottom))
 
 
 def test_store_first_insert_grows():
     s = store2()
     assert not has(s, "R", (0,), frozenset("a"))
-    leaf = s.raise_leaf("R", (0,), frozenset("a"))
+    leaf = s.raise_leaf(s.relation("R"), (0,), frozenset("a"))
     assert leaf is not None and leaf == frozenset("a")
     assert has(s, "R", (0,), frozenset("a"))
 
 
 def test_store_join_merges_leaf():
     s = store2()
-    s.raise_leaf("R", (0,), frozenset("a"))
-    leaf = s.raise_leaf("R", (0,), frozenset("b"))
+    s.raise_leaf(s.relation("R"), (0,), frozenset("a"))
+    leaf = s.raise_leaf(s.relation("R"), (0,), frozenset("b"))
     assert leaf is not None and leaf == frozenset(("a", "b"))
     assert has(s, "R", (0,), frozenset(("a", "b")))
-    assert s.raise_leaf("R", (0,), frozenset("a")) is None
+    assert s.raise_leaf(s.relation("R"), (0,), frozenset("a")) is None
 
 
 def test_store_absent_leaf_reads_bottom():
@@ -285,12 +285,28 @@ def test_store_absent_leaf_reads_bottom():
 
 def test_store_rejects_growth_after_seal():
     s = store2()
-    s.raise_leaf("R", (0,), frozenset("a"))
+    s.raise_leaf(s.relation("R"), (0,), frozenset("a"))
     s.seal_up_to(1)
     with pytest.raises(SolverInvariantError, match="completed stratum"):
-        s.raise_leaf("R", (1,), frozenset("a"))
+        s.raise_leaf(s.relation("R"), (1,), frozenset("a"))
     # non-growing joins stay no-ops
-    assert s.raise_leaf("R", (0,), frozenset("a")) is None
+    assert s.raise_leaf(s.relation("R"), (0,), frozenset("a")) is None
+
+
+def test_compiled_assertion_cannot_grow_a_sealed_relation():
+    # R is a base relation, rank 0: a compiled assertion fills it before
+    # rank 0 is sealed, and afterwards may only assert what R already holds
+    engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
+    engine.run_clause(Assert("R", (Const("a"),), LitConst(A)))
+    engine.store.seal_up_to(0)
+    for atom, value in (("a", A), ("a", BOT), ("b", BOT)):  # at or below the leaf
+        engine.run_clause(Assert("R", (Const(atom),), LitConst(value)))
+    assert engine.stats.growths == 1 and engine.stats.candidates == 4
+    assert list(engine.store.sub("R")) == [(engine.table.ids(("a",)), A)]
+    for atom, value in (("a", B), ("b", A)):
+        with pytest.raises(SolverInvariantError, match="completed stratum 0"):
+            engine.run_clause(Assert("R", (Const(atom),), LitConst(value)))
+    assert list(engine.store.sub("R")) == [(engine.table.ids(("a",)), A)]
 
 
 def test_atom_table_is_deterministic():
@@ -311,7 +327,7 @@ def test_consumer_signature_matching_and_snapshot():
         seen.append((env[0], atoms))
 
     def waiting(ids):
-        engine._broadcast("R2", ids, None)
+        engine._broadcast(relation, ids, None)
         return engine.pending.pop()[1]
     relation.table(()).register((), (record, ["any"]))
     relation.table((0,)).register(0, (record, ["p0"]))
@@ -342,9 +358,9 @@ def test_growth_invokes_each_consumer_once():
     for i in range(program.num_strata):  # register consumers without sealing strata
         engine.run_stratum(i)
     assert engine.stats.consumer_invocations == 0
-    leaf = engine.store.raise_leaf("R", (0,), frozenset("a"))
+    leaf = engine.store.raise_leaf(engine.store.relation("R"), (0,), frozenset("a"))
     assert leaf is not None
-    engine._broadcast("R", (0,), leaf)
+    engine._broadcast(engine.store.relation("R"), (0,), leaf)
     engine._drain()
     assert engine.stats.consumer_invocations == 2
     assert has(engine.store, "S", (0,), frozenset("a"))
@@ -375,7 +391,7 @@ def test_execute_assert_constant_top():
     engine, _ = engine_for("lattice powerset {q0,v}\nrel A/2\nclause 1")
     engine.run_clause(ast.Assert("A", (Const("q0"), Const("v")),
                                  LitConst(engine.lattice.top)))
-    assert engine.store.current("A", engine.table.ids(("q0", "v"))) == \
+    assert engine.store.relation("A").get(engine.table.ids(("q0", "v"))) == \
         engine.lattice.top
 
 
@@ -407,7 +423,7 @@ def test_check_apply_filters_atoms_by_description():
 
 def test_check_disjunction_memoizes_duplicate_environments():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
-    engine.store.raise_leaf("R", (0,), frozenset("a"))
+    engine.store.raise_leaf(engine.store.relation("R"), (0,), frozenset("a"))
     q = Query("R", (Var("x"),), Repr(Var("x")))
     seen = check(engine, PreOr((q, q)), {"x": None}, ("x",))
     assert [e["x"] for e in seen] == ["a"]
@@ -415,8 +431,8 @@ def test_check_disjunction_memoizes_duplicate_environments():
 
 def test_check_exists_removes_variable_and_memoizes():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/2\nclause 1")
-    engine.store.raise_leaf("R", (0, 0), frozenset("a"))
-    engine.store.raise_leaf("R", (0, 1), frozenset("a"))
+    engine.store.raise_leaf(engine.store.relation("R"), (0, 0), frozenset("a"))
+    engine.store.raise_leaf(engine.store.relation("R"), (0, 1), frozenset("a"))
     q = Query("R", (Var("x"), Var("w")), LitConst(frozenset("a")))
     seen = check(engine, ast.Exists("w", q), {"x": None}, ("x",))
     # two witnesses for w collapse to one continuation call, w out of scope
@@ -895,7 +911,7 @@ def test_every_delivered_leaf_is_the_stored_leaf(monkeypatch):
         pred = table.pred
 
         def checked(env, ids, leaf):
-            if leaf is not engine.store.current(pred, ids):
+            if leaf is not engine.store.relation(pred).get(ids):
                 stale.append((pred, ids, leaf))
             match(env, ids, leaf)
         register(table, key, (checked, env))
@@ -913,32 +929,39 @@ def test_drain_delivers_oldest_first_and_skips_replaced_leaves():
         (), (lambda env, ids, leaf: seen.append((ids, leaf)), []))
     for i, l in ((0, A), (1, A), (0, B)):  # the third replaces the first leaf
         ids = (i,)
-        engine._broadcast("R", ids, engine.store.raise_leaf("R", ids, l))
+        relation = engine.store.relation("R")
+        engine._broadcast(relation, ids, engine.store.raise_leaf(relation, ids, l))
     engine._drain()
     assert seen == [((1,), A), ((0,), AB)]
 
 
-def test_oldest_first_delivery_bounds_closure_growths_and_deliveries():
-    # the benchmark's closure shape: a chain n0 -> n1 -> ... -> n31 plus one
-    # short forward edge per node, each labelled by two of eight atoms; its
-    # 40 atoms put the naive oracle's ground instances out of reach, so
-    # graph search is the reference: T(x,z) joins the labels of every edge
-    # on a path from x to z
-    nodes, labels = 32, 8
+def closure_program(nodes=32, labels=8):
+    """The benchmark's closure shape, as ``(edges, text)``: a chain n0 -> n1
+    -> ... -> n31 plus one short forward edge per node, each labelled by two
+    of eight atoms; T(x,z) joins the labels of every edge on a path from x
+    to z."""
     edges = {}
     for i in range(nodes - 1):
         edges[(i, i + 1)] = {i % labels, (3 * i + 1) % labels}
     for i in range(nodes - 2):
         edges[(i, min(nodes - 1, i + 2 + (7 * i) % 5))] = {(5 * i + 2) % labels,
                                                            (i * i + 3) % labels}
-    program, result = helpers.run_pipeline("\n".join(
+    return edges, "\n".join(
         ["lattice powerset {" + ",".join(f"l{k}" for k in range(labels)) + "}",
          "rel E/2", "rel T/2",
          *(f"fact E(n{a},n{b}) = {{{','.join(f'l{k}' for k in sorted(lab))}}}"
            for (a, b), lab in sorted(edges.items())),
          "clause (forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y))"
          "  & (forall x. forall y. forall z. forall 'Y. forall 'Z."
-         " T(x,y;'Y) & E(y,z;'Z) => T(x,z;'Y) & T(x,z;'Z))"]))
+         " T(x,y;'Y) & E(y,z;'Z) => T(x,z;'Y) & T(x,z;'Z))"])
+
+
+def test_oldest_first_delivery_bounds_closure_growths_and_deliveries():
+    # the closure shape's 40 atoms put the naive oracle's ground instances
+    # out of reach, so graph search is the reference
+    nodes = 32
+    edges, text = closure_program(nodes)
+    program, result = helpers.run_pipeline(text)
     reach = {v: set() for v in range(nodes)}
     for a in reversed(range(nodes)):  # every edge leads forward
         for (u, v) in edges:
@@ -954,6 +977,21 @@ def test_oldest_first_delivery_bounds_closure_growths_and_deliveries():
     # newest first takes 1 630 and 1 091
     assert result.stats.growths <= 1490
     assert result.stats.consumer_invocations <= 900
+
+
+def test_only_candidates_that_may_grow_enter_the_store(monkeypatch):
+    # no candidate of the closure shape asserts bottom, so each fact and
+    # each candidate above its leaf grows it; the rest stop before the store
+    entries = []
+    raise_leaf = ResultStore.raise_leaf
+
+    def counted(store, relation, ids, l):
+        entries.append(ids)
+        return raise_leaf(store, relation, ids, l)
+    monkeypatch.setattr(ResultStore, "raise_leaf", counted)
+    _, result = helpers.run_pipeline(closure_program()[1])
+    stats = result.stats
+    assert len(entries) == stats.growths < stats.candidates
 
 
 def test_solve_stratum_isolation_and_propagation_bound():
@@ -974,8 +1012,9 @@ def test_audit_catches_delivery_without_growth():
             engine.run_stratum(i)
         assert helpers.propagation_bound_holds(seen)
         # a growth of R that the audit does not see
-        leaf = unobserved_raise_leaf(engine.store, "R", (0,), A)
-        engine._broadcast("R", (0,), leaf)
+        relation = engine.store.relation("R")
+        leaf = unobserved_raise_leaf(engine.store, relation, (0,), A)
+        engine._broadcast(relation, (0,), leaf)
         engine._drain()
     assert engine.stats.consumer_invocations == 1
     assert not helpers.propagation_bound_holds(seen)
