@@ -265,9 +265,9 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
 
 
 def _check_graph_names(graph: ProgramGraph) -> None:
-    # every name prints as an atom that no binder v, v_2, ... captures
+    # every name prints as an atom the tokenizer reads, which no binder v, v_2, ... captures
     for name in graph.states + graph.variables:
-        if not (name[0].islower() and name.isidentifier()):
+        if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
             raise ValidationError(
                 f"graph name {name!r} cannot be used as a clause-file atom")
         if name in _RESERVED or re.fullmatch(r"v(_\d+)?", name):

@@ -15,8 +15,8 @@ variables carry a leading apostrophe.
 A program's universe holds the atoms that its producer, the parser or the
 analysis builder, recorded as it made them; :func:`universe_of` orders them.
 :func:`validate` checks a program in one walk and returns a new one that also
-holds its ranks and, in each stratum of several conjuncts, each conjunct's
-shape, which the solver compiles by.
+holds its ranks and, for every top-level conjunct of every stratum, its
+shape and constants, which the solver compiles and runs by.
 
 Nodes, :class:`Fact`, :class:`Program`, and the
 :class:`~latlog.lattices.Lattice` and :class:`~latlog.lattices.IntervalValue`
@@ -234,8 +234,8 @@ class Program(Frozen):
     ``strata`` is the ordered clause sequence, ``universe`` the sorted tuple
     of atoms, and ``arities`` and ``ranks`` read-only maps.  A program that
     :func:`validate` returns has ``ranks``, each predicate's stratum, and
-    ``shapes``, per stratum None for a lone conjunct, else ``(holes,
-    shape_of, consts)``: conjunct j has shape ``shape_of[j]`` and constants
+    ``shapes``, per stratum ``(holes, shape_of, consts)``: its conjunct j
+    (a lone clause is conjunct 0) has shape ``shape_of[j]`` and constants
     ``consts[j]`` by hole number, an atom as its universe position, and
     ``holes[n]`` maps each ``(is atom, constant)`` of shape n's first
     conjunct to its hole number (see :class:`_WFChecker`).
@@ -331,12 +331,11 @@ class _WFChecker:
     one walk, recording each violation under its clause path, a ``(parent,
     segment, argument)`` tuple formatted only then.  Each node returns its
     shape key: nested tuples of node types, names and binder sorts, in which
-    a variable reads as its binder's depth.  In a stratum of two or more
-    conjuncts each distinct constant reads as hole ``-1 - n``, numbered in the
-    order first met: ``holes`` maps ``(is atom, constant)`` to n and
-    ``consts[n]`` holds it.  Elsewhere ``holes`` is None, a constant reads as
-    False and the stratum's key is dropped.  Parts are gathered by loops, as
-    a comprehension per node made the walk a quarter slower on CPython 3.11."""
+    a variable reads as its binder's depth and each distinct constant of its
+    top-level conjunct as hole ``-1 - n``, numbered in the order first met:
+    ``holes`` maps ``(is atom, constant)`` to n and ``consts[n]`` holds it.
+    A lone conjunct's key is dropped.  Parts are gathered by loops, as a
+    comprehension per node made the walk a quarter slower on CPython 3.11."""
 
     def __init__(self, program: Program):
         self.lattice, self.registry = program.lattice, program.registry
@@ -346,7 +345,7 @@ class _WFChecker:
         # per stratum: the predicates it asserts, queries and negatively queries
         self.uses: list[tuple[list, list, list]] = []
         self.xs, self.ys = {}, {}  # universe, lattice variables in scope -> depth
-        self.shapes, self.holes, self.consts = [], None, []
+        self.shapes, self.holes, self.consts = [], {}, []
 
     def fail(self, path: tuple, msg: str):
         segments = []
@@ -371,9 +370,10 @@ class _WFChecker:
     def stratum(self, cl, path: tuple) -> None:
         """Check a stratum and add its ``shapes`` entry (see :class:`Program`)."""
         self.uses.append(([], [], []))
-        if type(cl) is not And:
+        if type(cl) is not And:  # shape 0 of a one-conjunct stratum
+            self.holes, self.consts = {}, []
             self.clause(cl, path)
-            self.shapes.append(None)
+            self.shapes.append(((self.holes,), (0,), (tuple(self.consts),)))
             return
         numbers, holes, shape_of, consts = {}, [], [], []
         for i, c in enumerate(cl.parts, 1):
@@ -383,7 +383,6 @@ class _WFChecker:
                 holes.append(self.holes)
             shape_of.append(n)
             consts.append(tuple(self.consts))
-        self.holes = None
         self.shapes.append((tuple(holes), tuple(shape_of), tuple(consts)))
 
     def term(self, t: Term, path: tuple):
@@ -393,7 +392,7 @@ class _WFChecker:
             i = self.ids.get(t.atom)
             if i is None:
                 self.fail(path, f"unknown atom {t.atom!r}")
-            return self.holes is not None and self.hole(True, t.atom, i)
+            return self.hole(True, t.atom, i)
         self.fail(path, f"not a term: {t!r}")
 
     def value(self, v: LatticeTerm, path: tuple, assertion: bool):
@@ -406,7 +405,7 @@ class _WFChecker:
             if not assertion and v.value == self.lattice.bottom:
                 self.fail(path, "bottom constant in a query (query constants act "
                                 "as pre-bound lattice variables, which exclude bottom)")
-            return self.holes is not None and self.hole(False, v.value, v.value)
+            return self.hole(False, v.value, v.value)
         if t is FnApp:
             if not assertion:
                 self.fail(path, "function terms are only allowed in assertions")

@@ -4,7 +4,8 @@ Dumps go to stdout (one ``R(a,...) = value`` line per non-bottom leaf, in
 deterministic order); errors and ``--stats`` output go to stderr.
 Exit codes: 0 success, 1 validation or comparison failure, input that
 nests too deeply (deeply parenthesized text, or a precondition conjunction
-of a few hundred parts) or running out of memory, 2 usage or I/O.
+of a few hundred parts) or running out of memory, 2 usage or I/O (a
+missing or unreadable file, or one that is not UTF-8 text).
 """
 
 from __future__ import annotations
@@ -37,8 +38,12 @@ class RunReport(Record):
 
 
 def _read_text(path: str) -> str:
-    with open(path) as file:
-        return file.read()
+    """The file's text as UTF-8, whatever the locale; bad bytes are an I/O error."""
+    with open(path, encoding="utf-8") as file:
+        try:
+            return file.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _with_facts(program: Program, fact_texts) -> Program:

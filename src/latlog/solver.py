@@ -10,18 +10,19 @@ disjunction or existential memo and an evaluator per lattice term; a clause
 conjunction becomes a flat tuple of steps.  The top-level conjuncts of one
 shape, which :func:`ast.validate` finds with their constants, share one
 compiled step, and each runs it on an environment holding its own constants,
-so ``solve`` walks no rule to key it.  Running joins assertion
-candidates into flat leaf maps over atom id tuples, one per predicate, each
-with a table per search signature (the argument positions a query finds
-constant or bound, whose atoms are the key it looks up) of the queries
-waiting under each key, with their compiled match and the environment they
-registered in, and for a partial signature a hash index.  A step holds the
-relations it uses, found by name when compiled.  A candidate at or below its
-leaf stops before the store, which refuses growth of a sealed rank.  Each
-strict growth is queued with its relation and the queries then waiting
-under its key in those tables.  One loop delivers the queue, oldest first,
-running each match as a sweep does, so deliveries never nest, and stops
-delivering a leaf once a later growth has replaced it.
+so ``solve`` walks no rule to key it; a stratum that is one clause is one
+conjunct of shape 0.  Running joins assertion candidates into flat leaf maps
+over atom id tuples, one per predicate, each with a table per search
+signature (the argument positions a query finds constant or bound, whose
+atoms are the key it looks up) of the queries waiting under each key, with
+their compiled match and the environment they registered in, and for a
+partial signature a hash index.  A step holds the relations it uses, found
+by name when compiled.  A candidate at or below its leaf stops before the
+store, which refuses growth of a sealed rank.  Each strict growth is queued
+with its relation and the queries then waiting under its key in those
+tables.  One loop delivers the queue, oldest first, running each match as a
+sweep does, so deliveries never nest, and stops delivering a leaf once a
+later growth has replaced it.
 A positive query on a relation that holds no leaf when compiled and whose
 predicate is sealed or can never hold one (:class:`_Liveness`, found at most
 once per run, on first need) compiles to one shared no-op step, and what
@@ -52,26 +53,6 @@ from .ast import (And, Apply, Assert, Const, Exists, FnApp, Forall, Imply,
 
 
 # --- stores -------------------------------------------------------------------
-
-
-class AtomTable:
-    """Dense deterministic interning of universe atoms."""
-
-    def __init__(self, universe: tuple):
-        self._atoms = tuple(universe)
-        self._ids = {a: i for i, a in enumerate(self._atoms)}
-
-    def id(self, atom) -> int:
-        try:
-            return self._ids[atom]
-        except KeyError:
-            raise SolverInvariantError(f"atom {atom!r} is not in the universe") from None
-
-    def ids(self, atoms: tuple) -> tuple:
-        return tuple(self.id(a) for a in atoms)
-
-    def atoms(self, ids: tuple) -> tuple:
-        return tuple(self._atoms[i] for i in ids)
 
 
 class SolveStats(Record):
@@ -281,15 +262,15 @@ class _Compiler:
     environment and on a waiting query's stored one.
 
     Each distinct constant is read from a hole slot, which counts as bound.
-    ``holes`` maps ``(is atom, constant)`` to slots 0, 1, ... in advance;
-    constants it lacks get slots as they are met.  :meth:`env` fills them.
+    ``holes`` maps ``(is atom, constant)`` to slots 0, 1, ..., as
+    :func:`ast.validate` numbered them; the caller fills them.
     """
 
-    def __init__(self, engine: "_Engine", holes: Optional[dict] = None):
+    def __init__(self, engine: "_Engine", holes: dict):
         self.engine, self.lattice, self.universe = engine, engine.lattice, engine.program.universe
         self.atoms = range(len(self.universe))
-        self.holes = {} if holes is None else holes
-        self.size = len(self.holes)
+        self.holes = holes
+        self.size = len(holes)
         # id(parts) -> (parts, the names free in each parts[i:]); holding
         # parts keeps its id from being reused while the compiler lives
         self.suffix_names: dict = {}
@@ -300,17 +281,10 @@ class _Compiler:
         return s
 
     def hole(self, atom: bool, c) -> int:
-        s = self.holes.get((atom, c))
-        if s is None:
-            s = self.holes[atom, c] = self.slot()
-        return s
-
-    def env(self) -> list:
-        """A fresh environment whose hole slots hold their constants."""
-        env = [None] * self.size
-        for (atom, c), s in self.holes.items():
-            env[s] = self.engine.table.id(c) if atom else c
-        return env
+        try:
+            return self.holes[atom, c]
+        except KeyError:
+            raise SolverInvariantError(f"constant {c!r} has no hole") from None
 
     @staticmethod
     def lookup(scope: dict, name: str) -> int:
@@ -668,7 +642,6 @@ class _Engine:
                  store: Optional[ResultStore] = None):
         self.program = program
         self.lattice = program.lattice
-        self.table = AtomTable(program.universe)
         self.stats = stats
         self.store = store or ResultStore(self.lattice, program.arities, program.ranks, stats)
         self.pending: deque = deque()
@@ -715,16 +688,13 @@ class _Engine:
                 match(env, ids, leaf)
 
     def run_stratum(self, i: int) -> None:
-        """Run stratum i (from 0) of the program, each top-level conjunct on a
-        fresh environment.  A lone conjunct runs as :meth:`run_clause` runs
-        it; otherwise each shape that :func:`ast.validate` found is compiled
-        once, and each conjunct runs it with its own constants in the holes."""
-        cl, shapes = self.program.strata[i], self.program.shapes[i]
-        if shapes is None:
-            return self.run_clause(cl)
-        holes, shape_of, consts = shapes
+        """Run stratum i (from 0) of the program: each shape that
+        :func:`ast.validate` found is compiled once, and each top-level conjunct
+        runs it on a fresh environment with its own constants in the holes."""
+        cl, (holes, shape_of, consts) = self.program.strata[i], self.program.shapes[i]
         compiled: list = [None] * len(holes)
-        for conjunct, n, values in zip(cl.parts, shape_of, consts):
+        for conjunct, n, values in zip(cl.parts if type(cl) is And else (cl,),
+                                       shape_of, consts):
             if compiled[n] is None:
                 compiler = _Compiler(self, holes[n])
                 compiled[n] = (compiler.clause(conjunct, {}, frozenset()),
@@ -734,17 +704,12 @@ class _Engine:
                 step([*values, *free])
                 self._drain()
 
-    def run_clause(self, cl) -> None:
-        """Compile a clause into one step and run it on a fresh environment."""
-        compiler = _Compiler(self)
-        step = compiler.clause(cl, {}, frozenset())
-        if step is not None:
-            step(compiler.env())
-            self._drain()
-
     def run(self, facts) -> None:
-        for f in facts:
-            self.store.raise_leaf(self.store.relation(f.pred), self.table.ids(f.atoms), f.value)
+        if facts:  # an atom's id is its universe position
+            ids = {a: i for i, a in enumerate(self.program.universe)}
+            for f in facts:
+                self.store.raise_leaf(self.store.relation(f.pred),
+                                      tuple([ids[a] for a in f.atoms]), f.value)
         self.store.seal_up_to(0)
         for i in range(self.program.num_strata):
             self.run_stratum(i)
@@ -754,34 +719,34 @@ class _Engine:
 class SolveResult(Record):
     """Final store of a solve run plus instrumentation."""
 
-    __slots__ = ("program", "store", "table", "stats")
+    __slots__ = ("program", "store", "stats")
 
-    def __init__(self, program: Program, store: ResultStore, table: AtomTable,
-                 stats: SolveStats):
+    def __init__(self, program: Program, store: ResultStore, stats: SolveStats):
         self.program = program
         self.store = store
-        self.table = table
         self.stats = stats
 
     def leaves(self) -> dict:
         """{pred: {atom tuple: value}} with bottom leaves absent."""
+        universe = self.program.universe
         return {
-            pred: {self.table.atoms(ids): v for ids, v in leaves.items()}
+            pred: {tuple([universe[i] for i in ids]): v for ids, v in leaves.items()}
             for pred, leaves in self.store._relations.items()
         }
 
     def items(self) -> Iterator[tuple[str, tuple, Any]]:
         """(predicate, atom tuple, value), ordered by predicate name and
         interned tuple."""
+        universe = self.program.universe
         for pred in sorted(self.store._relations):
             for ids, v in sorted(self.store.relation(pred).items(), key=itemgetter(0)):
-                yield pred, self.table.atoms(ids), v
+                yield pred, tuple([universe[i] for i in ids]), v
 
     def dump_lines(self) -> list[str]:
         """Deterministic dump: predicate name order, interned tuple order.
         Each atom and each distinct leaf value is rendered once."""
         render = self.program.lattice.render
-        names = [render_atom(a) for a in self.table._atoms]
+        names = [render_atom(a) for a in self.program.universe]
         values: dict = {}
         lines = []
         for pred in sorted(self.store._relations):
@@ -804,4 +769,4 @@ def solve(program: Program) -> SolveResult:
     finally:
         engine.store.drop_tables()
         engine.pending.clear()
-    return SolveResult(program, engine.store, engine.table, stats)
+    return SolveResult(program, engine.store, stats)

@@ -1,5 +1,6 @@
 """Shared test utilities: independent brute-force oracles, an observer of
-solve runs, and fixtures.
+solve runs, a driver that compiles one clause outside a stratum, and
+fixtures.
 
 Everything here recomputes expected values from first principles (set
 denotations, exhaustive enumeration, representative integers, bounded
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
-from latlog import ast
+from latlog import ast, solver
 from latlog.analysis import Assign, BinOp, BoolTest, Operand, ProgramGraph
 from latlog.lattices import IntervalValue, sign_of
 from latlog.parser import parse_clauses
@@ -270,6 +271,46 @@ def recheck(result) -> SolveStats:
     engine = _Engine(program, SolveStats(), result.store)
     engine.run(program.facts)
     return engine.stats
+
+
+# --- compiling one clause outside a stratum -------------------------------------
+
+
+class FreshHoles(dict):
+    """A compiler's holes map for a clause that validation did not number:
+    each constant gets a slot of ``compiler`` when it is first met."""
+
+    compiler = None
+
+    def __missing__(self, key):
+        s = self[key] = self.compiler.slot()
+        return s
+
+
+def fresh_compiler(engine):
+    """A compiler whose holes are a :class:`FreshHoles` map."""
+    holes = FreshHoles()
+    holes.compiler = solver._Compiler(engine, holes)
+    return holes.compiler
+
+
+def env(compiler) -> list:
+    """A fresh environment whose hole slots hold their constants, an atom as
+    its universe position."""
+    universe, env = compiler.universe, [None] * compiler.size
+    for (atom, c), s in compiler.holes.items():
+        env[s] = universe.index(c) if atom else c
+    return env
+
+
+def run_clause(engine, cl) -> None:
+    """Compile a clause into one step and run it on a fresh environment, as
+    the engine runs a stratum's lone conjunct."""
+    compiler = fresh_compiler(engine)
+    step = compiler.clause(cl, {}, frozenset())
+    if step is not None:
+        step(env(compiler))
+        engine._drain()
 
 
 # --- misc -----------------------------------------------------------------------

@@ -180,10 +180,9 @@ def test_criterion_7_difference_propagation():
             engine.store.relation(pred).table(()).register(
                 (), (lambda env, ids, v: calls.append(ids), []))
             ids, leaf = next(iter(engine.store.sub(pred)))
-            engine.run_clause(
-                ast.Assert(pred, tuple(ast.Const(a) for a in
-                                       engine.table.atoms(ids)),
-                           ast.LitConst(leaf)))
+            helpers.run_clause(engine, ast.Assert(
+                pred, tuple(ast.Const(program.universe[i]) for i in ids),
+                ast.LitConst(leaf)))
             assert calls == [], "non-growing add reached a consumer"
 
 

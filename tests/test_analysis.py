@@ -93,6 +93,11 @@ def test_generator_rejects_colliding_names():
                             "q0 -> v_2 : skip\nv_2 -> q0 : skip")
     with pytest.raises(ValidationError, match="collides"):
         gen_sign_clauses(g)
+    # the graph parser takes these names, but the clause tokenizer does not
+    for text in ("initial q0\nstate qé\nvar x\nq0 -> qé : skip",
+                 "initial q0\nvar xé\nq0 -> q0 : xé := 1"):
+        with pytest.raises(ValidationError, match="cannot be used as a clause-file atom"):
+            gen_sign_clauses(parse_program_graph(text))
 
 
 @pytest.mark.parametrize("name", [*GRAPHS, "no-edges"])

@@ -111,6 +111,16 @@ def test_solve_missing_file_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["check"], ["compare"],
+                                     ["analyze", "--analysis", "signs"]])
+def test_non_utf8_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "b.lat"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path}: not UTF-8 text (invalid start byte at byte 0)"]
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["analyze", spath("loop.graph")]) == 2  # --analysis missing
     capsys.readouterr()

@@ -16,8 +16,7 @@ from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
 from latlog.errors import SolverInvariantError, StratificationError
 from latlog.lattices import powerset_lattice
 from latlog.parser import parse_clauses
-from latlog.solver import (AtomTable, ResultStore, SolveStats, Table,
-                           _Compiler, _Engine, solve)
+from latlog.solver import ResultStore, SolveStats, Table, _Compiler, _Engine, solve
 import latlog.oracle as oracle
 
 import helpers
@@ -36,30 +35,39 @@ def engine_for(text):
     return _Engine(program, SolveStats()), program
 
 
+def ids_of(solved, atoms):
+    """The atom ids, universe positions, of an engine or a result."""
+    return tuple(solved.program.universe.index(a) for a in atoms)
+
+
+def atoms_of(solved, ids):
+    return tuple(solved.program.universe[i] for i in ids)
+
+
 def compiled(engine, bindings, build):
     """Compile with the variables of ``bindings`` in scope, bound to the given
     atom or lattice value (None leaves one unbound).  ``build(compiler, scope,
     bound, record)`` returns the step; ``record`` is the continuation that
     appends the bindings it sees, {name: atom or value}, to the returned list.
-    The environment holds the constants in their hole slots, as a lone
-    conjunct's does in ``run_clause``."""
-    compiler = _Compiler(engine)
+    The environment holds the constants in their hole slots, which
+    :class:`helpers.FreshHoles` gives them as they are met."""
+    compiler = helpers.fresh_compiler(engine)
     scope = {n: compiler.slot(ast.is_lattice_var(n)) for n in bindings}
     seen = []
 
     def record(after):
         def k(env):
-            seen.append({n: env[s] if ast.is_lattice_var(n) else engine.table.atoms((env[s],))[0]
+            seen.append({n: env[s] if ast.is_lattice_var(n) else atoms_of(engine, (env[s],))[0]
                          for n, s in scope.items() if n in after})
         return k
     bound = frozenset(n for n, v in bindings.items() if v is not None)
     step = build(compiler, scope, bound, record)
-    env = compiler.env()
+    env = helpers.env(compiler)
     for n, v in bindings.items():
         if v is not None and ast.is_lattice_var(n):
             env[scope[n]], env[scope[n] + 1] = v, engine.lattice.bottom
         elif v is not None:
-            env[scope[n]] = engine.table.id(v)
+            env[scope[n]] = ids_of(engine, (v,))[0]
     return step, env, seen
 
 
@@ -78,7 +86,7 @@ def deliver(pre, bindings, atoms, l, text=RELS):
     step, env, seen = compiled(engine, bindings, lambda c, scope, bound, k:
                                c.pre(pre, scope, bound, None, k))
     step(env)  # registers the consumer; the store is empty, so nothing is swept
-    ids, relation = engine.table.ids(atoms), engine.store.relation(pre.pred)
+    ids, relation = ids_of(engine, atoms), engine.store.relation(pre.pred)
     leaf = engine.store.raise_leaf(relation, ids, l)
     if leaf is None:  # bottom never grows a leaf; store it as it is
         relation[ids] = l
@@ -93,7 +101,7 @@ def asserted(engine, cl, bindings):
     step, env, _ = compiled(engine, bindings, lambda c, scope, bound, k:
                             c.clause(cl, scope, bound))
     step(env)
-    return [(engine.table.atoms(ids), v) for ids, v in engine.store.sub(cl.pred)]
+    return [(atoms_of(engine, ids), v) for ids, v in engine.store.sub(cl.pred)]
 
 
 # --- tuple unification ------------------------------------------------------------
@@ -297,22 +305,25 @@ def test_compiled_assertion_cannot_grow_a_sealed_relation():
     # R is a base relation, rank 0: a compiled assertion fills it before
     # rank 0 is sealed, and afterwards may only assert what R already holds
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    engine.run_clause(Assert("R", (Const("a"),), LitConst(A)))
+    helpers.run_clause(engine, Assert("R", (Const("a"),), LitConst(A)))
     engine.store.seal_up_to(0)
     for atom, value in (("a", A), ("a", BOT), ("b", BOT)):  # at or below the leaf
-        engine.run_clause(Assert("R", (Const(atom),), LitConst(value)))
+        helpers.run_clause(engine, Assert("R", (Const(atom),), LitConst(value)))
     assert engine.stats.growths == 1 and engine.stats.candidates == 4
-    assert list(engine.store.sub("R")) == [(engine.table.ids(("a",)), A)]
+    assert list(engine.store.sub("R")) == [(ids_of(engine, ("a",)), A)]
     for atom, value in (("a", B), ("b", A)):
         with pytest.raises(SolverInvariantError, match="completed stratum 0"):
-            engine.run_clause(Assert("R", (Const(atom),), LitConst(value)))
-    assert list(engine.store.sub("R")) == [(engine.table.ids(("a",)), A)]
+            helpers.run_clause(engine, Assert("R", (Const(atom),), LitConst(value)))
+    assert list(engine.store.sub("R")) == [(ids_of(engine, ("a",)), A)]
 
 
-def test_atom_table_is_deterministic():
-    t = AtomTable(tuple(sorted(("b", "a", "c"))))
-    assert t.ids(("a", "b", "c")) == (0, 1, 2)
-    assert t.atoms((2, 0)) == ("c", "a")
+def test_atom_ids_are_universe_positions():
+    engine, _ = engine_for("lattice powerset {a}\nrel R/1\n"
+                           "fact R(c) = {a}\nfact R(a) = {a}\nfact R(b) = {a}\nclause 1")
+    assert ids_of(engine, ("a", "b", "c")) == (0, 1, 2)
+    assert atoms_of(engine, (2, 0)) == ("c", "a")
+    engine.run(engine.program.facts)  # facts load in order, each at its atoms' positions
+    assert list(engine.store.relation("R")) == [(2,), (0,), (1,)]
 
 
 # --- consumers ------------------------------------------------------------------------
@@ -377,10 +388,10 @@ def test_non_growing_add_triggers_no_consumers():
     calls = []
     engine.store.relation("E").table(()).register(
         (), (lambda env, ids, v: calls.append(ids), []))
-    ids = engine.table.ids(("a",))
+    ids = ids_of(engine, ("a",))
     assert has(engine.store, "E", ids, frozenset("a"))
     # a compiled assertion skips non-growing candidates before broadcasting
-    engine.run_clause(ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))))
+    helpers.run_clause(engine, ast.Assert("E", (Const("a"),), LitConst(frozenset("a"))))
     assert calls == []
 
 
@@ -389,23 +400,23 @@ def test_non_growing_add_triggers_no_consumers():
 
 def test_execute_assert_constant_top():
     engine, _ = engine_for("lattice powerset {q0,v}\nrel A/2\nclause 1")
-    engine.run_clause(ast.Assert("A", (Const("q0"), Const("v")),
-                                 LitConst(engine.lattice.top)))
-    assert engine.store.relation("A").get(engine.table.ids(("q0", "v"))) == \
+    helpers.run_clause(engine, ast.Assert("A", (Const("q0"), Const("v")),
+                                          LitConst(engine.lattice.top)))
+    assert engine.store.relation("A").get(ids_of(engine, ("q0", "v"))) == \
         engine.lattice.top
 
 
 def test_execute_unit_is_noop():
     engine, _ = engine_for("lattice powerset {a}\nrel R/1\nclause 1")
-    engine.run_clause(ast.TrueClause())
+    helpers.run_clause(engine, ast.TrueClause())
     assert list(engine.store.sub("R")) == []
     assert engine.stats.growths == 0
 
 
 def test_execute_forall_described_atoms():
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
-    engine.run_clause(Forall("x", Assert("R", (Var("x"),), Repr(Var("x")))))
-    leaves = {engine.table.atoms(ids): v for ids, v in engine.store.sub("R")}
+    helpers.run_clause(engine, Forall("x", Assert("R", (Var("x"),), Repr(Var("x")))))
+    leaves = {atoms_of(engine, ids): v for ids, v in engine.store.sub("R")}
     assert leaves == {("a",): frozenset("a"), ("b",): frozenset("b")}
 
 
@@ -586,7 +597,7 @@ def test_recheck_rejects_a_leaf_below_the_model():
         "lattice powerset {a,b}\nrel E/2\nfact E(c,d) = {a,b}\n"
         "clause forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y)")
     assert helpers.recheck(result).sweep_invocations == 1
-    result.store.relation("T")[result.table.ids(("c", "d"))] = A
+    result.store.relation("T")[ids_of(result, ("c", "d"))] = A
     with pytest.raises(SolverInvariantError, match="after sealing"):
         helpers.recheck(result)
 
@@ -775,10 +786,10 @@ def test_env_rejects_out_of_scope_lookup():
     # leaf compiles to nothing and looks up no variable
     engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nfact R(a) = {a}\nclause 1")
     with pytest.raises(SolverInvariantError, match="not in scope"):
-        engine.run_clause(Assert("R", (Var("x"),), LitConst(frozenset("a"))))
+        helpers.run_clause(engine, Assert("R", (Var("x"),), LitConst(frozenset("a"))))
     with pytest.raises(SolverInvariantError, match="not in scope"):
-        engine.run_clause(Imply(Query("R", (Var("x"),), LitConst(frozenset("a"))),
-                                TrueClause()))
+        helpers.run_clause(engine, Imply(Query("R", (Var("x"),), LitConst(frozenset("a"))),
+                                         TrueClause()))
 
 
 def test_zero_arity_predicate_end_to_end():
@@ -856,21 +867,54 @@ def test_solve_validates_an_unvalidated_program(build):
 
 def test_shape_constants_are_the_engines_atom_ids():
     # validation stores each atom constant as its universe position, which
-    # is the id the engine's atom table gives it
+    # is the engine's id for it; a lone conjunct is shape 0 of its stratum
     program = validate(parse_clauses(
-        "lattice powerset {a,b,c}\nclause R(c;[b]) & R(a;{c}) & R(a;[c]) & R(b;[b])"))
+        "lattice powerset {a,b,c}\nclause R(c;[b]) & R(a;{c}) & R(a;[c]) & R(b;[b])\n"
+        "clause forall 'Y. R(b;'Y) => S(c,a;{c})"))
     holes, shape_of, consts = program.shapes[0]
-    table = _Engine(program, SolveStats()).table
     assert shape_of == (0, 1, 0, 2)
     assert consts == ((2, 1), (0, frozenset("c")), (0, 2), (1,))
     assert [dict(h) for h in holes] == [{(True, "c"): 0, (True, "b"): 1},
                                         {(True, "a"): 0, (False, frozenset("c")): 1},
                                         {(True, "b"): 0}]
-    for n, shape_holes in enumerate(holes):  # kept for each shape's first conjunct
-        first = consts[shape_of.index(n)]
-        for (atom, c), slot in shape_holes.items():
-            assert first[slot] == (table.id(c) if atom else c)
-    assert [table.id(a) for a in program.universe] == [0, 1, 2]
+    assert program.shapes[1] == (({(True, "b"): 0, (True, "c"): 1, (True, "a"): 2,
+                                   (False, frozenset("c")): 3},),
+                                 (0,), ((1, 2, 0, frozenset("c")),))
+    for holes, shape_of, consts in program.shapes:
+        for n, shape_holes in enumerate(holes):  # kept for each shape's first conjunct
+            first = consts[shape_of.index(n)]
+            for (atom, c), slot in shape_holes.items():
+                assert first[slot] == (program.universe.index(c) if atom else c)
+    assert program.universe == ("a", "b", "c")
+
+
+def test_a_constant_without_a_hole_is_refused():
+    engine, _ = engine_for("lattice powerset {a,b}\nrel R/1\nclause 1")
+    compiler = _Compiler(engine, {(True, "a"): 0})
+    for cl in (Assert("R", (Const("b"),), LitConst(A)),  # an atom, then a literal
+               Assert("R", (Const("a"),), LitConst(A))):
+        with pytest.raises(SolverInvariantError, match="has no hole"):
+            compiler.clause(cl, {}, frozenset())
+
+
+def test_every_validated_stratum_has_its_shapes():
+    from latlog.randgen import random_program
+    programs = [parse_clauses(path.read_text())
+                for path in sorted(helpers.SAMPLES.glob("*.lat"))
+                if path.name != "nonstratified.lat"]
+    programs += [analysis_program(parse_program_graph(path.read_text()), which)
+                 for path in sorted(helpers.SAMPLES.glob("*.graph"))
+                 for which in ("signs", "intervals")]
+    programs = [validate(p) for p in programs] + [random_program(s) for s in range(1000)]
+    for program in programs:
+        assert len(program.shapes) == program.num_strata
+        for cl, (holes, shape_of, consts) in zip(program.strata, program.shapes):
+            parts = cl.parts if type(cl) is ast.And else (cl,)
+            assert len(shape_of) == len(consts) == len(parts)
+            firsts = [n for j, n in enumerate(shape_of) if n not in shape_of[:j]]
+            assert firsts == list(range(len(holes)))  # numbered as first met
+            for n, values in zip(shape_of, consts):
+                assert len(values) == len(holes[n])
 
 
 def test_solve_validates_strata_swapped_into_a_validated_program():
@@ -1025,7 +1069,7 @@ def test_audit_catches_write_into_sealed_rank():
         program, result = helpers.run_pipeline(helpers.sample("eq_neq.lat"))
     assert helpers.stratum_isolation_holds(seen, result)
     # past raise_leaf, which would refuse the growth
-    result.store.relation("E")[result.table.ids(("a",))] = AB
+    result.store.relation("E")[ids_of(result, ("a",))] = AB
     assert not helpers.stratum_isolation_holds(seen, result)
 
 
