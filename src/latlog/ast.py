@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional, Union
 
 from .errors import StratificationError, ValidationError
-from .lattices import Atom, FunctionRegistry, Lattice, atom_sort_key
+from .lattices import Atom, FunctionRegistry, Lattice, sort_atoms
 from .records import Frozen, replace, set_field
 
 # --- terms ------------------------------------------------------------------
@@ -611,4 +611,4 @@ def reorder_preconditions(program: Program) -> Program:
 
 def universe_of(atoms) -> tuple:
     """The atoms a program's producer recorded, in the universe's one order."""
-    return tuple(sorted(atoms, key=atom_sort_key))
+    return tuple(sort_atoms(atoms))

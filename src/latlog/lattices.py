@@ -21,9 +21,12 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-def atom_sort_key(a: Atom):
-    """Deterministic ordering across mixed int/str atoms (ints first)."""
-    return (0, a, "") if isinstance(a, int) else (1, 0, str(a))
+def sort_atoms(atoms) -> list:
+    """Atoms in one deterministic order: integers by value, then names."""
+    try:
+        return sorted(atoms)  # atoms of one kind need no key
+    except TypeError:
+        return sorted(atoms, key=lambda a: (0, a, "") if isinstance(a, int) else (1, 0, str(a)))
 
 
 def render_atom(a: Atom) -> str:
@@ -232,7 +235,7 @@ def _build_set_lattice(kind: str, carrier: tuple,
 
 def powerset_lattice(universe) -> Lattice:
     """Subset lattice over a finite atom set; an atom is described by its singleton."""
-    carrier = tuple(sorted(set(universe), key=atom_sort_key))
+    carrier = tuple(sort_atoms(set(universe)))
     if not carrier:
         raise LatticeError("powerset lattice needs a non-empty universe")
 

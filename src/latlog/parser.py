@@ -14,7 +14,10 @@ character gives its kind: ``'`` a lattice variable, an ASCII letter or ``_``
 an identifier, a digit (as ``\\d`` reads one: ``str.isdecimal``) an integer,
 anything else punctuation.  An integer's value is read where the parser
 needs it, and a position only when an error is reported.  The parser builds
-AST nodes in one pass.  Whether an operand is read as a clause or as a
+AST nodes in one pass.  A production reads the tokens by index and compares
+its fixed punctuation in place; a lexeme that does not fit is handed, at its
+index, to :meth:`Parser.expect` or to the general production for it, which
+reports the fault.  Whether an operand is read as a clause or as a
 precondition is decided when it starts: in clause position, a chain followed
 by ``=>`` at its own bracket depth is the precondition of an implication,
 and a lookahead over the tokens finds that ``=>``.  Faults are reported in
@@ -86,9 +89,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-# lexemes that open or close a group, and that end a clause item
+# lexemes that open or close a group, that end a clause item, and that the
+# lookahead for ``=>`` looks at
 _OPEN, _CLOSE = frozenset("([{"), frozenset(")]}")
 _ITEM_END = frozenset({"rel", "fun", "fact", "clause", ""})
+_SCANNED = _OPEN | _CLOSE | _ITEM_END | {"=>", ","}
 
 
 class Parser:
@@ -106,40 +111,27 @@ class Parser:
         self.facts: list[ast.Fact] = []
         self.strata: list = []
         self.atoms: set = set()
-        # surface name -> internal name of the innermost binder in scope,
-        # None once that binder's scope has closed
-        self.scope: dict[str, Optional[str]] = {}
+        self.values: dict = {}
+        # surface name -> Var or YVar of the innermost binder in scope, None
+        # once that binder's scope has closed
+        self.scope: dict[str, Optional[ast.Var | ast.YVar]] = {}
         self.used_names: set[str] = set()
         self.next_suffix: dict[str, int] = {}
 
-    # -- token plumbing
-
-    def peek(self, ahead: int = 0) -> str:
-        if ahead:
-            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
-
-    def advance(self) -> str:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def at(self, value: str) -> bool:
-        return self.tokens[self.pos] == value
-
-    def eat(self, value: str) -> bool:
-        if self.tokens[self.pos] == value:
-            self.pos += 1
-            return True
-        return False
+    # -- token plumbing: productions read ``self.tokens`` at ``self.pos`` in
+    # place, and call these where a lexeme needs a check that can fail
 
     def expect(self, value: str):
-        if not self.eat(value):
+        if self.tokens[self.pos] != value:
             self.expected(repr(value))
+        self.pos += 1
 
     def expect_ident(self) -> str:
-        if not self.tokens[self.pos].isidentifier():
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
             self.expected("ident")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def int_at(self, index: int) -> int:
         return read_int(self.tokens[index], lambda: _line_col(self.text, index))
@@ -167,15 +159,16 @@ class Parser:
         if extra_functions:
             for (name, arity), fn in extra_functions.items():
                 self.registry.register(name, arity, fn)
-        while self.peek():
-            if self.at("rel"):
-                self._parse_rel_decl()
-            elif self.at("fun"):
-                self._parse_fun_decl()
-            elif self.eat("fact"):
+        while tok := self.tokens[self.pos]:
+            if tok == "fact":
+                self.pos += 1
                 self._parse_fact()
-            elif self.at("clause"):
+            elif tok == "clause":
                 self._parse_clause_item()
+            elif tok == "rel":
+                self._parse_rel_decl()
+            elif tok == "fun":
+                self._parse_fun_decl()
             else:
                 self.expected("rel/fun/fact/clause")
         return ast.Program(
@@ -190,17 +183,18 @@ class Parser:
 
     def _parse_lattice_decl(self):
         self.expect("lattice")
-        start = self.pos
-        if self.eat("powerset"):
+        start, kind = self.pos, self.tokens[self.pos]
+        self.pos += 1
+        if kind == "powerset":
             self.expect("{")
             atoms = self._parse_list(self._parse_atom_token, "}")
             if not atoms:
                 self.err("powerset universe must not be empty", start)
             self.lattice = powerset_lattice(atoms)
             self.atoms.update(atoms)
-        elif self.eat("signs"):
+        elif kind == "signs":
             self.lattice = sign_lattice()
-        elif self.eat("interval"):
+        elif kind == "interval":
             self.expect("zmin")
             self.expect("=")
             zmin = self._parse_signed_int()
@@ -215,39 +209,51 @@ class Parser:
         self.registry = standard_registry(self.lattice)
 
     def _parse_signed_int(self) -> int:
-        sign = -1 if self.eat("-") else 1
-        return sign * self.expect_int()
+        negative = self.tokens[self.pos] == "-"
+        self.pos += negative
+        return -self.expect_int() if negative else self.expect_int()
 
-    def _parse_list(self, item, *close) -> list:
+    def _parse_list(self, item, *close, plain=()) -> list:
         """Comma-separated ``item``s up to the first of the ``close`` tokens,
-        which is then expected; one trailing comma is accepted."""
-        items = []
-        while self.tokens[self.pos] not in close:
-            items.append(item())
-            if not self.eat(","):
+        which is then expected; one trailing comma is accepted.  A lexeme in
+        ``plain`` is read in place as its own item."""
+        tokens, items = self.tokens, []
+        while (tok := tokens[self.pos]) not in close:
+            if tok in plain:
+                items.append(tok)
+                self.pos += 1
+            else:
+                items.append(item())
+            if tokens[self.pos] != ",":
                 break
-        self.expect(close[0])
+            self.pos += 1
+        if tokens[self.pos] != close[0]:
+            self.expected(repr(close[0]))
+        self.pos += 1
         return items
 
     def _parse_atom_token(self):
-        start, tok = self.pos, self.peek()
+        start, tok = self.pos, self.tokens[self.pos]
         if tok.isdecimal() or tok == "-":
             return self._parse_signed_int()
         if tok.isidentifier():
-            name = self.advance()
-            if name in _RESERVED:
-                self.err(f"{name!r} is reserved and cannot name an atom", start)
-            if not name[0].islower():
-                self.err(f"unknown atom {name!r} (atoms are lowercase identifiers "
+            self.pos += 1
+            if tok in _RESERVED:
+                self.err(f"{tok!r} is reserved and cannot name an atom", start)
+            if not tok[0].islower():
+                self.err(f"unknown atom {tok!r} (atoms are lowercase identifiers "
                          "or integers)", start)
-            return name
+            return tok
         self.expected("an atom")
 
     def _parse_rel_decl(self):
-        self.expect("rel")
-        start = self.pos
-        name = self.expect_ident()
-        self.expect("/")
+        start, tokens = self.pos + 1, self.tokens
+        name = tokens[start]
+        if not (name.isidentifier() and tokens[start + 1] == "/"):
+            self.pos = start
+            self.expect_ident()
+            self.expect("/")
+        self.pos = start + 2
         self._note_arity(name, self.expect_int(), start)
 
     def _parse_fun_decl(self):
@@ -261,24 +267,28 @@ class Parser:
         self.declared_funs.append((name, arity))
 
     def _parse_fact(self):
-        """``P(a1, ..., an) = l``, the text after the ``fact`` keyword."""
-        start = self.pos
-        pred = self.expect_ident()
-        self.expect("(")
-        atoms = self._parse_list(self._parse_atom_token, ")")
+        """``P(a1, ..., an) = l``, the text after the ``fact`` keyword; an atom
+        already recorded is read in place."""
+        start, tokens = self.pos, self.tokens
+        pred = tokens[start]
+        if not (pred.isidentifier() and tokens[start + 1] == "("):
+            self.expect_ident()
+            self.expect("(")
+        self.pos = start + 2
+        atoms = self._parse_list(self._parse_atom_token, ")", plain=self.atoms)
         self._note_arity(pred, len(atoms), start)
         self.atoms.update(atoms)
         self.expect("=")
-        value = self._parse_lconst()
-        self.facts.append(ast.Fact(pred, tuple(atoms), value))
+        self.facts.append(ast.Fact(pred, tuple(atoms), self._parse_lconst()))
 
     def _parse_clause_item(self):
-        self.expect("clause")
+        self.pos += 1
         while True:
             self.used_names, self.next_suffix = set(), {}
             self.strata.append(self._parse_quantified(True))
-            if not self.eat(","):
+            if self.tokens[self.pos] != ",":
                 break
+            self.pos += 1
 
     # -- arity bookkeeping
 
@@ -307,7 +317,7 @@ class Parser:
             internal = f"{surface}_{n}"
         self.next_suffix[surface] = n + 1
         self.used_names.add(internal)
-        self.scope[surface] = internal
+        self.scope[surface] = (ast.YVar if surface[0] == "'" else ast.Var)(internal)
         return internal
 
     @cached_property
@@ -315,9 +325,10 @@ class Parser:
         """Every lexeme of the file, collected when a suffix is first tried."""
         return set(self.tokens)
 
-    def _bound_yvar(self) -> str:
-        """Internal name of the lattice variable token read next."""
-        tok = self.advance()
+    def _bound_yvar(self) -> ast.YVar:
+        """The lattice variable token read next, as bound."""
+        tok = self.tokens[self.pos]
+        self.pos += 1
         bound = self.scope.get(tok)
         if bound is None:
             self.err(f"unbound lattice variable {tok}", self.pos - 1)
@@ -326,25 +337,25 @@ class Parser:
     # -- terms and lattice terms
 
     def _parse_term(self):
-        start, tok = self.pos, self.peek()
+        start, tok = self.pos, self.tokens[self.pos]
         if tok.isdecimal() or tok == "-":
             atom = self._parse_signed_int()
             self._check_powerset_atom(atom, start)
             self.atoms.add(atom)
             return ast.Const(atom)
         if tok.isidentifier():
-            name = self.advance()
-            bound = self.scope.get(name)
+            self.pos += 1
+            bound = self.scope.get(tok)
             if bound is not None:
-                return ast.Var(bound)
-            if name in _RESERVED:
-                self.err(f"{name!r} is reserved", start)
-            if not name[0].islower():
-                self.err(f"unbound identifier {name!r} used as a constant "
+                return bound
+            if tok in _RESERVED:
+                self.err(f"{tok!r} is reserved", start)
+            if not tok[0].islower():
+                self.err(f"unbound identifier {tok!r} used as a constant "
                          "(constants are lowercase)", start)
-            self._check_powerset_atom(name, start)
-            self.atoms.add(name)
-            return ast.Const(name)
+            self._check_powerset_atom(tok, start)
+            self.atoms.add(tok)
+            return ast.Const(tok)
         self.expected("a term")
 
     def _check_powerset_atom(self, atom, start: int):
@@ -353,50 +364,45 @@ class Parser:
             self.err(f"unknown atom {atom!r} (not in the powerset universe)", start)
 
     def _parse_lconst(self):
-        if self.eat("top"):
-            return self.lattice.top
-        if self.eat("bot"):
-            return self.lattice.bottom
-        if self.at("{"):
-            return self._parse_set_literal()
-        if self.at("["):
+        """A lattice constant; equal set literals give one shared value."""
+        tok = self.tokens[self.pos]
+        if tok == "top" or tok == "bot":
+            self.pos += 1
+            return self.lattice.top if tok == "top" else self.lattice.bottom
+        if tok == "{":
+            self.pos += 1
+            if self.lattice.kind not in ("powerset", "signs"):
+                self.err("set literals require a powerset or signs lattice", self.pos - 1)
+            # a sign, or a powerset atom that is a name, is its own lexeme
+            value = frozenset(self._parse_list(self._parse_set_element, "}",
+                                               plain=self.lattice.top))
+            return self.values.setdefault(value, value)
+        if tok == "[":
             return self._parse_interval_literal()
         self.expected("a lattice constant")
 
-    def _parse_set_literal(self):
-        self.expect("{")
-        if self.lattice.kind not in ("powerset", "signs"):
-            self.err("set literals require a powerset or signs lattice", self.pos - 1)
-        return frozenset(self._parse_list(self._parse_set_element, "}"))
-
     def _parse_set_element(self):
-        start, tok = self.pos, self.peek()
+        start, tok = self.pos, self.tokens[self.pos]
         if self.lattice.kind == "signs":
-            if self.eat("-"):
-                return "-"
-            if self.eat("+"):
-                return "+"
-            if tok.isdecimal() and self.int_at(self.pos) == 0:
-                self.advance()
-                return "0"
+            if tok == "-" or tok == "+" or tok.isdecimal() and self.int_at(start) == 0:
+                self.pos += 1
+                return tok if tok in "-+" else "0"
             self.expected("a sign (-, 0, +)")
         atom = self._parse_atom_token()
         self._check_powerset_atom(atom, start)
         return atom
 
     def _parse_interval_endpoint(self):
-        tok = self.peek()
-        if self.eat("inf"):
-            return POS_INF
-        if tok == "-" and self.peek(1) == "inf":
-            self.pos += 2
-            return NEG_INF
+        tok = self.tokens[self.pos]
+        if tok == "inf" or tok == "-" and self.tokens[self.pos + 1] == "inf":
+            self.pos += 1 if tok == "inf" else 2
+            return POS_INF if tok == "inf" else NEG_INF
         if tok.isdecimal() or tok == "-":
             return self._parse_signed_int()
         self.expected("an interval endpoint")
 
     def _parse_interval_literal(self):
-        self.expect("[")
+        self.pos += 1
         if self.lattice.kind != "interval":
             self.err("interval literals require an interval lattice", self.pos - 1)
         lo = self._parse_interval_endpoint()
@@ -407,29 +413,29 @@ class Parser:
 
     def _parse_value(self):
         """A lattice term in query/assert position (FnApp legality checked later)."""
-        start, tok = self.pos, self.peek()
+        start, tokens = self.pos, self.tokens
+        tok = tokens[start]
         if tok[:1] == "'":
-            return ast.YVar(self._bound_yvar())
+            return self._bound_yvar()
         if tok == "[":
             # an interval literal starts with inf, -inf, or a signed integer
             # and a comma; any other bracketed term is a description
-            i = 2 if self.peek(1) == "-" else 1
-            first = self.peek(i)
-            if first == "inf" or (first.isdecimal() and self.peek(i + 1) == ","):
+            i = start + 2 if tokens[start + 1] == "-" else start + 1
+            if tokens[i] == "inf" or (tokens[i].isdecimal() and tokens[i + 1] == ","):
                 return ast.LitConst(self._parse_interval_literal())
-            self.advance()
+            self.pos += 1
             term = self._parse_term()
             self.expect("]")
             return ast.Repr(term)
         if tok == "{" or tok == "top" or tok == "bot":
             return ast.LitConst(self._parse_lconst())
         if tok.isidentifier():
-            name = self.advance()
+            self.pos += 1
             self.expect("(")
             args = self._parse_list(self._parse_value, ")")
-            if not self.registry.has(name, len(args)):
-                self.err(f"unknown function symbol {name}/{len(args)}", start)
-            return ast.FnApp(name, tuple(args))
+            if not self.registry.has(tok, len(args)):
+                self.err(f"unknown function symbol {tok}/{len(args)}", start)
+            return ast.FnApp(tok, tuple(args))
         self.expected("a lattice term")
 
     # -- clauses and preconditions: ``clause`` tells the position being read
@@ -438,90 +444,97 @@ class Parser:
         """Whether ``=>`` comes next at the current bracket depth, before the
         group's closing bracket, a ``,`` at depth 0, an item keyword or the
         end: that is, whether the chain starting here is a precondition."""
-        tokens, i, depth = self.tokens, self.pos, 0
-        while True:
-            tok = tokens[i]
+        depth = 0
+        for tok in islice(self.tokens, self.pos, None):
+            if tok not in _SCANNED:
+                continue
             if tok in _OPEN:
                 depth += 1
             elif tok in _CLOSE:
                 if not depth:
                     return False
                 depth -= 1
-            elif not depth and tok == "=>":
-                return True
-            elif tok in _ITEM_END or not depth and tok == ",":
-                return False
-            i += 1
+            elif tok in _ITEM_END or not depth:
+                return tok == "=>"
 
     def _parse_quantified(self, clause: bool):
-        if self.at("forall") or self.at("exists"):
+        if self.tokens[self.pos] in ("forall", "exists"):
             return self._parse_binder_body(clause, top=True)
         if clause and self._implies_ahead():
             pre = self._parse_or(False)
             self.expect("=>")
             return ast.Imply(pre, self._parse_quantified(True))
         node = self._parse_or(clause)
-        if not clause and self.at("=>"):
+        if not clause and self.tokens[self.pos] == "=>":
             self.err("'=>' is not allowed inside preconditions", self.pos)
         return node
 
     def _parse_binder_body(self, clause: bool, top: bool):
         """``forall`` binds in clause position and ``exists`` in preconditions;
         a binder inside a chain (not ``top``) scopes over one or-chain."""
-        if (self.advance() == "forall") != clause:
+        start = self.pos + 1
+        if (self.tokens[start - 1] == "forall") != clause:
             self.err("exists is not allowed in clause position" if clause
-                     else "forall is not allowed in preconditions", self.pos - 1)
-        start = self.pos
-        name = self.advance() if self.peek()[:1] == "'" else self.expect_ident()
+                     else "forall is not allowed in preconditions", start - 1)
+        self.pos = start
+        name = self.tokens[start] if self.tokens[start][:1] == "'" else self.expect_ident()
         outer = self.scope.get(name)
         var = self._bind(name, start)
+        self.pos = start + 1
         self.expect(".")
         body = self._parse_quantified(clause) if top else self._parse_or(clause)
         self.scope[name] = outer
         return (ast.Forall if clause else ast.Exists)(var, body)
 
     # A chain ``a op b op c`` is one node; a first operand that is a
-    # parenthesized chain of the same operator contributes its parts.
+    # parenthesized chain of the same operator contributes its parts.  An
+    # operand that no operator follows passes through no chain frame.
 
     def _parse_or(self, clause: bool):
-        node = self._parse_and(clause)
-        if not self.at("|"):
+        tokens = self.tokens
+        node = self._parse_unit(clause)
+        if tokens[self.pos] == "&":
+            node = self._parse_and(node, clause)
+        if tokens[self.pos] != "|":
             return node
         parts = list(node.parts) if isinstance(node, ast.PreOr) else [node]
-        while self.at("|"):
+        while tokens[self.pos] == "|":
             start = self.pos
-            self.advance()
-            parts.append(self._parse_and(False))
+            self.pos += 1
+            part = self._parse_unit(False)
+            parts.append(self._parse_and(part, False) if tokens[self.pos] == "&" else part)
         if clause:
             self.err("disjunction is only allowed in preconditions", start)
         return ast.PreOr(tuple(parts))
 
-    def _parse_and(self, clause: bool):
-        node = self._parse_unit(clause)
-        if not self.at("&"):
-            return node
+    def _parse_and(self, node, clause: bool):
+        """The and-chain whose first operand, ``node``, was just read."""
         parts = list(node.parts) if isinstance(node, ast.And) else [node]
-        while self.eat("&"):
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self._parse_unit(clause))
         return ast.And(tuple(parts))
 
     def _parse_unit(self, clause: bool):
-        start, tok = self.pos, self.peek()
-        if self.eat("("):
+        start, tok = self.pos, self.tokens[self.pos]
+        if tok == "(":
+            self.pos += 1
             node = self._parse_quantified(clause)
             self.expect(")")
             return node
         if tok == "forall" or tok == "exists":
             return self._parse_binder_body(clause, top=False)
+        if tok.isidentifier():
+            return self._parse_rel_atom(clause, neg=False, start=start)
         if tok == "!":
             if clause:
                 self.err("a negated query cannot be asserted", start)
-            self.advance()
+            self.pos += 1
             return self._parse_rel_atom(False, neg=True, start=start)
-        if tok.isdecimal() and self.int_at(self.pos) == 1:
+        if tok.isdecimal() and self.int_at(start) == 1:
             if not clause:
                 self.err("'1' is a clause, not a precondition", start)
-            self.advance()
+            self.pos += 1
             return ast.TrueClause()
         if tok[:1] == "'":
             bound = self._bound_yvar()
@@ -531,18 +544,25 @@ class Parser:
             self.expect("(")
             term = self._parse_term()
             self.expect(")")
-            return ast.Apply(bound, term)
-        if tok.isidentifier():
-            return self._parse_rel_atom(clause, neg=False, start=start)
+            return ast.Apply(bound.name, term)
         self.expected("a clause or precondition")
 
     def _parse_rel_atom(self, clause: bool, neg: bool, start: int):
-        pred = self.expect_ident()
-        self.expect("(")
+        """``P(t1, ..., tn; v)``; :meth:`_note_arity` runs only to report a fault."""
+        i, tokens = self.pos, self.tokens
+        pred = tokens[i]
+        if not (pred.isidentifier() and tokens[i + 1] == "("):
+            self.expect_ident()
+            self.expect("(")
+        self.pos = i + 2
         args = self._parse_list(self._parse_term, ";", ")")
         value = self._parse_value()
-        self.expect(")")
-        self._note_arity(pred, len(args), start)
+        if tokens[self.pos] != ")":
+            self.expected("')'")
+        self.pos += 1
+        n = len(args)
+        if pred in _RESERVED or self.arities.setdefault(pred, n) != n:
+            self._note_arity(pred, n, start)
         if clause:
             return ast.Assert(pred, tuple(args), value)
         if isinstance(value, ast.FnApp):
@@ -563,8 +583,7 @@ def parse_fact(text: str, program: ast.Program) -> ast.Fact:
     parser.registry = program.registry
     parser.arities = dict(program.arities)
     parser._parse_fact()
-    tok = parser.peek()
-    if tok:
+    if parser.tokens[parser.pos]:
         parser.err(f"unexpected trailing input {parser._show(parser.pos)}", parser.pos)
     return parser.facts[0]
 

@@ -754,7 +754,7 @@ class SolveResult(Record):
                 text = values.get(v)
                 if text is None:
                     text = values[v] = render(v)
-                lines.append(f"{pred}({','.join([names[i] for i in ids])}) = {text}")
+                lines.append(f"{pred}({','.join(map(names.__getitem__, ids))}) = {text}")
         return lines
 
 

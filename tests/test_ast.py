@@ -1,6 +1,10 @@
 """Parsing, pretty-printing, well-formedness, stratification, reordering."""
 
 import gc
+import hashlib
+import random
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -16,6 +20,7 @@ from latlog.parser import parse_clauses, parse_fact, pretty, tokenize
 from latlog.randgen import random_program
 
 import helpers
+from test_robustness import _CLAUSE_VOCAB, _mutate, _without_comments
 
 
 def powerset_program(strata, facts=(), atoms=("a", "b"), arities=None):
@@ -322,6 +327,94 @@ def test_parse_fact_override_text():
     assert fact == ast.Fact("R", ("a", "b"), frozenset("a"))
     with pytest.raises(ParseError, match="arity mismatch"):
         parse_fact("R(a) = {a}", program)
+
+
+def _parse_outcome(parse, text, *args):
+    try:
+        return parse(text, *args)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+def _digest(outcomes) -> str:
+    return hashlib.sha256("".join(f"{o!r}\n" for o in outcomes).encode()).hexdigest()
+
+
+def _mutants(texts, count, seed):
+    token_lists = [re.findall(r"'?\w+|=>|:=|->|\S", _without_comments(text))
+                   for text in texts]
+    rng = random.Random(seed)
+    return [" ".join(_mutate(rng, tokens, _CLAUSE_VOCAB))
+            for tokens in token_lists for _ in range(count)]
+
+
+def test_parse_outcomes_are_pinned():
+    # every program's text and universe, or every error's message and
+    # position, over the samples, random programs and their mutants
+    texts = [helpers.sample(p.name) for p in sorted(helpers.SAMPLES.glob("*.lat"))]
+    texts += [pretty(random_program(seed, set_fragment=fragment))
+              for seed in range(300) for fragment in (False, True)]
+    texts += _mutants(texts, 4, 2029)
+    assert len(texts) == 3030
+
+    def outcome(text):
+        program = _parse_outcome(parse_clauses, text)
+        if isinstance(program, tuple):
+            return program
+        return pretty(program), program.universe
+
+    assert _digest(map(outcome, texts)) == "45e8701e94d2f2019a5be31d3169b039c064737b6193ccc1540d062ce0087c9f"
+
+
+def test_parse_fact_outcomes_are_pinned():
+    programs = [parse_clauses(text) for text in (
+        helpers.sample("facts_only.lat"),
+        "lattice signs\nrel E/2",
+        "lattice interval zmin=-3 zmax=3\nrel R/1",
+    )]
+    facts = (["R(a,b) = {a}", "R(c,a) = top", "R(b,b) = bot"],
+             ["E(n0,n1) = {+}", "E(x,y) = {-,0}", "E(0,-1) = top"],
+             ["R(a) = [-1,inf]", "R(-2) = [-inf,3]", "R(b) = bot"])
+    outcomes = []
+    for program, texts in zip(programs, facts):
+        for text in texts + _mutants(texts, 22, 2030):
+            fact = _parse_outcome(parse_fact, text, program)
+            if isinstance(fact, ast.Fact):
+                fact = fact.pred, fact.atoms, program.lattice.render(fact.value)
+            outcomes.append(fact)
+    assert len(outcomes) == 207
+    assert _digest(outcomes) == "11319cada2b1ef93eeaa3daae0426780d4c9511beefad1a45df96d1032088b2e"
+
+
+def _calls(fn, *args) -> int:
+    """Python function calls made by ``fn(*args)``, as a profiler sees them."""
+    count, previous = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_parsing_costs_a_few_calls_per_fact_and_per_token():
+    # a count, not a timing, so it holds on any machine; a method call per
+    # lexeme read makes about 40 calls per fact and 4.6 per token
+    n = 2000
+    chain = "lattice signs\n" + "".join(
+        f"fact E(n{i},n{i + 1}) = {{+}}\n" for i in range(n)) + \
+        "clause R(n0;{+}) & (forall x. forall y. R(x;{+}) & E(x,y;{+}) => R(y;{+}))\n"
+    assert _calls(parse_clauses, chain) <= 10 * n
+    texts = [pretty(random_program(seed, set_fragment=fragment))
+             for seed in range(300) for fragment in (False, True)]
+    tokens = sum(len(tokenize(text)) for text in texts)
+    assert tokens == 34_809
+    assert sum(_calls(parse_clauses, text) for text in texts) <= 3.0 * tokens
 
 
 # --- pretty-printing round trips --------------------------------------------------
