@@ -16,13 +16,17 @@ over atom id tuples, one per predicate, each with a table per search
 signature (the argument positions a query finds constant or bound, whose
 atoms are the key it looks up) of the queries waiting under each key, with
 their compiled match and the environment they registered in, and for a
-partial signature a hash index.  A step holds the relations it uses, found
-by name when compiled.  A candidate at or below its leaf stops before the
-store, which refuses growth of a sealed rank.  Each strict growth is queued
-with its relation and the queries then waiting under its key in those
-tables.  One loop delivers the queue, oldest first, running each match as a
-sweep does, so deliveries never nest, and stops delivering a leaf once a
-later growth has replaced it.
+partial signature a hash index; a sweep reads the snapshot its table's
+kind fixes.  A step holds the relations it uses, found by name when
+compiled.  A candidate at or below its leaf stops there; any other, and
+each fact, goes to its relation's one growth routine
+(:meth:`ResultStore.grower`), which refuses growth of a sealed rank, joins
+the leaf and, if queries wait under its key in those tables, queues the
+growth with its relation and them.  A query whose lattice term is an
+unbound lattice variable and that tests no argument binds it in its match.
+One loop delivers the queue, oldest first, running each match as a sweep
+does, so deliveries never nest, and stops delivering a leaf once a later
+growth has replaced it.
 A positive query on a relation that holds no leaf when compiled and whose
 predicate is sealed or can never hold one (:class:`_Liveness`, found at most
 once per run, on first need) compiles to one shared no-op step, and what
@@ -105,10 +109,11 @@ class Table(dict):
     """One predicate's waiting queries under one search signature, by key:
     ``{key: [(match, env), ...]}``, each a compiled match and the
     environment it registered in.  The table also keeps the signature's key
-    function (:func:`_key_of`) and, for a partial signature, its hash index
-    ``{key: bucket of ids}`` (buckets by :func:`_file`)."""
+    function (:func:`_key_of`), for a partial signature its hash index
+    ``{key: bucket of ids}`` (buckets by :func:`_file`), and ``sweep``, which
+    :meth:`Relation.table` fixes for the signature's kind."""
 
-    __slots__ = ("pred", "sig", "key_of", "index")
+    __slots__ = ("pred", "sig", "key_of", "index", "sweep")
 
     def __init__(self, pred: str, sig: tuple, key_of: Callable[[tuple], Any]):
         self.pred, self.sig, self.key_of, self.index = pred, sig, key_of, None
@@ -130,29 +135,27 @@ class Relation(dict):
         self.pred, self.arity, self.rank, self.tables = pred, arity, rank, ()
 
     def table(self, sig: tuple) -> Table:
-        """The signature's table, opened on first use."""
+        """The signature's table, opened on first use.  Its ``sweep(key)`` is
+        a snapshot of the ``(ids, leaf)`` pairs stored under a key, in
+        insertion order: all of them for the empty signature, the one leaf
+        at the key for the full one, else those its index files under the key."""
         for table in self.tables:
             if table.sig == sig:
                 return table
         table = Table(self.pred, sig, _key_of(sig, self.arity))
-        if 0 < len(sig) < self.arity:
+        if not sig:
+            items = self.items
+            table.sweep = lambda key: list(items())
+        elif len(sig) == self.arity:
+            get = self.get
+            table.sweep = lambda key: [] if (leaf := get(key)) is None else [(key, leaf)]
+        else:
             index = table.index = {}
             for ids in self:
                 _file(index, table.key_of(ids), ids)
+            table.sweep = lambda key: [(ids, self[ids]) for ids in index.get(key, ())]
         self.tables += (table,)
         return table
-
-    def sweep(self, table: Table, key) -> list[tuple[tuple, Any]]:
-        """Snapshot of the ``(ids, leaf)`` pairs stored under a key of the
-        table's signature, in insertion order: those its index files under
-        the key, else all of them for the empty signature and one leaf for
-        the full one."""
-        if table.index is not None:
-            return [(ids, self[ids]) for ids in table.index.get(key, ())]
-        if not table.sig:
-            return list(self.items())
-        leaf = self.get(key)
-        return [] if leaf is None else [(key, leaf)]
 
 
 class ResultStore:
@@ -177,29 +180,36 @@ class ResultStore:
         except KeyError:
             raise SolverInvariantError(f"undeclared predicate {pred!r}") from None
 
-    def raise_leaf(self, relation: Relation, ids: tuple, l):
-        """Join l into the relation's leaf; the new leaf if it strictly grew,
-        else None."""
-        lattice = self.lattice
-        current = relation.get(ids)
-        if lattice.leq(l, lattice.bottom if current is None else current):
-            return None
-        if relation.rank <= self.sealed_rank:
-            raise SolverInvariantError(
-                f"predicate {relation.pred} of completed stratum {relation.rank} "
-                f"grew at {ids} after sealing")
-        if current is None:  # a tuple stored for the first time joins every index
-            current = lattice.bottom
+    def grower(self, relation: Relation, pending: deque) -> Callable[[tuple, Any, Any], None]:
+        """The one way a leaf of the relation grows: ``grow(ids, l, current)``
+        joins l into ``current``, the leaf at ids or None when there is none,
+        which the caller found l does not lie below.  A sealed relation
+        refuses; a tuple stored for the first time joins every index.  If
+        queries wait under its key, the growth is queued on ``pending`` with
+        its relation and them, table by table in the order first used."""
+        store, stats, join, bottom = self, self.stats, self.lattice.join, self.lattice.bottom
+
+        def grow(ids, l, current):
+            if relation.rank <= store.sealed_rank:
+                raise SolverInvariantError(
+                    f"predicate {relation.pred} of completed stratum {relation.rank} "
+                    f"grew at {ids} after sealing")
+            consumers = []
             for table in relation.tables:
-                if table.index is not None:
-                    _file(table.index, table.key_of(ids), ids)
-        joined = relation[ids] = lattice.join(current, l)
-        self.stats.growths += 1
-        return joined
+                key = table.key_of(ids)
+                if current is None and table.index is not None:
+                    _file(table.index, key, ids)
+                waiting = table.get(key)
+                if waiting:
+                    consumers += waiting
+            leaf = relation[ids] = join(bottom if current is None else current, l)
+            stats.growths += 1
+            if consumers:
+                pending.append((relation, consumers, ids, leaf))
+        return grow
 
     def sub(self, pred: str, sig: tuple = (), key=()) -> list[tuple[tuple, Any]]:
-        relation = self.relation(pred)
-        return relation.sweep(relation.table(sig), key)
+        return self.relation(pred).table(sig).sweep(key)
 
     def drop_tables(self) -> None:
         """Empty every table's waiting map, as waiting queries and their
@@ -342,18 +352,16 @@ class _Compiler:
         e = self.engine
         ids_of = _reader(self.args(scope, a.args))
         value = self.evaluator(a.value, scope, bound)
-        relation, stats, raise_leaf, broadcast = (
-            e.store.relation(a.pred), e.stats, e.store.raise_leaf, e._broadcast)
-        get, leq = relation.get, self.lattice.leq
+        relation, stats = e.store.relation(a.pred), e.stats
+        grow = e.grower(relation)
+        get, leq, bottom = relation.get, self.lattice.leq, self.lattice.bottom
 
         def assert_one(env):  # a candidate at or below its leaf stops here
             stats.candidates += 1
             ids, l = ids_of(env), value(env)
-            if (current := get(ids)) is not None and leq(l, current):
-                return
-            leaf = raise_leaf(relation, ids, l)
-            if leaf is not None:
-                broadcast(relation, ids, leaf)
+            current = get(ids)
+            if not leq(l, bottom if current is None else current):
+                grow(ids, l, current)
         return _enumerate(self.unbound(scope, bound, a.args + (a.value,)),
                           self.atoms, assert_one)
 
@@ -473,27 +481,37 @@ class _Compiler:
                 after.add(t.name)
             else:
                 tests.append((pos, slots[pos]))
-        match_value = self.matcher(q.value, scope, frozenset(after), kc)
+        v, bottom, top = q.value, self.lattice.bottom, self.lattice.top
+        if isinstance(v, YVar) and v.name not in after and not tests:
+            # the match binds 'Y itself, as the matcher's bind would
+            y, k = self.lookup(scope, v.name), kc(frozenset(after | {v.name}))
+        else:
+            y, match_value = None, self.matcher(v, scope, frozenset(after), kc)
 
         def match(env, ids, l):
             for pos, s in binds:
                 env[s] = ids[pos]
-            for pos, s in tests:
-                if ids[pos] != env[s]:
-                    return
-            match_value(env, l)
+            if y is None:
+                for pos, s in tests:
+                    if ids[pos] != env[s]:
+                        return
+                match_value(env, l)
+            elif l != bottom:
+                env[y], env[y + 1] = l, bottom
+                k(env)
+                env[y] = top
         keys = [slots[pos] for pos in sig]
         key_of = _reader(keys) if len(sig) in (0, len(slots)) else itemgetter(*keys)
         stats, relation = e.stats, e.store.relation(q.pred)
         live = relation.rank > e.store.sealed_rank
         table = relation.table(sig)
-        sweep, register = relation.sweep, table.register
+        sweep, register = table.sweep, table.register
 
         def query(env):
             key = key_of(env)
             if live:  # enclosing loops rebind slots after this, so copy once
                 register(key, (match, env[:]))
-            swept = sweep(table, key)
+            swept = sweep(key)
             stats.sweep_invocations += len(swept)
             for ids, l in swept:
                 match(env, ids, l)
@@ -635,8 +653,8 @@ class _Liveness:
 
 class _Engine:
     """Runs a validated program's strata on a store: a fresh one, or a given
-    one whose atom ids come from the same universe; a queued growth holds
-    its relation."""
+    one whose atom ids come from the same universe.  Each relation that
+    grows has one growth routine here; a queued growth holds its relation."""
 
     def __init__(self, program: Program, stats: SolveStats,
                  store: Optional[ResultStore] = None):
@@ -645,6 +663,7 @@ class _Engine:
         self.stats = stats
         self.store = store or ResultStore(self.lattice, program.arities, program.ranks, stats)
         self.pending: deque = deque()
+        self.growers: dict = {}
         self.live: Optional[set] = None
 
     def can_hold(self, pred: str) -> bool:
@@ -660,15 +679,13 @@ class _Engine:
             self.live = _Liveness(self.program, self.store).live
         return pred in self.live
 
-    def _broadcast(self, relation: Relation, ids: tuple, leaf) -> None:
-        """Queue a growth of the relation with the queries waiting for it so
-        far, table by table in the order its tables were first used."""
-        consumers = []
-        for table in relation.tables:
-            waiting = table.get(table.key_of(ids))
-            if waiting:
-                consumers += waiting
-        self.pending.append((relation, consumers, ids, leaf))
+    def grower(self, relation: Relation) -> Callable[[tuple, Any, Any], None]:
+        """The relation's growth routine, queueing on this engine's worklist,
+        made by the store on first use."""
+        grow = self.growers.get(relation.pred)
+        if grow is None:
+            grow = self.growers[relation.pred] = self.store.grower(relation, self.pending)
+        return grow
 
     def _drain(self) -> None:
         """Deliver queued growths, oldest first, until none is left, each by
@@ -705,11 +722,14 @@ class _Engine:
                 self._drain()
 
     def run(self, facts) -> None:
-        if facts:  # an atom's id is its universe position
-            ids = {a: i for i, a in enumerate(self.program.universe)}
+        if facts:  # an atom's id is its universe position; facts grow as candidates do
+            store, leq, bottom = self.store, self.lattice.leq, self.lattice.bottom
+            atom_ids = {a: i for i, a in enumerate(self.program.universe)}
             for f in facts:
-                self.store.raise_leaf(self.store.relation(f.pred),
-                                      tuple([ids[a] for a in f.atoms]), f.value)
+                relation, ids = store.relation(f.pred), tuple([atom_ids[a] for a in f.atoms])
+                current = relation.get(ids)
+                if not leq(f.value, bottom if current is None else current):
+                    self.grower(relation)(ids, f.value, current)
         self.store.seal_up_to(0)
         for i in range(self.program.num_strata):
             self.run_stratum(i)

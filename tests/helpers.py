@@ -11,6 +11,8 @@ outside it.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -194,22 +196,24 @@ class SolveAudit:
 @contextmanager
 def audit():
     """Observe the engine from outside while the block runs, by wrapping
-    ``ResultStore.raise_leaf`` (growths per predicate), ``Table.register``,
-    which files a waiting query in its relation's table for one search
-    signature (one record per consumer, counting its deliveries by wrapping
-    the match of its ``(match, env)`` pair), and ``ResultStore.seal_up_to``
-    (a copy of the leaves of the rank being sealed).  Wrap one solve per
-    block."""
+    ``ResultStore.grower`` (growths per predicate: it makes a relation's
+    growth routine when a compiled step or a fact first needs it, so a
+    solve outside the block runs no wrapper), ``Table.register``, which
+    files a waiting query in its relation's table for one search signature
+    (one record per consumer, counting its deliveries by wrapping the match
+    of its ``(match, env)`` pair), and ``ResultStore.seal_up_to`` (a copy of
+    the leaves of the rank being sealed).  Wrap one solve per block."""
     seen = SolveAudit()
-    raise_leaf, register, seal_up_to = (
-        ResultStore.raise_leaf, Table.register, ResultStore.seal_up_to)
+    grower, register, seal_up_to = (
+        ResultStore.grower, Table.register, ResultStore.seal_up_to)
 
-    def counted_raise_leaf(store, relation, ids, l):
-        leaf = raise_leaf(store, relation, ids, l)
-        if leaf is not None:
-            pred = relation.pred
+    def counted_grower(store, relation, pending):
+        grow, pred = grower(store, relation, pending), relation.pred
+
+        def counted(ids, l, current):
+            grow(ids, l, current)
             seen.growths_per_pred[pred] = seen.growths_per_pred.get(pred, 0) + 1
-        return leaf
+        return counted
 
     def recorded_register(table, key, consumer):
         rec = ConsumerRecord(table.pred, seen.growths_per_pred.get(table.pred, 0))
@@ -228,13 +232,13 @@ def audit():
             for pred, relation in store._relations.items() if relation.rank == rank}
         seal_up_to(store, rank)
 
-    ResultStore.raise_leaf = counted_raise_leaf
+    ResultStore.grower = counted_grower
     Table.register = recorded_register
     ResultStore.seal_up_to = snapshot_seal_up_to
     try:
         yield seen
     finally:
-        ResultStore.raise_leaf = raise_leaf
+        ResultStore.grower = grower
         Table.register = register
         ResultStore.seal_up_to = seal_up_to
 
@@ -303,6 +307,18 @@ def env(compiler) -> list:
     return env
 
 
+def grow(store, pred: str, ids: tuple, l, pending=None):
+    """Join l into a leaf through the relation's growth routine, queueing
+    the growth on ``pending`` if given, after the check a compiled assertion
+    makes first: the new leaf if it grew, else None."""
+    relation, lattice = store.relation(pred), store.lattice
+    current = relation.get(ids)
+    if lattice.leq(l, lattice.bottom if current is None else current):
+        return None
+    store.grower(relation, deque() if pending is None else pending)(ids, l, current)
+    return relation[ids]
+
+
 def run_clause(engine, cl) -> None:
     """Compile a clause into one step and run it on a fresh environment, as
     the engine runs a stratum's lone conjunct."""
@@ -314,6 +330,22 @@ def run_clause(engine, cl) -> None:
 
 
 # --- misc -----------------------------------------------------------------------
+
+
+def calls(fn, *args) -> int:
+    """Python function calls made by ``fn(*args)``, as a profiler sees them."""
+    count, previous = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
 
 
 def program_fingerprint(program: ast.Program):

@@ -4,7 +4,6 @@ import gc
 import hashlib
 import random
 import re
-import sys
 import tracemalloc
 
 import pytest
@@ -386,22 +385,6 @@ def test_parse_fact_outcomes_are_pinned():
     assert _digest(outcomes) == "11319cada2b1ef93eeaa3daae0426780d4c9511beefad1a45df96d1032088b2e"
 
 
-def _calls(fn, *args) -> int:
-    """Python function calls made by ``fn(*args)``, as a profiler sees them."""
-    count, previous = 0, sys.getprofile()
-
-    def profile(frame, event, arg):
-        nonlocal count
-        count += event == "call"
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
-    return count
-
-
 def test_parsing_costs_a_few_calls_per_fact_and_per_token():
     # a count, not a timing, so it holds on any machine; a method call per
     # lexeme read makes about 40 calls per fact and 4.6 per token
@@ -409,12 +392,12 @@ def test_parsing_costs_a_few_calls_per_fact_and_per_token():
     chain = "lattice signs\n" + "".join(
         f"fact E(n{i},n{i + 1}) = {{+}}\n" for i in range(n)) + \
         "clause R(n0;{+}) & (forall x. forall y. R(x;{+}) & E(x,y;{+}) => R(y;{+}))\n"
-    assert _calls(parse_clauses, chain) <= 10 * n
+    assert helpers.calls(parse_clauses, chain) <= 10 * n
     texts = [pretty(random_program(seed, set_fragment=fragment))
              for seed in range(300) for fragment in (False, True)]
     tokens = sum(len(tokenize(text)) for text in texts)
     assert tokens == 34_809
-    assert sum(_calls(parse_clauses, text) for text in texts) <= 3.0 * tokens
+    assert sum(helpers.calls(parse_clauses, text) for text in texts) <= 3.0 * tokens
 
 
 # --- pretty-printing round trips --------------------------------------------------
