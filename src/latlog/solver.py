@@ -22,8 +22,10 @@ compiled.  A candidate at or below its leaf stops there; any other, and
 each fact, goes to its relation's one growth routine
 (:meth:`ResultStore.grower`), which refuses growth of a sealed rank, joins
 the leaf and, if queries wait under its key in those tables, queues the
-growth with its relation and them.  A query whose lattice term is an
-unbound lattice variable and that tests no argument binds it in its match.
+growth with its relation and them.  A candidate at or above its leaf is the
+join and is stored itself, so leaves may share value objects.  A query
+whose lattice term is an unbound lattice variable and that tests no
+argument binds it in its match.
 One loop delivers the queue, oldest first, running each match as a sweep
 does, so deliveries never nest, and stops delivering a leaf once a later
 growth has replaced it.
@@ -183,11 +185,14 @@ class ResultStore:
     def grower(self, relation: Relation, pending: deque) -> Callable[[tuple, Any, Any], None]:
         """The one way a leaf of the relation grows: ``grow(ids, l, current)``
         joins l into ``current``, the leaf at ids or None when there is none,
-        which the caller found l does not lie below.  A sealed relation
-        refuses; a tuple stored for the first time joins every index.  If
-        queries wait under its key, the growth is queued on ``pending`` with
-        its relation and them, table by table in the order first used."""
-        store, stats, join, bottom = self, self.stats, self.lattice.join, self.lattice.bottom
+        which the caller found l does not lie below.  When l is the join (no
+        leaf, or ``current`` below l) l itself is stored, so leaves may share
+        value objects with facts, matched values and each other.  A sealed
+        relation refuses; a tuple stored for the first time joins every
+        index.  If queries wait under its key, the growth is queued on
+        ``pending`` with its relation and them, table by table in the order
+        first used."""
+        store, stats, join, leq = self, self.stats, self.lattice.join, self.lattice.leq
 
         def grow(ids, l, current):
             if relation.rank <= store.sealed_rank:
@@ -202,7 +207,7 @@ class ResultStore:
                 waiting = table.get(key)
                 if waiting:
                     consumers += waiting
-            leaf = relation[ids] = join(bottom if current is None else current, l)
+            leaf = relation[ids] = l if current is None or leq(current, l) else join(current, l)
             stats.growths += 1
             if consumers:
                 pending.append((relation, consumers, ids, leaf))
@@ -756,14 +761,15 @@ class SolveResult(Record):
 
     def items(self) -> Iterator[tuple[str, tuple, Any]]:
         """(predicate, atom tuple, value), ordered by predicate name and
-        interned tuple."""
+        tuple of atom ids (universe positions)."""
         universe = self.program.universe
         for pred in sorted(self.store._relations):
             for ids, v in sorted(self.store.relation(pred).items(), key=itemgetter(0)):
                 yield pred, tuple([universe[i] for i in ids]), v
 
     def dump_lines(self) -> list[str]:
-        """Deterministic dump: predicate name order, interned tuple order.
+        """Deterministic dump: predicate name order, then atom id (universe
+        position) tuple order.
         Each atom and each distinct leaf value is rendered once."""
         render = self.program.lattice.render
         names = [render_atom(a) for a in self.program.universe]

@@ -1,6 +1,8 @@
 """Compiled unification, stores, consumers, and whole solve runs."""
 
+import copy
 import gc
+import pickle
 import re
 import sys
 from itertools import cycle
@@ -672,6 +674,11 @@ UNFIRED = {
         " & (forall x. forall y. E(x,y;{a,b}) => F(x;{a}))\n"
         "clause (forall x. forall 'Y. F(x;'Y) => G(x;'Y))"
         " & (forall x. forall 'Y. !F(x;'Y) => M(x;'Y))",
+    # N's query compiles before N's only rule, whose premise is a negated
+    # query: liveness that found a negated query never holding lost all of M
+    "a query on a predicate that a negated query makes live":
+        "clause (forall x. forall 'Y. N(x;'Y) => M(x;'Y))"
+        " & (forall x. forall 'Y. !D(x;'Y) => N(x;'Y))",
 }
 
 
@@ -1074,6 +1081,36 @@ def test_only_candidates_that_may_grow_enter_the_store(monkeypatch):
     _, result = helpers.run_pipeline(closure_program()[1])
     stats = result.stats
     assert len(entries) == stats.growths < stats.candidates
+
+
+def leaf_values(result) -> list:
+    return [v for leaves in result.leaves().values() for v in leaves.values()]
+
+
+def test_a_growth_whose_join_is_its_candidate_stores_the_candidate():
+    # a count of objects, not a timing: joining every candidate into its
+    # leaf, or into bottom, made each of the leaves a value of its own
+    _, result = helpers.run_pipeline(chain(2000, False))
+    values = leaf_values(result)
+    assert len(values) == 3999 and len({id(v) for v in values}) == 1
+    _, result = helpers.run_pipeline(closure_program()[1])
+    values = leaf_values(result)
+    assert len(values) == 557 and len({id(v) for v in values}) <= 228
+
+
+def test_shared_leaf_values_leave_the_program_and_copies_intact():
+    program = validate(parse_clauses(closure_program()[1]))
+    facts = copy.deepcopy(program.facts)
+    first = solve(program)
+    assert solve(program).dump_lines() == first.dump_lines()
+    assert program.facts == facts
+    copied = copy.deepcopy(first)
+    assert copied.dump_lines() == first.dump_lines() and copied.stats == first.stats
+    # the lattice's local functions keep a whole result from pickling, so
+    # pickle its leaf maps and counters
+    relations, stats = pickle.loads(pickle.dumps((first.store._relations, first.stats)))
+    assert relations == first.store._relations and stats == first.stats
+    assert len({id(v) for v in leaf_values(copied)}) == len({id(v) for v in leaf_values(first)})
 
 
 def test_solve_stratum_isolation_and_propagation_bound():
