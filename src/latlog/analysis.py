@@ -1,12 +1,14 @@
 """Program graphs and the shipped analyses built from them.
 
 A program graph is a set of states with action-labeled edges (three-address
-assignments, boolean tests, skip).  :func:`analysis_program` builds a
-single-stratum ``ast.Program`` from a graph, with no clause text in between:
-the initial state starts every variable at top, assignments update the target
-through a registered transfer function and frame-copy the remaining variables,
-and tests/skips propagate unchanged.  ``gen_*_clauses`` pretty-print those
-programs.
+assignments, boolean tests, skip).  :func:`parse_program_graph` matches each
+edge line once, with one pattern that also splits its action, and checks the
+states and operands once every line is read.  :func:`analysis_program` builds
+a single-stratum ``ast.Program`` from a graph, each rule's nodes directly, with
+no clause text in between: the initial state starts every variable at top,
+assignments update the target through a registered transfer function and
+frame-copy the remaining variables, and tests/skips propagate unchanged.
+``gen_*_clauses`` pretty-print those programs.
 """
 
 from __future__ import annotations
@@ -78,20 +80,13 @@ class ProgramGraph(Frozen):
         set_field(self, "variables", variables)
 
 
-_OPERAND_RE = re.compile(r"-?\d+|[A-Za-z_][A-Za-z0-9_]*")
-_TEST_RE = re.compile(
-    r"^\s*(?P<l>-?\d+|\w+)\s*(?P<op><=|>=|==|!=|<|>|=)\s*(?P<r>-?\d+|\w+)\s*$")
-_ASSIGN_RE = re.compile(
-    r"^\s*(?P<t>\w+)\s*:=\s*(?P<a>-?\d+|\w+)\s*(?:(?P<op>[-+*])\s*(?P<b>-?\d+|\w+)\s*)?$")
-_EDGE_RE = re.compile(r"^\s*(?P<src>\w+)\s*->\s*(?P<dst>\w+)\s*:\s*(?P<act>.*)$")
-
-
-def _operand(text: str, variables, lineno: int) -> Operand:
-    if re.fullmatch(r"-?\d+", text):
-        return read_int(text, lambda: (lineno, 1))
-    if text not in variables:
-        raise ParseError(f"unknown variable {text!r}", lineno, 1)
-    return text
+# One match per edge line: the states and the action, split into skip, a test
+# (left, comparison, right), an assignment (target, operand, then operator and
+# operand of a binary operation) or, when none of these parses, the action text
+_EDGE_RE = re.compile(
+    r"\s*(\w+)\s*->\s*(\w+)\s*:\s*(?:(skip)"
+    r"|test\s*(-?\d+|\w+)\s*(<=|>=|==|!=|<|>|=)\s*(-?\d+|\w+)"
+    r"|(?!test)(\w+)\s*:=\s*(-?\d+|\w+)\s*(?:([-+*])\s*(-?\d+|\w+))?|(.*?))\s*$")
 
 
 def parse_program_graph(text: str) -> ProgramGraph:
@@ -99,12 +94,14 @@ def parse_program_graph(text: str) -> ProgramGraph:
 
     Lines: ``initial q0`` (exactly one), ``state q1``, ``var x``, edges
     ``qs -> qt : x := y + z | x := n | x := y | test <cmp> | skip``;
-    ``//`` comments.
+    ``//`` comments.  Names and actions are checked once every line is read,
+    so a state or variable may be declared after the edges that use it.
     """
     states: dict = {}  # dicts as insertion-ordered sets
     initial = None
     variables: dict = {}
     raw_edges: list = []
+    match = _EDGE_RE.match
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("//")[0].strip()
         if not line:
@@ -125,57 +122,59 @@ def parse_program_graph(text: str) -> ProgramGraph:
         elif head == "var":
             variables[rest] = None
         else:
-            m = _EDGE_RE.match(line)
+            m = match(line)
             if m is None:
                 raise ParseError(f"cannot parse line {raw!r}", lineno, 1)
-            raw_edges.append((lineno, m["src"], m["dst"], m["act"].strip()))
+            # the match, not its groups: one 11-tuple per edge, freed together, would
+            # stay allocated in CPython's tuple free list
+            raw_edges.append((lineno, m))
     if initial is None:
         raise ParseError("no 'initial' line", 1, 1)
 
+    def operand(text: str) -> Operand:  # a declared variable or an integer literal
+        if text in variables:
+            return text
+        if text[0] == "-" or text.isdecimal():  # the pattern reads "-" only before digits
+            return read_int(text, lambda: (lineno, 1))
+        raise ParseError(f"unknown variable {text!r}", lineno, 1)
+
     edges = []
-    for lineno, src, dst, act in raw_edges:
+    for lineno, m in raw_edges:
+        src, dst, skip, left, cmp, right, target, a, op, b, bad = m.groups()
         for q in (src, dst):
             if q not in states:
                 raise ParseError(f"unknown state {q!r}", lineno, 1)
-        edges.append(Edge(src, _parse_action(act, variables, lineno), dst))
+        if skip:
+            action = Skip()
+        elif cmp:
+            action = BoolTest(operand(left), "==" if cmp == "=" else cmp, operand(right))
+        elif target:
+            if target not in variables:
+                raise ParseError(f"unknown variable {target!r}", lineno, 1)
+            a = operand(a)
+            action = Assign(target, a if op is None else BinOp(op, a, operand(b)))
+        else:
+            kind = "test" if bad.startswith("test") else "action"
+            raise ParseError(f"cannot parse {kind} {bad!r}", lineno, 1)
+        edges.append(Edge(src, action, dst))
     if not variables:
         raise ParseError("graph declares no variables", 1, 1)
     return ProgramGraph(tuple(states), initial, tuple(edges), tuple(variables))
 
 
-def _parse_action(act: str, variables, lineno: int) -> Action:
-    if act == "skip":
-        return Skip()
-    if act.startswith("test"):
-        m = _TEST_RE.match(act[4:])
-        if m is None:
-            raise ParseError(f"cannot parse test {act!r}", lineno, 1)
-        op = "==" if m["op"] == "=" else m["op"]
-        return BoolTest(_operand(m["l"], variables, lineno), op,
-                        _operand(m["r"], variables, lineno))
-    m = _ASSIGN_RE.match(act)
-    if m is None:
-        raise ParseError(f"cannot parse action {act!r}", lineno, 1)
-    target = m["t"]
-    if target not in variables:
-        raise ParseError(f"unknown variable {target!r}", lineno, 1)
-    a = _operand(m["a"], variables, lineno)
-    if m["op"] is None:
-        return Assign(target, a)
-    return Assign(target, BinOp(m["op"], a, _operand(m["b"], variables, lineno)))
-
-
 def int_literals(graph: ProgramGraph) -> set[int]:
     """Integer literals of the assignment actions (tests never refine, so
     their constants do not contribute to the grid)."""
-    out: set[int] = set()
+    operands = set()
     for e in graph.edges:
-        a = e.action
-        if not isinstance(a, Assign):
-            continue
-        ops = (a.rhs.left, a.rhs.right) if isinstance(a.rhs, BinOp) else (a.rhs,)
-        out.update(o for o in ops if isinstance(o, int))
-    return out
+        if e.action.__class__ is Assign:
+            rhs = e.action.rhs
+            if rhs.__class__ is BinOp:
+                operands.add(rhs.left)
+                operands.add(rhs.right)
+            else:
+                operands.add(rhs)
+    return {o for o in operands if isinstance(o, int)}
 
 
 # --- clause generation ---------------------------------------------------------
@@ -183,11 +182,10 @@ def int_literals(graph: ProgramGraph) -> set[int]:
 _OP_NAME = {"+": "add", "-": "sub", "*": "mul"}
 
 
-def _interval_grid(graph: ProgramGraph, zmin, zmax) -> tuple[int, int]:
+def _interval_grid(literals: set[int], zmin, zmax) -> tuple[int, int]:
     if zmin is not None and zmax is not None and zmin > zmax:
         raise ValidationError(f"empty integer grid: zmin={zmin} > zmax={zmax}")
-    lits = int_literals(graph)
-    candidates = set(lits)
+    candidates = set(literals)
     if zmin is not None:
         candidates.add(zmin)
     if zmax is not None:
@@ -197,7 +195,7 @@ def _interval_grid(graph: ProgramGraph, zmin, zmax) -> tuple[int, int]:
     return min(candidates), max(candidates)
 
 
-def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
+def _program(graph: ProgramGraph, lattice: Lattice, prefix: str, literals) -> ast.Program:
     """One clause over ``A(state, variable; value)``, equal to what the parser
     makes of its pretty-printed text: the k-th binder named ``b`` is ``b_k``
     from k = 2 on.  Variable operands are queried at the source state, which
@@ -205,58 +203,60 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
     gated on the target variable itself.  The universe records the atoms the
     rules name: the initial state, the variables and each edge's states."""
     _check_graph_names(graph)
-    taken: dict[str, int] = {}
+    Query, Assert, Imply, Forall, YVar = ast.Query, ast.Assert, ast.Imply, ast.Forall, ast.YVar
+    variables = graph.variables
+    taken = dict.fromkeys(("v", "'i", "'il", "'ir", "'ig"), 0)
     funs: set[str] = set()
-    atoms = {graph.initial, *graph.variables, *[q for e in graph.edges for q in (e.src, e.dst)]}
-    consts = {a: ast.Const(a) for a in atoms}  # one node per atom
+    atoms = {graph.initial, *variables, *[q for e in graph.edges for q in (e.src, e.dst)]}
+    consts = {a: ast.Const(a) for a in atoms}  # one node per atom and per literal
+    lits = {n: ast.LitConst(lattice.represent(n)) for n in literals}
 
     def fresh(base: str) -> str:
-        n = taken[base] = taken.get(base, 0) + 1
+        n = taken[base] = taken[base] + 1
         return base if n == 1 else f"{base}_{n}"
 
-    def at(state: str, var) -> tuple:
-        return consts[state], var if isinstance(var, ast.Var) else consts[var]
-
-    def rule(edge: Edge, reads: list, var, value) -> ast.Clause:
-        """``forall Y.. A(src,r;Y) & .. => A(dst,var;value)`` per (r, Y) read."""
-        pre = [ast.Query("A", at(edge.src, r), y) for r, y in reads]
-        cl = ast.Imply(pre[0] if len(pre) == 1 else ast.And(tuple(pre)),
-                       ast.Assert("A", at(edge.dst, var), value))
-        for _, y in reversed(reads):
-            cl = ast.Forall(y.name, cl)
-        return cl
-
-    def assign(edge: Edge, target: str, rhs) -> ast.Clause:
-        if not isinstance(rhs, BinOp):
-            y = ast.YVar(fresh("'i"))
-            if isinstance(rhs, str):
-                return rule(edge, [(rhs, y)], target, y)
-            return rule(edge, [(target, y)], target,
-                        ast.LitConst(lattice.represent(rhs)))
-        reads, terms = [], []
-        for base, o in (("'il", rhs.left), ("'ir", rhs.right)):
-            if isinstance(o, str):
-                reads.append((o, ast.YVar(fresh(base))))
-                terms.append(reads[-1][1])
-            else:
-                terms.append(ast.LitConst(lattice.represent(o)))
-        value = ast.FnApp(prefix + _OP_NAME[rhs.op], tuple(terms))
-        funs.add(value.name)
-        return rule(edge, reads or [(target, ast.YVar(fresh("'ig")))], target, value)
-
-    top = ast.LitConst(lattice.top)
-    rules = [ast.Assert("A", at(graph.initial, v), top) for v in graph.variables]
+    top, start = ast.LitConst(lattice.top), consts[graph.initial]
+    rules = [Assert("A", (start, consts[v]), top) for v in variables]
     for edge in graph.edges:
-        action = edge.action
-        if isinstance(action, Assign):
-            rules.append(assign(edge, action.target, action.rhs))
-            for v in graph.variables:
-                if v != action.target:
-                    y = ast.YVar(fresh("'i"))
-                    rules.append(rule(edge, [(v, y)], v, y))
-        else:
-            x, y = ast.Var(fresh("v")), ast.YVar(fresh("'i"))
-            rules.append(ast.Forall(x.name, rule(edge, [(x, y)], x, y)))
+        src, dst, action = consts[edge.src], consts[edge.dst], edge.action
+        if action.__class__ is not Assign:  # a test or skip copies every variable
+            x, y = fresh("v"), fresh("'i")
+            var, value = ast.Var(x), YVar(y)
+            rules.append(Forall(x, Forall(y, Imply(Query("A", (src, var), value),
+                                                     Assert("A", (dst, var), value)))))
+            continue
+        target, rhs = action.target, action.rhs
+        t = consts[target]
+        if rhs.__class__ is BinOp:
+            binders, pre, terms = [], [], []
+            for base, o in (("'il", rhs.left), ("'ir", rhs.right)):
+                if o.__class__ is int:
+                    terms.append(lits[o])
+                else:
+                    binders.append(fresh(base))
+                    terms.append(YVar(binders[-1]))
+                    pre.append(Query("A", (src, consts[o]), terms[-1]))
+            if not binders:  # gated on the target
+                binders.append(fresh("'ig"))
+                pre.append(Query("A", (src, t), YVar(binders[0])))
+            value = ast.FnApp(prefix + _OP_NAME[rhs.op], tuple(terms))
+            funs.add(value.name)
+            rule = Imply(pre[0] if len(pre) == 1 else ast.And(tuple(pre)),
+                         Assert("A", (dst, t), value))
+            for y in reversed(binders):
+                rule = Forall(y, rule)
+        else:  # a literal is gated on the target, a copy reads its source
+            y = fresh("'i")
+            value = YVar(y)
+            read, new = (t, lits[rhs]) if rhs.__class__ is int else (consts[rhs], value)
+            rule = Forall(y, Imply(Query("A", (src, read), value), Assert("A", (dst, t), new)))
+        rules.append(rule)
+        for v in variables:  # the frame: every other variable keeps its value
+            if v != target:
+                y, c = fresh("'i"), consts[v]
+                value = YVar(y)
+                rules.append(Forall(y, Imply(Query("A", (src, c), value),
+                                             Assert("A", (dst, c), value))))
     strata = (rules[0] if len(rules) == 1 else ast.And(tuple(rules)),)
     return ast.Program(lattice=lattice, registry=standard_registry(lattice),
                        strata=strata, arities={"A": 2},
@@ -265,12 +265,13 @@ def _program(graph: ProgramGraph, lattice: Lattice, prefix: str) -> ast.Program:
 
 
 def _check_graph_names(graph: ProgramGraph) -> None:
-    # every name prints as an atom the tokenizer reads, which no binder v, v_2, ... captures
+    # every name prints as an atom the tokenizer reads ([a-z][A-Za-z0-9_]*),
+    # which no binder v, v_2, ... captures
     for name in graph.states + graph.variables:
-        if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
+        if not (name.isascii() and name.isidentifier() and name[0].islower()):
             raise ValidationError(
                 f"graph name {name!r} cannot be used as a clause-file atom")
-        if name in _RESERVED or re.fullmatch(r"v(_\d+)?", name):
+        if name in _RESERVED or name == "v" or name[:2] == "v_" and name[2:].isdecimal():
             raise ValidationError(
                 f"graph name {name!r} collides with generated clause syntax")
 
@@ -280,9 +281,10 @@ def analysis_program(graph: ProgramGraph, which: str, zmin: int | None = None,
     """Program computing, per state and variable, the signs (``which`` is
     ``"signs"``) or an interval (``"intervals"``) covering every value the
     variable may hold there; ``zmin``/``zmax`` widen the interval grid."""
+    literals = int_literals(graph)
     if which == "signs":
-        return _program(graph, sign_lattice(), "s_")
-    return _program(graph, interval_lattice(*_interval_grid(graph, zmin, zmax)), "f_")
+        return _program(graph, sign_lattice(), "s_", literals)
+    return _program(graph, interval_lattice(*_interval_grid(literals, zmin, zmax)), "f_", literals)
 
 
 def gen_interval_clauses(graph: ProgramGraph, zmin: int | None = None,

@@ -714,7 +714,7 @@ class _Engine:
         :func:`ast.validate` found is compiled once, and each top-level conjunct
         runs it on a fresh environment with its own constants in the holes."""
         cl, (holes, shape_of, consts) = self.program.strata[i], self.program.shapes[i]
-        compiled: list = [None] * len(holes)
+        compiled, pending = [None] * len(holes), self.pending
         for conjunct, n, values in zip(cl.parts if type(cl) is And else (cl,),
                                        shape_of, consts):
             if compiled[n] is None:
@@ -724,7 +724,8 @@ class _Engine:
             step, free = compiled[n]
             if step is not None:
                 step([*values, *free])
-                self._drain()
+                if pending:
+                    self._drain()
 
     def run(self, facts) -> None:
         if facts:  # an atom's id is its universe position; facts grow as candidates do

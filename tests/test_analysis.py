@@ -13,10 +13,33 @@ from latlog.parser import parse_clauses, pretty
 from latlog.solver import solve
 
 import helpers
+import reference_graph
 import reference_semantics as semantics
+from test_solver import ring_graph
 
 GRAPHS = ["loop.graph", "countdown.graph", "sums.graph", "products.graph",
           "branch.graph"]
+
+# reaches every branch of the builder, which the samples do not: a literal on
+# the left, an all-literal right-hand side, negative literals, a self-copy,
+# three variables, and tests with a literal on the left or two variables
+EVERY_BRANCH = """initial q0
+state q1
+state q2
+state q3
+var x
+var y
+var z
+q0 -> q1 : x := 3 + y
+q1 -> q2 : x := 2 * 3
+q2 -> q3 : y := -4 - x
+q3 -> q1 : z := x * -2
+q1 -> q3 : x := x
+q3 -> q2 : test 3 < x
+q2 -> q0 : test x = y
+q0 -> q2 : z := -7
+q1 -> q0 : skip
+"""
 
 START_VALUES = (-2, 0, 1, 5)
 
@@ -79,6 +102,96 @@ def test_parse_long_ring_keeps_first_occurrence_order():
     assert (len(g.edges), g.variables) == (n, ("x",))
 
 
+def every_action_ring(states: int) -> str:
+    """A two-variable ring whose edges cycle through every action kind."""
+    actions = cycle(["x := 4", "y := x", "x := x + 1", "y := 3 * y", "x := x - y",
+                     "test x < 5", "test 2 >= y", "skip", "y := -2", "test x != y"])
+    return "\n".join([
+        "initial q0", *(f"state q{i}" for i in range(1, states)), "var x", "var y",
+        *(f"q{i} -> q{(i + 1) % states} : {a}" for i, a in zip(range(states), actions))])
+
+
+# Actions put in place of an edge's, with x and y the graph's first and last
+# variables: every kind, and near misses of each
+ACTIONS = ["skip", "skip skip", "skipx := 1", "skip := 1", "test x < 3", "testx<3",
+           "test x =< 3", "test x = y", "test -0 != x", "test 3", "test := 1",
+           "test x < 3 4", "x := -0", "x := " + "9" * 5000, "x := 1 +", "x := 1 2",
+           "x := 12ab", "x := y - -2", "x:=-1*x", "x := y", "x := 3 + y", "y := x % 2",
+           "w := 1", "1 := x", "x = 1", "", "x := y +-1", "x := _"]
+
+
+def graph_mutants(text: str):
+    """The text, then per-line and whole-graph mutations of it."""
+    lines = text.splitlines()
+    variables = [line.split()[1] for line in lines if line.startswith("var")]
+    x, y = variables[0], variables[-1]
+    initial = next(line for line in lines if line.startswith("initial"))
+    yield text
+    yield "\n".join(line for line in lines if line != initial)
+    yield "\n".join(line for line in lines if not line.startswith("var"))
+    yield text + "\n" + initial
+    yield text.replace("\n", "\r\n")
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        variants = [line.replace(" ", "\t"), "\t" + line + "\t", line + " // note",
+                    line + "//", "", "\n" + line, line + "\n\n",
+                    line.replace(tokens[-1], "qz"), line.replace(x, "zz")]
+        for j in range(len(tokens)):
+            variants.append(" ".join(tokens[:j] + tokens[j + 1:]))
+            variants.append(" ".join(tokens[:j + 1] + tokens[j:]))
+        if " : " in line:
+            head = line.partition(" : ")[0]
+            variants += [f"{head} : " + a.replace("x", x).replace("y", y) for a in ACTIONS]
+            variants += [head.replace(" ", ""), head + " :" + ACTIONS[4]]
+        for variant in variants:
+            yield "\n".join(lines[:i] + [variant] + lines[i + 1:])
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+def test_graph_reader_agrees_with_its_former_self():
+    # the same graph, or the same error at the same line and column
+    texts = [helpers.sample(name) for name in GRAPHS]
+    texts += [ring_graph(4), every_action_ring(12), EVERY_BRANCH,
+              "initial q0\nstate q1\nvar x\nq0 -> q1 : skip\n"]
+    cases = errors = 0
+    for text in texts:
+        for mutant in graph_mutants(text):
+            got = _read(parse_program_graph, mutant)
+            assert got == _read(reference_graph.parse_program_graph, mutant), mutant
+            cases += 1
+            errors += type(got) is tuple
+    assert (cases, errors) == (3717, 2297)
+
+
+def test_a_variable_named_like_a_test_is_no_assignment_target():
+    # an action that starts with "test" is read as a test, as it always was
+    text = "initial q0\nvar testy\nq0 -> q0 : testy := 1"
+    for parse in (parse_program_graph, reference_graph.parse_program_graph):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == "3:1: cannot parse test 'testy := 1'"
+    g = parse_program_graph("initial q0\nvar testy\nvar z\nq0 -> q0 : z := testy")
+    assert g.edges == (Edge("q0", Assign("z", "testy"), "q0"),)
+
+
+def test_reading_and_building_cost_a_few_calls_per_line_and_per_rule():
+    # counts, not timings: a call per operand check, per name check and per
+    # node-building helper made 4.1 calls per line and 17 per rule here
+    text = every_action_ring(40)
+    lines = sum(1 for line in text.splitlines() if line.strip())
+    assert helpers.calls(parse_program_graph, text) <= 2.5 * lines
+    g = parse_program_graph(text)
+    for args in (("signs",), ("intervals", 0, 5)):
+        rules = len(analysis_program(g, *args).strata[0].parts)
+        assert helpers.calls(analysis_program, g, *args) <= 12 * rules
+
+
 def test_literals_come_from_assignments_only():
     assert int_literals(graph("loop.graph")) == {0, 1}
     assert int_literals(graph("countdown.graph")) == {5, 1}
@@ -100,12 +213,12 @@ def test_generator_rejects_colliding_names():
             gen_sign_clauses(parse_program_graph(text))
 
 
-@pytest.mark.parametrize("name", [*GRAPHS, "no-edges"])
+@pytest.mark.parametrize("name", [*GRAPHS, "no-edges", "every-branch"])
 def test_built_program_is_what_its_text_parses_to(name):
     # a graph without edges makes a single assertion, not a conjunction; the
     # builder's recorded universe is the one the parser records from its text
-    g = parse_program_graph("initial q0\nvar x\n" if name == "no-edges"
-                            else helpers.sample(name))
+    texts = {"no-edges": "initial q0\nvar x\n", "every-branch": EVERY_BRANCH}
+    g = parse_program_graph(texts[name] if name in texts else helpers.sample(name))
     for args in (("signs",), ("intervals",), ("intervals", -2, 7)):
         program = analysis_program(g, *args)
         parsed = parse_clauses(pretty(program))
