@@ -17,8 +17,12 @@ signature (the argument positions a query finds constant or bound, whose
 atoms are the key it looks up) of the queries waiting under each key, with
 their compiled match and the environment they registered in, and for a
 partial signature a hash index; a sweep reads the snapshot its table's
-kind fixes.  A step holds the relations it uses, found by name when
-compiled.  A candidate at or below its leaf stops there; any other, and
+kind fixes.  A query on a relation already sealed when compiled registers
+nothing and reads the leaves in place, as the growth routine refuses a
+sealed relation before it writes.  A step holds the relations it uses,
+found by name when compiled.  Assertions that make up a whole conjunction
+and have no unbound variable run as one step, in order, each reading its
+leaf afresh.  A candidate at or below its leaf stops there; any other, and
 each fact, goes to its relation's one growth routine
 (:meth:`ResultStore.grower`), which refuses growth of a sealed rank, joins
 the leaf and, if queries wait under its key in those tables, queues the
@@ -33,9 +37,9 @@ A positive query on a relation that holds no leaf when compiled and whose
 predicate is sealed or can never hold one (:class:`_Liveness`, found at most
 once per run, on first need) compiles to one shared no-op step, and what
 follows it is never compiled.
-Negative queries read the complement of final values.  A lattice variable
-also carries a lower bound, the join of the descriptions ``'Y(u)`` checked
-it against; narrowing it by meet below that bound fails.  Leaves are never
+Negative queries read the complement of final values in place.  A lattice
+variable also carries a lower bound, the join of the descriptions ``'Y(u)``
+checked it against; narrowing it by meet below that bound fails.  Leaves are never
 bottom; atoms reappear only in :class:`SolveResult`.
 
 A run is single-threaded and touches no process-wide state; distinct runs
@@ -279,6 +283,10 @@ class _Compiler:
     Each distinct constant is read from a hole slot, which counts as bound.
     ``holes`` maps ``(is atom, constant)`` to slots 0, 1, ..., as
     :func:`ast.validate` numbered them; the caller fills them.
+
+    A query on a relation sealed at compile time reads it in place
+    (:meth:`sealed_query`); any other registers and sweeps.  A conjunction
+    of assertions with no unbound variable is one step (:meth:`assertions`).
     """
 
     def __init__(self, engine: "_Engine", holes: dict):
@@ -335,6 +343,9 @@ class _Compiler:
         if isinstance(cl, TrueClause):
             return None
         if isinstance(cl, And):
+            if all(type(c) is Assert and not self.unbound(scope, bound, c.args + (c.value,))
+                   for c in cl.parts):
+                return self.assertions(cl.parts, scope, bound)
             steps = tuple(filter(None, (self.clause(c, scope, bound) for c in cl.parts)))
             if len(steps) < 2:
                 return steps[0] if steps else None
@@ -353,13 +364,16 @@ class _Compiler:
             return self.clause(cl.body, scope, bound)
         raise SolverInvariantError(f"cannot execute {cl!r}")
 
+    def head(self, a: Assert, scope: dict, bound: frozenset) -> tuple:
+        """What an assertion reads and calls: its tuple's reader, its value's
+        evaluator, and its relation's ``get`` and growth routine."""
+        relation = self.engine.store.relation(a.pred)
+        return (_reader(self.args(scope, a.args)), self.evaluator(a.value, scope, bound),
+                relation.get, self.engine.grower(relation))
+
     def assertion(self, a: Assert, scope: dict, bound: frozenset) -> Step:
-        e = self.engine
-        ids_of = _reader(self.args(scope, a.args))
-        value = self.evaluator(a.value, scope, bound)
-        relation, stats = e.store.relation(a.pred), e.stats
-        grow = e.grower(relation)
-        get, leq, bottom = relation.get, self.lattice.leq, self.lattice.bottom
+        ids_of, value, get, grow = self.head(a, scope, bound)
+        stats, leq, bottom = self.engine.stats, self.lattice.leq, self.lattice.bottom
 
         def assert_one(env):  # a candidate at or below its leaf stops here
             stats.candidates += 1
@@ -369,6 +383,22 @@ class _Compiler:
                 grow(ids, l, current)
         return _enumerate(self.unbound(scope, bound, a.args + (a.value,)),
                           self.atoms, assert_one)
+
+    def assertions(self, parts: tuple, scope: dict, bound: frozenset) -> Step:
+        """One step running assertions with no unbound variable, in order,
+        each as :meth:`assertion` does; each reads its leaf when it runs, so a
+        later one on the same tuple sees what an earlier one grew."""
+        heads = [self.head(a, scope, bound) for a in parts]
+        stats, leq, bottom, n = self.engine.stats, self.lattice.leq, self.lattice.bottom, len(heads)
+
+        def assert_all(env):
+            stats.candidates += n
+            for ids_of, value, get, grow in heads:
+                ids, l = ids_of(env), value(env)
+                current = get(ids)
+                if not leq(l, bottom if current is None else current):
+                    grow(ids, l, current)
+        return assert_all
 
     def evaluator(self, v, scope: dict, bound) -> Callable[[list], Any]:
         """Value of a lattice term; unbound lattice variables read as top."""
@@ -472,7 +502,8 @@ class _Compiler:
     def query(self, q: Query, scope: dict, bound: frozenset, kc) -> Step:
         """Registers the match on a copy of the environment under its key in
         the table, opened when compiled, of its search signature (constant and
-        bound argument positions), then sweeps the tuples stored under it."""
+        bound argument positions), then sweeps the tuples stored under it; on
+        a sealed relation, the step of :meth:`sealed_query`."""
         e = self.engine
         slots = self.args(scope, q.args)
         sig = tuple([pos for pos, t in enumerate(q.args)
@@ -508,18 +539,49 @@ class _Compiler:
         keys = [slots[pos] for pos in sig]
         key_of = _reader(keys) if len(sig) in (0, len(slots)) else itemgetter(*keys)
         stats, relation = e.stats, e.store.relation(q.pred)
-        live = relation.rank > e.store.sealed_rank
+        if relation.rank <= e.store.sealed_rank:
+            return self.sealed_query(relation, sig, key_of, match)
         table = relation.table(sig)
         sweep, register = table.sweep, table.register
 
         def query(env):
             key = key_of(env)
-            if live:  # enclosing loops rebind slots after this, so copy once
-                register(key, (match, env[:]))
+            register(key, (match, env[:]))  # enclosing loops rebind slots after this, so copy once
             swept = sweep(key)
             stats.sweep_invocations += len(swept)
             for ids, l in swept:
                 match(env, ids, l)
+        return query
+
+    def sealed_query(self, relation: Relation, sig: tuple, key_of, match) -> Step:
+        """A query on a sealed relation, which no growth changes again: it
+        waits for nothing and reads the leaves in place, counting each one
+        matched as a sweep would."""
+        stats = self.engine.stats
+        if not sig:
+            items = relation.items
+
+            def query(env):
+                stats.sweep_invocations += len(relation)
+                for ids, l in items():
+                    match(env, ids, l)
+        elif len(sig) == relation.arity:
+            get = relation.get
+
+            def query(env):
+                ids = key_of(env)
+                l = get(ids)
+                if l is not None:
+                    stats.sweep_invocations += 1
+                    match(env, ids, l)
+        else:
+            index = relation.table(sig).index
+
+            def query(env):
+                bucket = index.get(key_of(env), ())
+                stats.sweep_invocations += len(bucket)
+                for ids in bucket:
+                    match(env, ids, relation[ids])
         return query
 
     def negquery(self, q: NegQuery, scope: dict, bound: frozenset, kc) -> Step:
