@@ -22,14 +22,18 @@ nothing and reads the leaves in place, as the growth routine refuses a
 sealed relation before it writes.  A step holds the relations it uses,
 found by name when compiled.  Assertions that make up a whole conjunction
 and have no unbound variable run as one step, in order, each reading its
-leaf afresh.  A candidate at or below its leaf stops there; any other, and
+leaf afresh; when they share one argument list, the step reads the tuple
+once.  A candidate at or below its leaf stops there; any other, and
 each fact, goes to its relation's one growth routine
 (:meth:`ResultStore.grower`), which refuses growth of a sealed rank, joins
 the leaf and, if queries wait under its key in those tables, queues the
 growth with its relation and them.  A candidate at or above its leaf is the
 join and is stored itself, so leaves may share value objects.  A query
 whose lattice term is an unbound lattice variable and that tests no
-argument binds it in its match.
+argument has a bind-only match, which writes its slots directly; a sealed
+read of such a query under the empty or a partial signature binds in its
+own loop and calls no match.  Each of these steps is chosen when compiled,
+from the rule alone, and counts what the general one counts.
 One loop delivers the queue, oldest first, running each match as a sweep
 does, so deliveries never nest, and stops delivering a leaf once a later
 growth has replaced it.
@@ -287,6 +291,12 @@ class _Compiler:
     A query on a relation sealed at compile time reads it in place
     (:meth:`sealed_query`); any other registers and sweeps.  A conjunction
     of assertions with no unbound variable is one step (:meth:`assertions`).
+    Some steps are specialized to their rule when compiled: a query that
+    tests no argument and binds its lattice variable matches with
+    :meth:`binder`, and reads a sealed relation with
+    :meth:`sealed_binding_read`; heads with one argument list read their
+    tuple once.  Every counter counts as on the general path, which alone
+    handles tested arguments, narrowing and described or constant terms.
     """
 
     def __init__(self, engine: "_Engine", holes: dict):
@@ -387,9 +397,23 @@ class _Compiler:
     def assertions(self, parts: tuple, scope: dict, bound: frozenset) -> Step:
         """One step running assertions with no unbound variable, in order,
         each as :meth:`assertion` does; each reads its leaf when it runs, so a
-        later one on the same tuple sees what an earlier one grew."""
+        later one on the same tuple sees what an earlier one grew.  When all
+        share one argument list the tuple is read once, while each head keeps
+        its own relation's ``get`` and growth routine."""
         heads = [self.head(a, scope, bound) for a in parts]
         stats, leq, bottom, n = self.engine.stats, self.lattice.leq, self.lattice.bottom, len(heads)
+        if all(a.args == parts[0].args for a in parts):
+            ids_of, heads = heads[0][0], [head[1:] for head in heads]
+
+            def assert_on_one_tuple(env):  # the tuple is read once
+                stats.candidates += n
+                ids = ids_of(env)
+                for value, get, grow in heads:
+                    l = value(env)
+                    current = get(ids)
+                    if not leq(l, bottom if current is None else current):
+                        grow(ids, l, current)
+            return assert_on_one_tuple
 
         def assert_all(env):
             stats.candidates += n
@@ -503,7 +527,11 @@ class _Compiler:
         """Registers the match on a copy of the environment under its key in
         the table, opened when compiled, of its search signature (constant and
         bound argument positions), then sweeps the tuples stored under it; on
-        a sealed relation, the step of :meth:`sealed_query`."""
+        a sealed relation, the step of :meth:`sealed_query`.  A query that
+        tests no argument and whose lattice term is an unbound 'Y matches
+        with :meth:`binder`, and reads a sealed relation under the empty or
+        a partial signature, binding up to two arguments, with
+        :meth:`sealed_binding_read`; any other runs the general match."""
         e = self.engine
         slots = self.args(scope, q.args)
         sig = tuple([pos for pos, t in enumerate(q.args)
@@ -517,29 +545,27 @@ class _Compiler:
                 after.add(t.name)
             else:
                 tests.append((pos, slots[pos]))
-        v, bottom, top = q.value, self.lattice.bottom, self.lattice.top
+        keys = [slots[pos] for pos in sig]
+        key_of = _reader(keys) if len(sig) in (0, len(slots)) else itemgetter(*keys)
+        stats, relation = e.stats, e.store.relation(q.pred)
+        sealed, v = relation.rank <= e.store.sealed_rank, q.value
         if isinstance(v, YVar) and v.name not in after and not tests:
             # the match binds 'Y itself, as the matcher's bind would
             y, k = self.lookup(scope, v.name), kc(frozenset(after | {v.name}))
+            if sealed and len(sig) < relation.arity and len(binds) <= 2:
+                return self.sealed_binding_read(relation, sig, key_of, binds, y, k)
+            match = self.binder(binds, y, k)
         else:
-            y, match_value = None, self.matcher(v, scope, frozenset(after), kc)
+            match_value = self.matcher(v, scope, frozenset(after), kc)
 
-        def match(env, ids, l):
-            for pos, s in binds:
-                env[s] = ids[pos]
-            if y is None:
+            def match(env, ids, l):
+                for pos, s in binds:
+                    env[s] = ids[pos]
                 for pos, s in tests:
                     if ids[pos] != env[s]:
                         return
                 match_value(env, l)
-            elif l != bottom:
-                env[y], env[y + 1] = l, bottom
-                k(env)
-                env[y] = top
-        keys = [slots[pos] for pos in sig]
-        key_of = _reader(keys) if len(sig) in (0, len(slots)) else itemgetter(*keys)
-        stats, relation = e.stats, e.store.relation(q.pred)
-        if relation.rank <= e.store.sealed_rank:
+        if sealed:
             return self.sealed_query(relation, sig, key_of, match)
         table = relation.table(sig)
         sweep, register = table.sweep, table.register
@@ -556,7 +582,8 @@ class _Compiler:
     def sealed_query(self, relation: Relation, sig: tuple, key_of, match) -> Step:
         """A query on a sealed relation, which no growth changes again: it
         waits for nothing and reads the leaves in place, counting each one
-        matched as a sweep would."""
+        matched as a sweep would, and calls the match per leaf; see
+        :meth:`sealed_binding_read` for the reads that bind in place."""
         stats = self.engine.stats
         if not sig:
             items = relation.items
@@ -582,6 +609,72 @@ class _Compiler:
                 stats.sweep_invocations += len(bucket)
                 for ids in bucket:
                     match(env, ids, relation[ids])
+        return query
+
+    def binder(self, binds: list, y: int, k: Step) -> Callable[[list, tuple, Any], None]:
+        """The match of a query that tests no argument and whose lattice term
+        is an unbound 'Y: it writes its one or two argument slots directly
+        (more in a loop), binds 'Y to l unless l is bottom and runs k."""
+        bottom, top, y1 = self.lattice.bottom, self.lattice.top, y + 1
+        if not binds:
+            def match(env, ids, l):
+                if l != bottom:
+                    env[y], env[y1] = l, bottom
+                    k(env)
+                    env[y] = top
+        elif len(binds) <= 2:
+            (p, s), (p2, s2) = binds if len(binds) == 2 else binds * 2  # one bind, written twice
+
+            def match(env, ids, l):
+                if l != bottom:
+                    env[s] = ids[p]
+                    env[s2] = ids[p2]
+                    env[y], env[y1] = l, bottom
+                    k(env)
+                    env[y] = top
+        else:
+            def match(env, ids, l):
+                if l != bottom:
+                    for p, s in binds:
+                        env[s] = ids[p]
+                    env[y], env[y1] = l, bottom
+                    k(env)
+                    env[y] = top
+        return match
+
+    def sealed_binding_read(self, relation: Relation, sig: tuple, key_of, binds: list,
+                            y: int, k: Step) -> Step:
+        """:meth:`sealed_query` under the empty or a partial signature, for a
+        match of :meth:`binder` with one or two argument slots: each stored
+        tuple binds them and 'Y in place and runs k, in the read's own loop,
+        with the same count of sweeps.  A stored leaf is never bottom."""
+        stats, bottom, top, y1 = self.engine.stats, self.lattice.bottom, self.lattice.top, y + 1
+        (p, s), (p2, s2) = binds if len(binds) == 2 else binds * 2  # one bind, written twice
+        if not sig:
+            items = relation.items
+
+            def query(env):
+                stats.sweep_invocations += len(relation)
+                env[y1] = bottom  # k restores the lower bound it raises
+                for ids, l in items():
+                    env[s] = ids[p]
+                    env[s2] = ids[p2]
+                    env[y] = l
+                    k(env)
+                env[y] = top
+        else:
+            index = relation.table(sig).index
+
+            def query(env):
+                bucket = index.get(key_of(env), ())
+                stats.sweep_invocations += len(bucket)
+                env[y1] = bottom
+                for ids in bucket:
+                    env[s] = ids[p]
+                    env[s2] = ids[p2]
+                    env[y] = relation[ids]
+                    k(env)
+                env[y] = top
         return query
 
     def negquery(self, q: NegQuery, scope: dict, bound: frozenset, kc) -> Step:
@@ -832,18 +925,24 @@ class SolveResult(Record):
 
     def dump_lines(self) -> list[str]:
         """Deterministic dump: predicate name order, then atom id (universe
-        position) tuple order.
-        Each atom and each distinct leaf value is rendered once."""
+        position) tuple order, from each relation's sorted keys.  Each atom
+        and each distinct leaf value is rendered once, a line being a prefix
+        per predicate, the atoms and a ``) = text`` suffix per value."""
         render = self.program.lattice.render
         names = [render_atom(a) for a in self.program.universe]
-        values: dict = {}
+        suffixes: dict = {}
         lines = []
         for pred in sorted(self.store._relations):
-            for ids, v in sorted(self.store.relation(pred).items(), key=itemgetter(0)):
-                text = values.get(v)
-                if text is None:
-                    text = values[v] = render(v)
-                lines.append(f"{pred}({','.join(map(names.__getitem__, ids))}) = {text}")
+            relation, prefix = self.store.relation(pred), pred + "("
+            for ids in sorted(relation):
+                v = relation[ids]
+                suffix = suffixes.get(v)
+                if suffix is None:
+                    suffix = suffixes[v] = ") = " + render(v)
+                if len(ids) == 2:  # the usual arity, without a join
+                    lines.append(prefix + names[ids[0]] + "," + names[ids[1]] + suffix)
+                else:
+                    lines.append(prefix + ",".join([names[i] for i in ids]) + suffix)
         return lines
 
 

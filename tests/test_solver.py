@@ -5,6 +5,7 @@ import gc
 import pickle
 import re
 import sys
+from collections import Counter
 from itertools import cycle
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from latlog.ast import (Apply, Assert, Const, Forall, Imply, LitConst, PreOr,
                         Query, Repr, TrueClause, Var, YVar,
                         reorder_preconditions, validate)
 from latlog.errors import SolverInvariantError, StratificationError
-from latlog.lattices import powerset_lattice
+from latlog.lattices import powerset_lattice, render_atom
 from latlog.parser import parse_clauses
 from latlog.solver import ResultStore, SolveStats, Table, _Compiler, _Engine, solve
 import latlog.oracle as oracle
@@ -734,6 +735,88 @@ def test_sealed_reads_and_several_heads_match_naive(text):
     helpers.recheck(result)
 
 
+# --- steps specialized when compiled ----------------------------------------------
+
+# E, L, F and E3 are base relations, sealed before the first stratum runs;
+# the rest grow in the stratum that reads them.  L(a) and E(a,a) are
+# incomparable
+SPECIAL = SEALED + ("rel F/0\nrel E3/3\nfact F() = {b}\n"
+                    "fact E3(a,b,c) = {a}\nfact E3(c,b,a) = {b,c}\nfact E3(a,a,a) = {c}\n")
+# each case, and the compiled paths it must take: ("binder", binds) for a
+# bind-only match, ("in place", signature kind) for a sealed read that binds
+# in place, and ("matcher",) for the general match of the lattice term
+SPECIALIZED = {
+    "a bind-only match of no argument, live":
+        ("clause (forall x. forall 'Y. L(x;'Y) => T(x;'Y))"
+         " & (forall x. forall 'Y. forall 'Z. L(x;'Y) & T(x;'Z) => U(x;'Z))",
+         {("binder", 0), ("in place", "empty")}),
+    "a bind-only match of no argument, sealed and nullary":
+        ("clause forall x. forall 'Y. forall 'Z. L(x;'Y) & F(;'Z) => T(x;'Z)",
+         {("binder", 0), ("in place", "empty")}),
+    "a bind-only match of one argument, live":
+        ("clause (forall x. forall 'Y. L(x;'Y) => T(x;'Y))"
+         " & (forall x. forall 'Y. T(x;'Y) => U(x;'Y))",
+         {("binder", 1)}),
+    # P copies E, which is not symmetric, so swapped slots show in T
+    "a bind-only match of two arguments, live":
+        ("clause (forall x. forall y. forall 'Y. E(x,y;'Y) => P(x,y;'Y))"
+         " & (forall x. forall y. forall 'Y. P(x,y;'Y) => T(y,x;'Y))"
+         " & (forall x. forall y. forall z. forall 'Y. forall 'Z."
+         " P(x,y;'Y) & E(y,z;'Z) => U(x,z;'Y) & U(x,z;'Z))",
+         {("binder", 2), ("in place", "partial")}),
+    "a bind-only match of three arguments, live and sealed":
+        ("clause (forall x. forall y. forall z. forall 'Y. E3(x,y,z;'Y) => P(z,y,x;'Y))"
+         " & (forall x. forall y. forall z. forall 'Y. P(x,y,z;'Y) => T(y,z,x;'Y))",
+         {("binder", 3)}),
+    "a sealed read in place under the empty signature":
+        ("clause forall x. forall y. forall 'Y. E(x,y;'Y) => T(y,x;'Y)",
+         {("in place", "empty")}),
+    "a sealed read in place under a partial signature":
+        ("clause forall x. forall y. forall 'Y. forall 'Z. L(x;'Y) & E(x,y;'Z)"
+         " => T(x,y;'Z)",
+         {("in place", "empty"), ("in place", "partial")}),
+    "a sealed read under the full signature":
+        ("clause forall x. forall y. forall 'Y. forall 'Z. E(x,y;'Y) & E(y,x;'Z)"
+         " => T(x,y;'Z)",
+         {("in place", "empty"), ("binder", 0)}),
+    "a repeated variable, live and sealed":
+        ("clause (forall x. forall y. forall 'Y. E(x,y;'Y) => P(x,y;'Y))"
+         " & (forall x. forall 'Y. P(x,x;'Y) => T(x;'Y))"
+         " & (forall x. forall 'Y. E(x,x;'Y) => U(x;'Y))",
+         {("matcher",)}),
+    "a bound lattice variable, which narrows":
+        ("clause forall x. forall y. forall 'Y. L(y;'Y) & E(x,y;'Y) => T(x,y;'Y)",
+         {("in place", "empty"), ("matcher",)}),
+    # a get shared by the heads reads T's leaf for S and loses every S leaf
+    "two heads with one argument list on different predicates":
+        ("clause forall x. forall y. forall 'Y. E(x,y;'Y) => T(x,y;'Y) & S(x,y;'Y)",
+         {("in place", "empty")}),
+    "two heads on one tuple with incomparable values":
+        ("clause forall x. forall y. forall 'Y. forall 'Z. L(x;'Y) & E(x,y;'Z)"
+         " => T(x,y;'Y) & T(x,y;'Z)",
+         {("in place", "partial")}),
+}
+
+
+@pytest.mark.parametrize("text, paths", SPECIALIZED.values(), ids=SPECIALIZED)
+def test_specialized_steps_match_naive(text, paths, monkeypatch):
+    taken = set()
+    binder, in_place, matcher = (_Compiler.binder, _Compiler.sealed_binding_read,
+                                 _Compiler.matcher)
+    monkeypatch.setattr(_Compiler, "binder", lambda self, binds, *args: taken.add(
+        ("binder", len(binds))) or binder(self, binds, *args))
+    monkeypatch.setattr(_Compiler, "sealed_binding_read", lambda self, relation, sig, *args:
+                        taken.add(("in place", "partial" if sig else "empty"))
+                        or in_place(self, relation, sig, *args))
+    monkeypatch.setattr(_Compiler, "matcher", lambda self, *args: taken.add(
+        ("matcher",)) or matcher(self, *args))
+    program, result = helpers.run_pipeline(SPECIAL + text)
+    assert paths <= taken
+    assert result.leaves()["T"]
+    assert semantics.from_leaves(program, result.leaves()) == oracle.naive_fixpoint(program)
+    helpers.recheck(result)
+
+
 def test_negated_query_on_a_never_live_predicate_holds_with_top():
     _, result = helpers.run_pipeline(DEAD + UNFIRED["a negated query on a never-live predicate"])
     assert result.leaves()["N"] == {("a",): AB, ("b",): AB}
@@ -1105,11 +1188,13 @@ def test_solving_costs_a_few_calls_per_candidate():
     # called its lattice variable's bind and a sweep that tested its table's
     # kind made 4.88 calls per candidate; one growth routine per relation,
     # a match that binds and a sweep fixed per table make 3.68; reading the
-    # sealed E in place and running both heads in one step make 2.17
+    # sealed E in place and running both heads in one step make 2.17;
+    # binding in E's read itself, a match that writes its two slots and
+    # heads that read their shared tuple once make 1.66
     program = validate(parse_clauses(closure_program()[1]))
     candidates = solve(program).stats.candidates
     assert candidates == 2869
-    assert helpers.calls(solve, program) <= 2.5 * candidates
+    assert helpers.calls(solve, program) <= 1.9 * candidates
 
 
 def test_only_candidates_that_may_grow_enter_the_store(monkeypatch):
@@ -1370,15 +1455,45 @@ def test_solve_leaves_ast_caches_untouched():
     assert [fn.cache_info().currsize for fn in caches] == before
 
 
+def dumped_programs():
+    """Every sample clause file that validates, both analyses of every sample
+    graph and one emitted as text, random programs of seeds 0-999 in both
+    fragments, negative integer atoms at arities 1 to 3, and a chain whose
+    399 leaves share one value."""
+    from latlog.analysis import gen_interval_clauses
+    from latlog.randgen import random_program
+
+    for path in sorted(helpers.SAMPLES.glob("*.lat")):
+        if path.name != "nonstratified.lat":
+            yield validate(parse_clauses(path.read_text()))
+    for path in sorted(helpers.SAMPLES.glob("*.graph")):
+        for which in ("signs", "intervals"):
+            yield validate(analysis_program(parse_program_graph(path.read_text()), which))
+    yield validate(parse_clauses(
+        gen_interval_clauses(parse_program_graph(helpers.sample("loop.graph")), 0, 3)))
+    for seed in range(1000):
+        for fragment in (False, True):
+            yield random_program(seed, set_fragment=fragment)
+    yield validate(parse_clauses(
+        "lattice powerset {a,b}\nrel R/2\nfact R(-1,a) = {a}\nfact R(-10,-2) = {b}\n"
+        "fact R(3,-1) = {a,b}\nfact R(b,0) = {a}\n"
+        "clause forall x. forall y. forall 'Y. R(x,y;'Y) => T(y;'Y) & W(x,y,x;'Y)"))
+    yield validate(parse_clauses(chain(200, False)))
+
+
 def test_dump_renders_like_items():
-    graph_text = helpers.sample("loop.graph")
-    from latlog.analysis import gen_interval_clauses, parse_program_graph
-    program, result = helpers.run_pipeline(
-        gen_interval_clauses(parse_program_graph(graph_text), 0, 3))
-    render = program.lattice.render
-    assert result.dump_lines() == [
-        f"{pred}({','.join(str(a) for a in atoms)}) = {render(v)}"
-        for pred, atoms, v in result.items()]
+    # the dump builds each line from a prefix per predicate and a suffix per
+    # value; here each line is rendered whole, from items() alone
+    programs = shared = 0
+    for program in dumped_programs():
+        result = solve(program)
+        render = program.lattice.render
+        assert result.dump_lines() == [
+            f"{pred}({','.join(render_atom(a) for a in atoms)}) = {render(v)}"
+            for pred, atoms, v in result.items()]
+        programs += 1
+        shared = max(shared, *Counter(leaf_values(result)).values(), 0)
+    assert programs == 2019 and shared == 399
 
 
 @settings(max_examples=200, deadline=None)
